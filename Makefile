@@ -14,12 +14,17 @@
 # cost over a corpus the eager builder rejects, and the
 # StreamHotpath_{Instrumented,FlightRecorded} twins prove the
 # observability layer — scan stats plus the flight-recorder ring —
-# adds no allocations to the streaming hot path.
+# adds no allocations to the streaming hot path. `make bench-check`
+# keeps the repo's benchmark (bench/, its own module, which tier-1 does
+# not build) compiling, its unit tests and input pins green, and one
+# short real window of scan_dense verified against the isolated-rule
+# oracle — so a change that breaks the benchmark fails here, not in the
+# pipeline that runs it.
 
 GO ?= go
 BENCH_JSON ?= BENCH_9.json
 
-.PHONY: build vet lint test race docs-check fuzz-smoke serve-smoke snapshot-smoke bench-smoke bench-json ci
+.PHONY: build vet lint test race docs-check fuzz-smoke serve-smoke snapshot-smoke bench-smoke bench-check bench-json ci
 
 build:
 	$(GO) build ./...
@@ -77,6 +82,13 @@ snapshot-smoke:
 bench-smoke:
 	SFA_BENCH_MB=1 $(GO) test -run '^$$' -bench 'Hotpath|Layout_' -benchtime 2x .
 
+# The benchmark BENCHMARK.json names: its own tests (-short skips the
+# full-length runs), then one 1-second window of one workload through
+# the same entry point the driver uses. run.sh builds into .bench_build/.
+bench-check:
+	cd bench && $(GO) test -short ./...
+	bash bench/run.sh -workload scan_dense -seconds 1
+
 # Benchmark-trajectory snapshot: hot path + layouts + the multi-pattern
 # RuleSet engines + the streaming writes + the cold-vs-warm rule-set
 # load pair, emitted as name → {ns/op, MB/s, allocs/op}. benchjson
@@ -90,4 +102,4 @@ bench-json:
 		-zero-alloc 'Hotpath.*Pooled' -zero-alloc 'StreamHotpath' \
 		-zero-alloc 'Instrumented' -zero-alloc 'FlightRecorded'
 
-ci: vet lint build docs-check race fuzz-smoke serve-smoke snapshot-smoke bench-smoke
+ci: vet lint build docs-check race fuzz-smoke serve-smoke snapshot-smoke bench-smoke bench-check

@@ -244,6 +244,10 @@ func scanRules(path string, input io.Reader, opts []sfa.Option, isolated bool, s
 				fmt.Printf(" candidate bytes %d/%d (%.1f%%)",
 					pf.CandidateBytes, pf.TotalBytes, 100*float64(pf.CandidateBytes)/float64(pf.TotalBytes))
 			}
+			if pf.BypassedBlocks > 0 {
+				fmt.Printf(" bypassed %d bytes in %d blocks (cascade %d vs whole %d ns/KiB)",
+					pf.BypassedBytes, pf.BypassedBlocks, pf.CascadeNsPerKiB, pf.WholeNsPerKiB)
+			}
 			fmt.Println()
 		}
 		fmt.Printf("%d bytes in %v (%.3f GB/s)\n",

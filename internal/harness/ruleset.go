@@ -76,7 +76,7 @@ func (c Config) Ruleset() error {
 	}
 
 	w := c.table()
-	fmt.Fprintf(w, "mode\tshards\tΣ|D|\tΣ|Sd|\ttables MiB\tbuild s\tMB/s\tcand%%\thits\t\n")
+	fmt.Fprintf(w, "mode\tshards\tΣ|D|\tΣ|Sd|\ttables MiB\tbuild s\tMB/s\tcand%%\tbypass%%\thits\t\n")
 	var oracle []string
 	haveOracle := false
 	var combined *sfa.RuleSet
@@ -109,16 +109,11 @@ func (c Config) Ruleset() error {
 			return fmt.Errorf("ruleset %s: verdict diverged from %s: %v vs %v",
 				m.name, modes[0].name, hits, oracle)
 		}
-		// cand% is the prefilter's selectivity over this run: the share
-		// of shard-bytes the automata actually walked. "-" = no prefilter.
-		cand := "-"
-		if pf := rs.PrefilterStats(); pf.Enabled && pf.TotalBytes > 0 {
-			cand = fmt.Sprintf("%.1f", 100*float64(pf.CandidateBytes)/float64(pf.TotalBytes))
-		}
-		fmt.Fprintf(w, "%s\t%d\t%d\t%d\t%.1f\t%.2f\t%.1f\t%s\t%d\t\n",
+		cand, bypass := prefilterShares(rs.PrefilterStats())
+		fmt.Fprintf(w, "%s\t%d\t%d\t%d\t%.1f\t%.2f\t%.1f\t%s\t%s\t%d\t\n",
 			m.name, rs.NumShards(), dStates, sStates,
 			float64(tableBytes)/(1<<20), build.Seconds(),
-			float64(size)/elapsed.Seconds()/1e6, cand, len(hits))
+			float64(size)/elapsed.Seconds()/1e6, cand, bypass, len(hits))
 	}
 	w.Flush()
 	c.printf("matching rules: %v\n", oracle)
@@ -170,7 +165,7 @@ func (c Config) Ruleset() error {
 	c.header(fmt.Sprintf("Ruleset prefilter A/B — sparse payload corpus (%d rules, %d MiB, %d planted, p=1)",
 		len(defs), size>>20, sp))
 	w = c.table()
-	fmt.Fprintf(w, "mode\tshards\tMB/s\tcand%%\thits\t\n")
+	fmt.Fprintf(w, "mode\tshards\tMB/s\tcand%%\tbypass%%\thits\t\n")
 	var sparseOracle []string
 	haveSparse := false
 	for _, m := range modes[:2] { // combined vs combined-nopre
@@ -186,16 +181,30 @@ func (c Config) Ruleset() error {
 			return fmt.Errorf("ruleset %s (sparse): verdict diverged: %v vs %v",
 				m.name, hits, sparseOracle)
 		}
-		cand := "-"
-		if pf := rs.PrefilterStats(); pf.Enabled && pf.TotalBytes > 0 {
-			cand = fmt.Sprintf("%.1f", 100*float64(pf.CandidateBytes)/float64(pf.TotalBytes))
-		}
-		fmt.Fprintf(w, "%s\t%d\t%.1f\t%s\t%d\t\n",
+		cand, bypass := prefilterShares(rs.PrefilterStats())
+		fmt.Fprintf(w, "%s\t%d\t%.1f\t%s\t%s\t%d\t\n",
 			m.name, rs.NumShards(),
-			float64(size)/elapsed.Seconds()/1e6, cand, len(hits))
+			float64(size)/elapsed.Seconds()/1e6, cand, bypass, len(hits))
 	}
 	w.Flush()
 	return nil
+}
+
+// prefilterShares renders the prefilter's two ratios over a run, "-"
+// without a prefilter: cand% is its selectivity, the share of
+// shard-bytes the automata actually walked, and bypass% the arm split —
+// the share of block bytes that skipped the literal matcher and walked
+// the window shards whole in one lock-step pass, because that measured
+// cheaper than the cascade on this corpus.
+func prefilterShares(pf sfa.PrefilterStats) (cand, bypass string) {
+	cand, bypass = "-", "-"
+	if pf.Enabled && pf.TotalBytes > 0 {
+		cand = fmt.Sprintf("%.1f", 100*float64(pf.CandidateBytes)/float64(pf.TotalBytes))
+	}
+	if blocks := pf.BypassedBytes + pf.MatcherBytes; pf.Enabled && blocks > 0 {
+		bypass = fmt.Sprintf("%.1f", 100*float64(pf.BypassedBytes)/float64(blocks))
+	}
+	return cand, bypass
 }
 
 // SFAFlags converts the corpus' parser flags to public API flags. It is

@@ -12,16 +12,17 @@
 //     when rule r accepts), then minimized mask-aware;
 //  3. the combined DFA feeds the unchanged D-SFA correspondence
 //     construction (core.BuildDSFA — the SFA states are transformations
-//     of the combined DFA's state set), and matching is one pooled
-//     parallel pass per shard through engine.MultiSFA, which reports the
-//     full bitmask of matching rules.
+//     of the combined DFA's state set), and matching is a pooled
+//     parallel pass through engine.MultiSFA, which reports the full
+//     bitmask of matching rules — one pass for all of a set's shards
+//     where they can walk lock-step (engine.Lockstep).
 //
 // Construction cost is the known pain point of combined automata: the
 // product DFA can approach the product of the component sizes, and its
 // transformation monoid can grow further still. A state-count budget
 // detects the blow-up during both constructions, and the planner falls
-// back to K combined shards scanned concurrently, with rules assigned
-// greedily by estimated automaton size. K = rule count degenerates to
+// back to K combined shards, with rules assigned greedily by estimated
+// automaton size. K = rule count degenerates to
 // the isolated per-rule engines, so the fallback is total.
 //
 // # Key types
@@ -33,6 +34,25 @@
 // plans and builds, [Recompile] rebuilds incrementally, reusing (by
 // pointer) every shard whose rule membership and budgets are unchanged
 // — the hot-reload primitive internal/serve leans on.
+//
+// # Scanning
+//
+// Shards exist because construction is budgeted, not because scanning
+// wants them, so the scan paths undo the cost where they can. Shards
+// that see every byte — all of them without a prefilter, the full and
+// gate shards with one — are walked over the input together in one
+// lock-step pass ([Set.Scan]) or one pass per Write followed by one
+// ⊙-fold per shard ([SetStream.Write]). Window shards of a prefiltered
+// set take the input block by block through the driver in prefilter.go,
+// which per block either runs the literal cascade and walks candidate
+// windows, or — when that has measured dearer on the set's recent
+// traffic — skips the matcher and walks every window shard over the
+// whole block in one lock-step pass. The "whole" window is a superset
+// of every window the cascade would have opened, and window shards only
+// ever rely on each occurrence lying inside *some* walked window, so
+// the choice cannot change a verdict; it only decides whether the
+// matcher is worth its own cost on this input. The choice is visible in
+// [PrefilterStats] and never configurable.
 //
 // # Lazy shards
 //

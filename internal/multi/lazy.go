@@ -36,14 +36,12 @@ const (
 // and the merge pass — which need eager tables — works against the
 // interface.
 type shardEngine interface {
+	engine.ShardEngine // MatchMask, OrMask, ComposeChunk, ChargeWalk: what a lock-step pass falls back to
 	Match(text []byte) bool
-	MatchMask(text []byte, dst []uint64) []uint64
-	OrMask(text []byte, dst []uint64)
 	Words() int
 
 	MappingLen() int
 	InitMapping(cur []int16)
-	ComposeChunk(cur, tmp []int16, chunk []byte) ([]int16, []int16)
 	MatchMaskFrom(cur []int16, dst []uint64) []uint64
 	ComposeMask(h, f, g []int16)
 

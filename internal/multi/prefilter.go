@@ -3,6 +3,7 @@ package multi
 import (
 	"slices"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/prefilter"
 )
@@ -31,6 +32,26 @@ import (
 // additionally needs search-bracketed automata, whose verdicts are
 // monotone under extension — which is why whole-input sets only ever
 // gate.
+//
+// Window shards consume their input block by block (setPre.block): a
+// one-shot scan cuts the input into scanBlock pieces, a stream takes
+// each Write as one block. Every block goes through one of two arms.
+// The cascade arm is the description above: literal matcher, merged
+// windows, one walk per window per shard. The whole arm skips the
+// matcher and hands every window shard the same single window — the
+// block widened by the longest occurrence on both sides. That window
+// is a superset of any window the cascade could have produced for the
+// block, and a window shard's contract never depended on *which*
+// literal opened a window, only on every occurrence lying inside some
+// window it walks, so soundness and completeness are inherited from
+// the window contract unchanged: a larger window can only find
+// occurrences that are really in the input (the automata are
+// search-bracketed) and cannot miss one a smaller window would have
+// found. What the whole arm buys is that all window shards see the
+// same bytes, so engine.Lockstep walks them in one pass for about the
+// price of one shard — cheaper than the matcher alone on text where
+// literal prefixes are everywhere. The arm is chosen per block from
+// the measured cost of each (armCosts).
 
 type shardMode uint8
 
@@ -41,10 +62,11 @@ const (
 	prePrefix
 )
 
-// span is a half-open candidate byte range [lo, hi). In streams the
-// coordinates are relative to the current chunk's first byte, so lo may
-// be negative (reaching into the carried tail buffer) and hi may exceed
-// the chunk (a window still waiting for input).
+// span is a half-open candidate byte range [lo, hi), relative to the
+// first byte of the buffer a block lives in. In streams that is the
+// current chunk, so lo may be negative (reaching into the carried tail
+// buffer) and hi may exceed the chunk (a window still waiting for
+// input).
 type span struct{ lo, hi int }
 
 // litTarget maps one literal to one shard it can witness a rule of.
@@ -67,18 +89,34 @@ type setPre struct {
 	targets [][]litTarget // by global literal id
 	shards  []shardPre
 	infos   []prefilter.Rule
-	litMax  int // longest literal (stream boundary-carry width)
-	maxSpan int // max window-shard span length, 2×maxLen (stream buffers)
-	maxPre  int // max prefix-shard scan length (stream head sizing)
+	win     []int // window-mode shard indices
+	gates   []int // gate-mode shard indices
+	prefix  int   // number of prefix-mode shards
+	litMax  int   // longest literal (stream boundary-carry width)
+	maxSpan int   // max window-shard span length, 2×maxLen (stream buffers)
+	maxPre  int   // max prefix-shard scan length (stream head sizing)
+	// lazyWin: some window shard is lazy. A lazy engine cannot join a
+	// lock-step pass, so the whole arm would cost it a full pass per
+	// block (and materialize states the windows never reach); such sets
+	// keep every block on the cascade arm.
+	lazyWin bool
 
 	covered   int // rules the cascade accelerates (literal-covered or prefix-bounded)
 	uncovered int // rules scanned in full wherever they land
 
+	arms armCosts
+	// forceArm, when set (Set.ForceArm, tests only), replaces the
+	// measured arm choice: block sequence number → take the whole arm.
+	forceArm func(block int64) bool
+	blockSeq atomic.Int64
+
 	shardsSkipped atomic.Int64 // shard scans skipped outright
 	candBytes     atomic.Int64 // bytes walked by prefiltered shards
 	totalBytes    atomic.Int64 // bytes those shards would walk unfiltered
-	chunksSkipped atomic.Int64 // stream chunks with no candidate work
-	chunksScanned atomic.Int64 // stream chunks with candidate windows
+	chunksSkipped atomic.Int64 // window-shard blocks with no candidate work
+	chunksScanned atomic.Int64 // window-shard blocks with candidate windows
+	bypassBlocks  atomic.Int64 // blocks that took the whole arm
+	bypassBytes   atomic.Int64 // bytes of those blocks
 }
 
 // armPrefilter attaches a prefilter built from per-rule extractions
@@ -90,6 +128,7 @@ func (s *Set) armPrefilter(infos []prefilter.Rule) {
 		return
 	}
 	pre := &setPre{shards: make([]shardPre, len(s.shards)), infos: infos}
+	s.carry = s.carry[:0] // window and prefix shards leave the carried-mapping protocol
 	for _, inf := range infos {
 		if inf.Covered() || inf.Prefix {
 			pre.covered++
@@ -122,6 +161,10 @@ func (s *Set) armPrefilter(infos []prefilter.Rule) {
 		case window && len(sh.rules) > 0:
 			sp.mode = preWindow
 			sp.maxLen = maxLen
+			pre.win = append(pre.win, si)
+			if eagerEngine(sh.m) == nil {
+				pre.lazyWin = true
+			}
 			if 2*maxLen > pre.maxSpan {
 				pre.maxSpan = 2 * maxLen
 			}
@@ -130,13 +173,17 @@ func (s *Set) armPrefilter(infos []prefilter.Rule) {
 			// bounded head scan is cheaper than any gating.
 			sp.mode = prePrefix
 			sp.maxLen = maxLen
+			pre.prefix++
 			if maxLen > pre.maxPre {
 				pre.maxPre = maxLen
 			}
 			continue
 		case gate:
 			sp.mode = preGate
+			pre.gates = append(pre.gates, si)
+			s.carry = append(s.carry, si)
 		default:
+			s.carry = append(s.carry, si)
 			continue // preFull, the zero value
 		}
 		for _, ri := range sh.rules {
@@ -195,28 +242,339 @@ func (p *setPre) addTarget(id, si int, mode shardMode, maxLen, litLen int) {
 // active reports whether scans actually consult a matcher.
 func (p *setPre) active() bool { return p != nil && p.m != nil }
 
-// prepare runs the literal cascade once over data and distributes the
-// hits: per shard a gate flag and (for window shards) a merged,
-// clipped candidate-span list, all in the scan context's reusable
-// scratch.
-func (p *setPre) prepare(c *scanCtx, data []byte) {
-	c.hits = p.m.AppendHits(c.hits[:0], data)
-	for i := range c.spans {
-		c.spans[i] = c.spans[i][:0]
-		c.gate[i] = false
+// armCosts is what the per-block arm choice runs on: the smoothed
+// measured cost of each arm in ns per KiB, and the schedule on which the
+// losing arm is sampled again. It lives on the setPre, shared by every
+// scan and stream of the set, so a new stream starts in the arm the
+// rule set's traffic last favoured. Updates are racy read-modify-writes
+// of independent atomics on purpose: the values steer a heuristic, and
+// either arm is always correct.
+type armCosts struct {
+	cost     [2]atomic.Int64 // [0] cascade, [1] whole; 0 = not measured yet
+	probeIn  atomic.Int64    // winning-arm bytes left before the loser runs one block
+	probeGap atomic.Int64    // bytes between such samples; doubles while the loser keeps losing
+}
+
+const (
+	// scanBlock is the block size one-shot scans cut their input into.
+	// A set with p > 1 threads cuts each block's lock-step walk into p
+	// sub-chunks on the pool, and a sub-chunk has to be worth waking a
+	// worker for (measured at p = 2: 64 KiB per thread scans 1.1× faster
+	// than p = 1, 256 KiB 1.6×), so its blocks are p × scanBlockPerThread.
+	scanBlock          = 64 << 10
+	scanBlockPerThread = 256 << 10
+	// armMinBytes: smaller blocks follow the set's current arm but
+	// neither measure nor sample — two clock reads would be a visible
+	// share of their cost, and their timing says little about per-byte
+	// cost.
+	armMinBytes = 4 << 10
+	// The losing arm is sampled after probeGapMin bytes, then at
+	// doubling distances up to probeGapMax: on stationary input the
+	// samples are a vanishing share of the bytes (one 64 KiB block per
+	// 64 MiB, 0.1 %, at the cap), and a change in the traffic that makes
+	// the loser cheaper is seen after at most probeGapMax bytes.
+	probeGapMin = 1 << 20
+	probeGapMax = 64 << 20
+)
+
+// wholeWins reports whether both arms are measured and the whole arm is
+// the cheaper.
+func (a *armCosts) wholeWins() bool {
+	cascade, whole := a.cost[0].Load(), a.cost[1].Load()
+	return cascade != 0 && whole != 0 && whole < cascade
+}
+
+// pick chooses the arm for a block of n bytes: the cheaper arm by
+// measurement, each arm once while it has no measurement, and the loser
+// on the sampling schedule. gate is the one-shot scan's gate flags (nil
+// in streams, which walk gate shards regardless): while a gate shard is
+// still closed the matcher is buying a whole-shard skip, so the block
+// stays on the cascade.
+func (p *setPre) pick(n int, gate []bool) bool {
+	if p.forceArm != nil {
+		return p.forceArm(p.blockSeq.Add(1) - 1)
 	}
-	for _, h := range c.hits {
-		for _, t := range p.targets[h.Lit] {
-			c.gate[t.shard] = true
-			if t.fwd >= 0 {
-				c.spans[t.shard] = append(c.spans[t.shard],
-					span{h.Pos - int(t.back), h.Pos + int(t.fwd)})
+	if p.lazyWin || len(p.win) == 0 {
+		return false
+	}
+	if gate != nil {
+		for _, g := range p.gates {
+			if !gate[g] {
+				return false
 			}
 		}
 	}
-	for i := range c.spans {
-		c.spans[i] = mergeSpans(c.spans[i], 0, len(data))
+	a := &p.arms
+	win := a.wholeWins()
+	if n < armMinBytes {
+		// The whole arm walks the block plus a junction and a pending
+		// window, maxSpan bytes in all: not worth it for less input.
+		return win && n >= p.maxSpan
 	}
+	if cascade := a.cost[0].Load(); cascade == 0 || a.cost[1].Load() == 0 {
+		return cascade != 0
+	}
+	if a.probeIn.Add(-int64(n)) > 0 {
+		return win
+	}
+	gap := min(max(2*a.probeGap.Load(), probeGapMin), probeGapMax)
+	a.probeGap.Store(gap)
+	a.probeIn.Store(gap)
+	return !win
+}
+
+// record folds one timed block into its arm's cost. Timing noise is
+// one-sided — a descheduled block only ever looks slower — so the
+// estimate follows a cheaper sample quickly and a dearer one slowly.
+// Sampling of the loser restarts at the short distance when the cheaper
+// arm changes, and when a sample of the loser comes in well under its
+// estimate and within half again of the winner: the traffic is moving
+// its way, and the next sample should not wait out a long gap.
+func (a *armCosts) record(whole bool, n int, ns int64) {
+	cost := max(ns<<10/int64(n), 1)
+	was, closing := a.wholeWins(), false
+	c, other := &a.cost[0], &a.cost[1]
+	if whole {
+		c, other = other, c
+	}
+	if old := c.Load(); old != 0 {
+		if cost < old {
+			closing = cost < old-old/8
+			cost = old + (cost-old)/2
+		} else {
+			cost = old + (cost-old)/16
+		}
+	}
+	c.Store(cost)
+	closing = closing && 2*cost < 3*other.Load()
+	if now := a.wholeWins(); now != was || (closing && now != whole) {
+		a.probeGap.Store(probeGapMin)
+		a.probeIn.Store(probeGapMin)
+	}
+}
+
+// winState is the window shards' state across the blocks of one scan
+// or stream: the OR-accumulated verdicts, the windows still waiting for
+// input, and per-block scratch. All per-shard slices are indexed by
+// shard; only window shards' entries are used.
+type winState struct {
+	acc     [][]uint64 // accumulated shard-local masks
+	pending [][]span   // windows outliving the consumed input, relative to the next block's buffer
+	newsp   [][]span   // the block's candidate spans
+	walked  []int64    // bytes each shard walked in the block (attribution split)
+	hits    []prefilter.Hit
+	wbuf    []byte // junction materialization (streams)
+}
+
+// init sizes the per-shard scratch; the caller allocates acc.
+func (w *winState) init(shards int) {
+	spans := make([][]span, 2*shards)
+	w.pending, w.newsp = spans[:shards:shards], spans[shards:]
+	w.walked = make([]int64, shards)
+}
+
+// addSpans turns literal hits into candidate spans of the window shards
+// they can witness: a hit at buffer position base+Pos opens
+// [pos−back, pos+fwd) on each target shard.
+//
+//sfa:noalloc
+func (p *setPre) addSpans(newsp [][]span, hits []prefilter.Hit, base int) {
+	for _, h := range hits {
+		for _, t := range p.targets[h.Lit] {
+			if t.fwd >= 0 {
+				newsp[t.shard] = append(newsp[t.shard],
+					span{base + h.Pos - int(t.back), base + h.Pos + int(t.fwd)})
+			}
+		}
+	}
+}
+
+// block advances the window shards over one block, cur[blo:bhi], of a
+// one-shot scan (cur is the whole input, tail is nil, gate the scan's
+// gate flags) or of a stream (cur is the chunk, blo:bhi all of it, tail
+// the carried history before cur[0], gate nil). Windows may reach
+// outside the block into whatever of tail and cur exists; ahead is how
+// far past len(cur) a window may wait for input — 0 in a one-shot scan,
+// where the part walked now is all there will ever be, the stream's
+// tail capacity otherwise — and the waiting remainder is left in
+// w.pending. It returns how many window shards had candidate work and
+// how many had none.
+//
+//sfa:noalloc
+func (p *setPre) block(s *Set, w *winState, gate []bool, tail, cur []byte, blo, bhi, ahead int) (scanned, skipped int64) {
+	n := bhi - blo
+	whole := p.pick(n, gate)
+	timed := n >= armMinBytes && len(p.win) > 0
+	var t0, walk0 time.Time
+	if timed {
+		t0 = time.Now()
+		walk0 = t0
+	}
+	for _, i := range p.win {
+		w.newsp[i] = w.newsp[i][:0]
+		w.walked[i] = 0
+	}
+	if whole {
+		// One window for every shard: the block, widened by the longest
+		// occurrence any window shard has. Whatever earlier blocks left
+		// pending lies inside it or inside what it leaves pending in turn.
+		p.bypassBlocks.Add(1)
+		p.bypassBytes.Add(int64(n))
+		reach, first := p.maxSpan/2, p.win[0]
+		w.newsp[first] = append(w.newsp[first], span{blo - reach, bhi + reach})
+		for _, i := range p.win {
+			w.pending[i] = w.pending[i][:0]
+		}
+		if gate != nil {
+			for _, g := range p.gates {
+				gate[g] = true // unknowable without the matcher
+			}
+		}
+		p.walk(s, w, tail, cur, ahead, first, p.win, reach)
+		scanned = int64(len(p.win))
+	} else {
+		p.cascade(w, gate, tail, cur, blo, bhi)
+		if timed {
+			walk0 = time.Now()
+		}
+		for k, i := range p.win {
+			w.newsp[i] = append(w.newsp[i], w.pending[i]...)
+			w.pending[i] = w.pending[i][:0]
+			if len(w.newsp[i]) == 0 {
+				skipped++
+				continue
+			}
+			scanned++
+			p.walk(s, w, tail, cur, ahead, i, p.win[k:k+1], p.shards[i].maxLen)
+		}
+	}
+	var total int64
+	for _, i := range p.win {
+		total += w.walked[i]
+	}
+	p.totalBytes.Add(int64(n * len(p.win)))
+	p.candBytes.Add(total)
+	p.chunksScanned.Add(scanned)
+	p.chunksSkipped.Add(skipped)
+	if timed {
+		end := time.Now()
+		p.arms.record(whole, n, end.Sub(t0).Nanoseconds())
+		if walkNs := end.Sub(walk0).Nanoseconds(); total > 0 {
+			for _, i := range p.win {
+				if w.walked[i] > 0 {
+					s.shards[i].m.ChargeWalk(walkNs * w.walked[i] / total)
+				}
+			}
+		}
+	}
+	return scanned, skipped
+}
+
+// cascade runs the literal matcher for the block and leaves each window
+// shard's candidate spans in w.newsp (and opens the gates its hits
+// witness): literals that begin in the block, including those that run
+// on past its end, and — in a stream — those the previous Write cut in
+// two, found by matching the (litMax−1)-byte overlap and keeping the
+// true straddlers (hits wholly in the tail were the previous block's,
+// hits wholly in cur are found above).
+//
+//sfa:noalloc
+func (p *setPre) cascade(w *winState, gate []bool, tail, cur []byte, blo, bhi int) {
+	w.hits = p.m.AppendHits(w.hits[:0], cur[blo:min(bhi+p.litMax-1, len(cur))])
+	own := w.hits[:0]
+	for _, h := range w.hits {
+		if h.Pos < bhi-blo {
+			own = append(own, h)
+		}
+	}
+	p.addSpans(w.newsp, own, blo)
+	if gate != nil {
+		for _, h := range own {
+			for _, t := range p.targets[h.Lit] {
+				gate[t.shard] = true
+			}
+		}
+	}
+	left := min(p.litMax-1, len(tail))
+	if left <= 0 {
+		return
+	}
+	reg := append(w.wbuf[:0], tail[len(tail)-left:]...)
+	reg = append(reg, cur[:min(p.litMax-1, len(cur))]...)
+	w.hits = p.m.AppendHits(w.hits[:0], reg)
+	cut := w.hits[:0]
+	for _, h := range w.hits {
+		if h.Pos < left && h.Pos+len(p.m.Lits()[h.Lit]) > left {
+			cut = append(cut, h)
+		}
+	}
+	w.wbuf = reg[:0]
+	p.addSpans(w.newsp, cut, -left)
+}
+
+// walk verifies the candidate spans in w.newsp[i] on every shard of sel
+// — shard i alone on the cascade arm, all window shards in one
+// lock-step pass on the whole arm — ORing verdicts into w.acc. maxLen
+// bounds an occurrence of any rule of those shards.
+//
+//sfa:noalloc
+func (p *setPre) walk(s *Set, w *winState, tail, cur []byte, ahead, i int, sel []int, maxLen int) {
+	for _, sp := range mergeSpans(w.newsp[i], -len(tail), len(cur)+ahead) {
+		hi := sp.hi
+		if hi > len(cur) {
+			// The window awaits input: walk what is here — occurrences
+			// completed inside it must show in Mask now — and keep the rest
+			// pending, relative to the next buffer. Only an occurrence that
+			// ends past len(cur) is still owed, and it begins less than
+			// maxLen before that.
+			for _, j := range sel {
+				w.pending[j] = append(w.pending[j],
+					span{max(sp.lo-len(cur), -maxLen), sp.hi - len(cur)})
+			}
+			hi = len(cur)
+		}
+		if hi <= sp.lo {
+			continue
+		}
+		a, b := w.window(tail, cur, sp.lo, hi, maxLen)
+		for _, piece := range [2][]byte{a, b} {
+			if len(piece) == 0 {
+				continue
+			}
+			if len(sel) == 1 {
+				s.shards[i].m.OrMask(piece, w.acc[i])
+			} else {
+				s.lock.OrMasks(sel, piece, w.acc)
+			}
+			for _, j := range sel {
+				w.walked[j] += int64(len(piece))
+			}
+		}
+	}
+}
+
+// window cuts the buffer-relative window [lo, hi), −len(tail) ≤ lo <
+// hi ≤ len(cur), into the slices to walk. Inside cur it is one direct
+// slice. A window that begins in the tail is walked as the junction —
+// its tail part plus up to maxLen bytes of cur, materialized in w.wbuf
+// — and, when it runs on, all of cur[:hi]: the pieces overlap by the
+// junction's whole cur part, so no occurrence (≤ maxLen long) is split
+// between them.
+//
+//sfa:noalloc
+func (w *winState) window(tail, cur []byte, lo, hi, maxLen int) (a, b []byte) {
+	if lo >= 0 {
+		return cur[lo:hi], nil
+	}
+	if hi <= 0 {
+		return tail[len(tail)+lo : len(tail)+hi], nil
+	}
+	w.wbuf = append(w.wbuf[:0], tail[len(tail)+lo:]...)
+	w.wbuf = append(w.wbuf, cur[:min(hi, maxLen)]...)
+	if hi > maxLen {
+		b = cur[:hi]
+	}
+	return w.wbuf, b
 }
 
 // mergeSpans clips spans to [lo, hi), sorts them, and merges overlaps
@@ -247,62 +605,15 @@ func mergeSpans(spans []span, lo, hi int) []span {
 	return out
 }
 
-// scanShard produces shard i's local mask for data into c.bufs[i],
-// routing through the shard's prefilter mode. Verdicts are byte-
-// identical to an unfiltered MatchMask in every mode.
-func (s *Set) scanShard(i int, data []byte, c *scanCtx) []uint64 {
-	sh := s.shards[i]
-	buf := c.bufs[i]
-	p := s.pre
-	if p == nil || p.shards[i].mode == preFull {
-		return sh.m.MatchMask(data, buf)
+// ForceArm replaces the measured per-block arm choice with f — block
+// sequence number → take the whole arm — and nil restores it. The arm
+// never changes a verdict; this is how the differential tests prove it,
+// by driving every schedule. Call it before the set is shared. A set
+// without window shards has no blocks to choose for.
+func (s *Set) ForceArm(f func(block int64) bool) {
+	if s.pre != nil && len(s.pre.win) > 0 {
+		s.pre.forceArm = f
 	}
-	if p.shards[i].mode == prePrefix {
-		// Begin-anchored shard: the verdict is decided by the first
-		// maxLen bytes (occurrences start at byte 0 and the trailing .*
-		// bracket absorbs the rest).
-		p.totalBytes.Add(int64(len(data)))
-		k := p.shards[i].maxLen
-		if k > len(data) {
-			k = len(data)
-		}
-		p.candBytes.Add(int64(k))
-		return sh.m.MatchMask(data[:k], buf)
-	}
-	if !p.active() {
-		return sh.m.MatchMask(data, buf)
-	}
-	p.totalBytes.Add(int64(len(data)))
-	if !c.gate[i] {
-		p.shardsSkipped.Add(1)
-		for j := range buf {
-			buf[j] = 0
-		}
-		return buf
-	}
-	if p.shards[i].mode == preGate {
-		p.candBytes.Add(int64(len(data)))
-		return sh.m.MatchMask(data, buf)
-	}
-	spans := c.spans[i]
-	total := 0
-	for _, sp := range spans {
-		total += sp.hi - sp.lo
-	}
-	// Dense windows: once the candidate regions approach the input
-	// itself, per-window dispatch is pure overhead — scan it whole.
-	if 2*total >= len(data) {
-		p.candBytes.Add(int64(len(data)))
-		return sh.m.MatchMask(data, buf)
-	}
-	p.candBytes.Add(int64(total))
-	for j := range buf {
-		buf[j] = 0
-	}
-	for _, sp := range spans {
-		sh.m.OrMask(data[sp.lo:sp.hi], buf)
-	}
-	return buf
 }
 
 // PrefilterStats is a point-in-time snapshot of the literal cascade's
@@ -323,8 +634,16 @@ type PrefilterStats struct {
 	ShardsSkipped  int64 // one-shot shard scans skipped outright
 	CandidateBytes int64 // bytes walked by prefiltered shards
 	TotalBytes     int64 // bytes they would have walked unfiltered
-	ChunksSkipped  int64 // stream shard-chunks with no candidate work
-	ChunksScanned  int64 // stream shard-chunks with candidate windows
+	ChunksSkipped  int64 // window-shard blocks (stream writes, 64 KiB scan blocks) with no candidate work
+	ChunksScanned  int64 // window-shard blocks with candidate windows
+
+	// The per-block arm choice: blocks (and their bytes) that skipped the
+	// matcher and walked every window shard whole in one lock-step pass,
+	// and the smoothed measured cost of each arm, 0 until first measured.
+	BypassedBlocks  int64
+	BypassedBytes   int64
+	CascadeNsPerKiB int64
+	WholeNsPerKiB   int64
 
 	MatcherCalls int64 // global literal matcher invocations
 	MatcherBytes int64 // input bytes swept by the matcher
@@ -348,6 +667,11 @@ func (s *Set) PrefilterStats() PrefilterStats {
 		TotalBytes:     p.totalBytes.Load(),
 		ChunksSkipped:  p.chunksSkipped.Load(),
 		ChunksScanned:  p.chunksScanned.Load(),
+
+		BypassedBlocks:  p.bypassBlocks.Load(),
+		BypassedBytes:   p.bypassBytes.Load(),
+		CascadeNsPerKiB: p.arms.cost[0].Load(),
+		WholeNsPerKiB:   p.arms.cost[1].Load(),
 	}
 	if p.m != nil {
 		ms := p.m.Stats()

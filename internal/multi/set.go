@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/obs"
-	"repro/internal/prefilter"
 )
 
 // shard is one combined automaton covering a subset of the rules.
@@ -33,8 +32,17 @@ type Set struct {
 	// pre is the armed literal prefilter, nil when compiled without one
 	// (see prefilter.go). It is set before the set is published and
 	// never mutated afterwards, so scans read it without synchronization.
-	pre  *setPre
-	ctxs sync.Pool
+	pre *setPre
+	// lock walks any selection of the shards over the same bytes in one
+	// lock-step pass (engine.Lockstep; lazy and otherwise ineligible
+	// shards fall back to their own walk inside it).
+	lock *engine.Lockstep
+	// carry lists the shards that see every input byte: one-shot scans
+	// walk them over the whole input, streams advance them by carried
+	// mapping. Every shard without a prefilter; the full and gate shards
+	// with one (armPrefilter).
+	carry []int
+	ctxs  sync.Pool
 	// report is the structured account of the build that produced this
 	// set (see BuildReport). Written once before publication.
 	report BuildReport
@@ -49,9 +57,9 @@ type Set struct {
 	// the rest of the set's state it lives for one generation; reloads
 	// start a fresh table.
 	heat []atomic.Int64
-	// pool carries Scan's shard-level fan-out (Options.Pool, default
-	// engine.DefaultPool). Shard-internal chunk parallelism uses the
-	// same pool via each shard engine's own wiring.
+	// pool carries Scan's block-level fan-out (Options.Pool, default
+	// engine.DefaultPool). Chunk parallelism inside a pass uses the same
+	// pool via each shard engine's own wiring.
 	pool *engine.Pool
 }
 
@@ -60,29 +68,45 @@ func newSet(shards []*shard, rules int, pool *engine.Pool) *Set {
 		pool = engine.DefaultPool()
 	}
 	s := &Set{shards: shards, rules: rules, words: maskWords(rules), heat: make([]atomic.Int64, rules), pool: pool}
+	engines := make([]engine.ShardEngine, len(shards))
+	s.carry = make([]int, len(shards))
+	for i, sh := range shards {
+		engines[i] = sh.m
+		s.carry[i] = i
+	}
+	s.lock = engine.NewLockstep(engines)
 	s.ctxs.New = func() any {
 		c := &scanCtx{
-			bufs:  make([][]uint64, len(shards)),
-			spans: make([][]span, len(shards)),
-			gate:  make([]bool, len(shards)),
+			gate: make([]bool, len(shards)),
+			sel:  make([]int, 0, len(shards)),
 		}
+		c.win.init(len(shards))
+		c.win.acc = make([][]uint64, len(shards))
 		for i, sh := range shards {
-			c.bufs[i] = make([]uint64, maskWords(len(sh.rules)))
+			c.win.acc[i] = make([]uint64, maskWords(len(sh.rules)))
 		}
 		return c
 	}
 	return s
 }
 
-// scanCtx carries one Scan's per-shard result buffers and the
-// prefilter's per-scan scratch (literal hits, candidate spans, gate
-// flags), all recycled through the set's pool.
+// scanCtx carries one Scan's scratch, recycled through the set's pool:
+// the per-shard result masks (win.acc — window shards accumulate into
+// theirs block by block, every other shard's is written once), the
+// block driver's state, the gate flags, and the selection of shards
+// walked over the whole input.
 type scanCtx struct {
-	bufs  [][]uint64
-	spans [][]span
-	gate  []bool
-	hits  []prefilter.Hit
-	next  atomic.Int64
+	win  winState
+	gate []bool
+	sel  []int
+}
+
+// reset clears what a previous scan left behind.
+func (c *scanCtx) reset() {
+	for _, m := range c.win.acc {
+		clear(m)
+	}
+	clear(c.gate)
 }
 
 // NumRules returns the number of rules the set was compiled from.
@@ -94,51 +118,105 @@ func (s *Set) NumShards() int { return len(s.shards) }
 // Words returns the result bitmask width in uint64 words.
 func (s *Set) Words() int { return s.words }
 
-// Scan matches every rule against data in one pass per shard and writes
-// the global bitmask — bit r set iff rule r matches — into dst, which
-// must have Words() capacity; dst[:Words()] is returned. Shards run
-// concurrently, up to `workers` at a time (0 = all), dispatched on the
-// engine worker pool (never fresh goroutines); each shard's pass is
-// itself chunk-parallel on the same pool, which is safe because Pool.Run
-// waiters help drain the queue. workers = 1 scans the shards
-// sequentially on the calling goroutine — the zero-allocation form,
-// since the concurrent fan-out costs one task closure per call.
+// Scan matches every rule against data and writes the global bitmask —
+// bit r set iff rule r matches — into dst, which must have Words()
+// capacity; dst[:Words()] is returned. Window shards of a prefiltered
+// set consume the input in scanBlock pieces through the block driver
+// (prefilter.go); every shard that must see the whole input — all of
+// them without a prefilter, else the full shards and the gate shards a
+// literal opened — is walked in one lock-step pass, chunk-parallel on
+// the engine pool by the set's thread count. workers = 1 runs the blocks
+// in order on the calling goroutine, the zero-allocation form; any other
+// value fans them out over up to that many pool workers (0 = all of
+// them; never fresh goroutines) at the cost of a few small allocations.
 func (s *Set) Scan(data []byte, workers int, dst []uint64) []uint64 {
 	dst = dst[:s.words]
-	for i := range dst {
-		dst[i] = 0
+	clear(dst)
+	if workers <= 0 || workers > s.pool.Workers() {
+		workers = s.pool.Workers()
 	}
 	c := s.ctxs.Get().(*scanCtx)
-	if s.pre.active() {
-		s.pre.prepare(c, data)
+	c.reset()
+	p := s.pre
+	if p.active() {
+		s.scanBlocks(c, data, workers)
 	}
-	if len(s.shards) == 1 || workers == 1 {
-		for i, sh := range s.shards {
-			sh.merge(dst, s.scanShard(i, data, c))
-		}
-		s.ctxs.Put(c)
-		s.recordHeat(dst)
-		return dst
-	}
-	c.next.Store(0)
-	if workers <= 0 || workers > len(s.shards) {
-		workers = len(s.shards)
-	}
-	s.pool.Map(workers, func(int) {
-		for {
-			i := int(c.next.Add(1)) - 1
-			if i >= len(s.shards) {
-				return
+	c.sel = c.sel[:0]
+	for _, i := range s.carry {
+		if p.active() && p.shards[i].mode == preGate {
+			p.totalBytes.Add(int64(len(data)))
+			if !c.gate[i] {
+				p.shardsSkipped.Add(1)
+				continue
 			}
-			s.scanShard(i, data, c)
+			p.candBytes.Add(int64(len(data)))
 		}
-	})
+		c.sel = append(c.sel, i)
+	}
+	s.lock.MatchMasks(c.sel, data, c.win.acc)
 	for i, sh := range s.shards {
-		sh.merge(dst, c.bufs[i])
+		if p != nil && p.shards[i].mode == prePrefix {
+			// Begin-anchored shard: the verdict is decided by the first
+			// maxLen bytes (occurrences start at byte 0 and the trailing .*
+			// bracket absorbs the rest).
+			k := min(p.shards[i].maxLen, len(data))
+			p.totalBytes.Add(int64(len(data)))
+			p.candBytes.Add(int64(k))
+			sh.m.MatchMask(data[:k], c.win.acc[i])
+		}
+		sh.merge(dst, c.win.acc[i])
 	}
 	s.ctxs.Put(c)
 	s.recordHeat(dst)
 	return dst
+}
+
+// scanBlocks runs the block driver over data: in order on the calling
+// goroutine, or — blocks of a one-shot scan are independent, each
+// reaching into its neighbours' bytes rather than their state — on up
+// to `workers` pool workers, each with its own context, OR-reduced into
+// c afterwards (window verdicts and gate flags are both ORs).
+func (s *Set) scanBlocks(c *scanCtx, data []byte, workers int) {
+	size := scanBlock
+	if p := s.lock.Threads(); p > 1 {
+		size = p * scanBlockPerThread
+	}
+	blocks := (len(data) + size - 1) / size
+	if workers = min(workers, blocks); workers < 2 {
+		for b := 0; b < blocks; b++ {
+			s.scanBlock(c, data, b*size, size)
+		}
+		return
+	}
+	ctxs := make([]*scanCtx, workers)
+	ctxs[0] = c
+	for w := 1; w < workers; w++ {
+		ctxs[w] = s.ctxs.Get().(*scanCtx)
+		ctxs[w].reset()
+	}
+	var next atomic.Int64
+	s.pool.Map(workers, func(w int) {
+		for b := int(next.Add(1)) - 1; b < blocks; b = int(next.Add(1)) - 1 {
+			s.scanBlock(ctxs[w], data, b*size, size)
+		}
+	})
+	for _, o := range ctxs[1:] {
+		for _, i := range s.pre.win {
+			for j, bits := range o.win.acc[i] {
+				c.win.acc[i][j] |= bits
+			}
+		}
+		for _, g := range s.pre.gates {
+			c.gate[g] = c.gate[g] || o.gate[g]
+		}
+		s.ctxs.Put(o)
+	}
+}
+
+// scanBlock hands the block of data at lo to the block driver: no tail
+// and no waiting ahead, since every byte a window can reach is in data.
+func (s *Set) scanBlock(c *scanCtx, data []byte, lo, size int) {
+	s.pre.block(s, &c.win, c.gate, nil, data, lo, min(lo+size, len(data)), 0)
 }
 
 // recordHeat pops the set bits of a just-computed global verdict mask

@@ -41,17 +41,15 @@ type SetStream struct {
 	bytes int64
 
 	// Window/prefix-shard streaming state; nil unless the set's
-	// prefilter has window- or prefix-mode shards. Prefix shards carry
-	// no state of their own: their verdict is recomputed at Mask time
-	// from the head buffer (the first tailCap ≥ maxLen stream bytes),
-	// so each Write advances them for free.
-	acc     [][]uint64      // per shard: accumulated local mask (window shards only)
-	pending [][]span        // per shard: windows outliving consumed input, chunk-relative
-	newsp   [][]span        // per-Write span scratch
-	hits    []prefilter.Hit // literal-hit scratch
-	head    []byte          // first ≤tailCap bytes of the stream (Compose junctions)
-	tail    []byte          // last ≤tailCap bytes of the stream
-	wbuf    []byte          // window/junction materialization scratch
+	// prefilter has window- or prefix-mode shards. Window shards keep
+	// their accumulated mask and waiting windows in win (each Write is
+	// one block of the driver in prefilter.go). Prefix shards carry no
+	// state of their own: their verdict is recomputed at Mask time from
+	// the head buffer (the first tailCap ≥ maxLen stream bytes), so each
+	// Write advances them for free.
+	win     winState // win.acc == nil: the set has no window or prefix shards
+	head    []byte   // first ≤tailCap bytes of the stream (Compose junctions)
+	tail    []byte   // last ≤tailCap bytes of the stream
 	tailCap int
 
 	// stat is the stream's own measurement row (plain fields — a
@@ -69,9 +67,10 @@ type StreamStats struct {
 	Chunks int64 `json:"chunks"`
 	Bytes  int64 `json:"bytes"`
 	// ComposeNs is the total wall time spent advancing the stream
-	// (everything a Write does); PrefilterNs is the subset spent in the
-	// literal pass and candidate-window scans, so ComposeNs−PrefilterNs
-	// is pure carried-mapping composition.
+	// (everything a Write does); PrefilterNs is the subset the window
+	// shards took — the literal pass and candidate-window scans, or the
+	// whole-block lock-step walk of a block that bypassed the matcher —
+	// so ComposeNs−PrefilterNs is pure carried-mapping composition.
 	ComposeNs          int64 `json:"compose_ns"`
 	PrefilterNs        int64 `json:"prefilter_ns"`
 	ShardChunksSkipped int64 `json:"shard_chunks_skipped"`
@@ -109,17 +108,14 @@ func (s *Set) NewStream() *SetStream {
 		if p.maxPre > st.tailCap {
 			st.tailCap = p.maxPre
 		}
-		st.acc = make([][]uint64, len(s.shards))
-		st.pending = make([][]span, len(s.shards))
-		st.newsp = make([][]span, len(s.shards))
-		for i, sh := range s.shards {
-			if p.shards[i].mode == preWindow {
-				st.acc[i] = make([]uint64, maskWords(len(sh.rules)))
-			}
+		st.win.init(len(s.shards))
+		st.win.acc = make([][]uint64, len(s.shards))
+		for _, i := range p.win {
+			st.win.acc[i] = make([]uint64, maskWords(len(s.shards[i].rules)))
 		}
 		st.head = make([]byte, 0, st.tailCap)
 		st.tail = make([]byte, 0, st.tailCap)
-		st.wbuf = make([]byte, 0, 2*st.tailCap)
+		st.win.wbuf = make([]byte, 0, 2*st.tailCap)
 	}
 	return st
 }
@@ -127,26 +123,24 @@ func (s *Set) NewStream() *SetStream {
 // Set returns the rule set this stream matches against.
 func (st *SetStream) Set() *Set { return st.set }
 
-// Write consumes the next chunk of input, advancing every shard's carried
-// mapping (each shard's scan is chunk-parallel on the engine pool).
+// Write consumes the next chunk of input: one block of the window
+// shards' driver, then one lock-step walk of the chunk for every shard
+// that carries a mapping (chunk-parallel on the engine pool) and one
+// ⊙-fold per shard.
+//
 //sfa:noalloc
 func (st *SetStream) Write(chunk []byte) {
 	if len(chunk) == 0 {
 		return
 	}
 	start := time.Now()
-	if st.acc != nil {
+	if st.win.acc != nil {
 		st.writeWindows(chunk)
 		st.stat.PrefilterNs += time.Since(start).Nanoseconds()
 	}
-	for i, sh := range st.set.shards {
-		if st.bypass(i) {
-			continue
-		}
-		st.cur[i], st.tmp[i] = sh.m.ComposeChunk(st.cur[i], st.tmp[i], chunk)
-		st.stat.ShardChunksScanned++
-	}
-	if st.acc != nil {
+	st.set.lock.ComposeChunks(st.set.carry, st.cur, st.tmp, chunk)
+	st.stat.ShardChunksScanned += int64(len(st.set.carry))
+	if st.win.acc != nil {
 		st.carry(chunk)
 	}
 	elapsed := time.Since(start).Nanoseconds()
@@ -162,150 +156,30 @@ func (st *SetStream) Write(chunk []byte) {
 	}
 }
 
-// bypass reports whether shard i skips the carried-mapping protocol:
-// window shards keep an accumulated mask plus pending spans instead,
-// prefix shards recompute their verdict from the head buffer at Mask
-// time. Either way, a chunk with no candidate work for the shard costs
-// no automaton time at all.
-func (st *SetStream) bypass(i int) bool {
-	if st.acc == nil {
-		return false
-	}
-	return st.acc[i] != nil || st.set.pre.shards[i].mode == prePrefix
-}
-
-// writeWindows advances the window-mode shards over chunk: one literal
-// pass over the chunk (plus a boundary pass for literals bisected by
-// the previous Write), then each shard scans only the merged candidate
-// windows, carrying windows that outlive the chunk as pending spans.
-// Span coordinates are chunk-relative: negative positions reach into
-// the tail buffer, positions past len(chunk) await future input.
+// writeWindows advances the window- and prefix-mode shards over chunk.
+// Prefix shards only count it (Mask reads the head buffer); the window
+// shards take it as one block of the driver, whose span coordinates are
+// chunk-relative: negative positions reach into the tail buffer,
+// positions past len(chunk) await future input.
+//
 //sfa:noalloc
 func (st *SetStream) writeWindows(chunk []byte) {
 	p := st.set.pre
-	for i := range st.set.shards {
-		if p.shards[i].mode == prePrefix {
-			p.totalBytes.Add(int64(len(chunk)))
-			p.chunksSkipped.Add(1) // no per-chunk work: Mask reads the head
-			st.stat.ShardChunksSkipped++
-		}
+	if n := int64(p.prefix); n > 0 {
+		p.totalBytes.Add(n * int64(len(chunk)))
+		p.chunksSkipped.Add(n) // no per-chunk work: Mask reads the head
+		st.stat.ShardChunksSkipped += n
 	}
-	if p.maxSpan == 0 {
+	if len(p.win) == 0 {
 		return // prefix-only: no window shards, no literal matcher needed
 	}
-	st.hits = p.m.AppendHits(st.hits[:0], chunk)
-	if lm := p.litMax; lm > 1 && len(st.tail) > 0 {
-		// Literals straddling the previous chunk boundary: scan the
-		// (lm−1)-byte overlap region and keep only true straddlers —
-		// hits wholly in the tail were found by the previous Write,
-		// hits wholly in the chunk by the pass above.
-		left, right := lm-1, lm-1
-		if left > len(st.tail) {
-			left = len(st.tail)
-		}
-		if right > len(chunk) {
-			right = len(chunk)
-		}
-		reg := append(st.wbuf[:0], st.tail[len(st.tail)-left:]...)
-		reg = append(reg, chunk[:right]...)
-		n0 := len(st.hits)
-		st.hits = p.m.AppendHits(st.hits, reg)
-		kept := st.hits[:n0]
-		for _, h := range st.hits[n0:] {
-			pos := h.Pos - left
-			if pos < 0 && pos+len(p.m.Lits()[h.Lit]) > 0 {
-				kept = append(kept, prefilter.Hit{Lit: h.Lit, Pos: pos})
-			}
-		}
-		st.hits = kept
-	}
-	for i := range st.newsp {
-		st.newsp[i] = st.newsp[i][:0]
-	}
-	for _, h := range st.hits {
-		for _, t := range p.targets[h.Lit] {
-			if t.fwd < 0 || st.acc[t.shard] == nil {
-				continue
-			}
-			st.newsp[t.shard] = append(st.newsp[t.shard],
-				span{h.Pos - int(t.back), h.Pos + int(t.fwd)})
-		}
-	}
-	for i, sh := range st.set.shards {
-		if st.acc[i] == nil {
-			continue
-		}
-		p.totalBytes.Add(int64(len(chunk)))
-		st.newsp[i] = append(st.newsp[i], st.pending[i]...)
-		st.pending[i] = st.pending[i][:0]
-		if len(st.newsp[i]) == 0 {
-			p.chunksSkipped.Add(1)
-			st.stat.ShardChunksSkipped++
-			continue
-		}
-		p.chunksScanned.Add(1)
-		st.stat.ShardChunksScanned++
-		spans := mergeSpans(st.newsp[i], -len(st.tail), len(chunk)+st.tailCap)
-		for _, sp := range spans {
-			scanHi := sp.hi
-			if scanHi > len(chunk) {
-				// The window awaits input: keep it pending (shifted to
-				// the next chunk's origin) and scan the part already
-				// available — occurrences completed inside it must show
-				// in Mask now; the post-extension rescan re-ORs them
-				// harmlessly (window verdicts are monotone).
-				st.pending[i] = append(st.pending[i],
-					span{sp.lo - len(chunk), sp.hi - len(chunk)})
-				scanHi = len(chunk)
-			}
-			if scanHi <= sp.lo {
-				continue
-			}
-			st.scanWindow(sh, i, chunk, sp.lo, scanHi)
-		}
-	}
-}
-
-// scanWindow ORs shard i's verdicts over the chunk-relative window
-// [lo, hi), hi ≤ len(chunk). A negative lo reaches into the tail
-// buffer; since a single occurrence near the boundary spans at most
-// [−maxLen, +maxLen], the crossing part is materialized bounded and the
-// in-chunk remainder is scanned as a direct slice.
-//sfa:noalloc
-func (st *SetStream) scanWindow(sh *shard, i int, chunk []byte, lo, hi int) {
-	p := st.set.pre
-	if lo >= 0 {
-		p.candBytes.Add(int64(hi - lo))
-		sh.m.OrMask(chunk[lo:hi], st.acc[i])
-		return
-	}
-	aEnd := hi
-	if ml := p.shards[i].maxLen; aEnd > ml {
-		aEnd = ml
-	}
-	if aEnd > 0 {
-		st.wbuf = append(st.wbuf[:0], st.tail[len(st.tail)+lo:]...)
-		st.wbuf = append(st.wbuf, chunk[:aEnd]...)
-	} else {
-		st.wbuf = append(st.wbuf[:0], st.tail[len(st.tail)+lo:len(st.tail)+aEnd]...)
-	}
-	p.candBytes.Add(int64(len(st.wbuf)))
-	sh.m.OrMask(st.wbuf, st.acc[i])
-	if hi > aEnd && hi > 0 {
-		start := 0
-		if aEnd > 0 {
-			// Overlap the pieces by maxLen so no occurrence is split.
-			start = aEnd - p.shards[i].maxLen
-			if start < 0 {
-				start = 0
-			}
-		}
-		p.candBytes.Add(int64(hi - start))
-		sh.m.OrMask(chunk[start:hi], st.acc[i])
-	}
+	scanned, skipped := p.block(st.set, &st.win, nil, st.tail, chunk, 0, len(chunk), st.tailCap)
+	st.stat.ShardChunksScanned += scanned
+	st.stat.ShardChunksSkipped += skipped
 }
 
 // carry updates the head and tail buffers after a Write.
+//
 //sfa:noalloc
 func (st *SetStream) carry(chunk []byte) {
 	if len(st.head) < st.tailCap {
@@ -337,21 +211,17 @@ func (st *SetStream) Mask(dst []uint64) []uint64 {
 		dst[i] = 0
 	}
 	for i, sh := range st.set.shards {
-		if st.acc != nil && st.acc[i] != nil {
-			sh.merge(dst, st.acc[i])
-			continue
-		}
-		if st.acc != nil && st.set.pre.shards[i].mode == prePrefix {
+		switch {
+		case st.win.acc != nil && st.win.acc[i] != nil:
+			sh.merge(dst, st.win.acc[i])
+		case st.win.acc != nil && st.set.pre.shards[i].mode == prePrefix:
 			// Begin-anchored shard: the verdict is decided by the first
 			// maxLen stream bytes, all held in the head buffer.
-			k := st.set.pre.shards[i].maxLen
-			if k > len(st.head) {
-				k = len(st.head)
-			}
+			k := min(st.set.pre.shards[i].maxLen, len(st.head))
 			sh.merge(dst, sh.m.MatchMask(st.head[:k], st.local))
-			continue
+		default:
+			sh.merge(dst, sh.m.MatchMaskFrom(st.cur[i], st.local))
 		}
-		sh.merge(dst, sh.m.MatchMaskFrom(st.cur[i], st.local))
 	}
 	st.set.recordHeat(dst)
 	return dst
@@ -364,14 +234,12 @@ func (st *SetStream) Bytes() int64 { return st.bytes }
 func (st *SetStream) Reset() {
 	for i, sh := range st.set.shards {
 		sh.m.InitMapping(st.cur[i])
-		if st.acc != nil && st.acc[i] != nil {
-			for w := range st.acc[i] {
-				st.acc[i][w] = 0
-			}
-			st.pending[i] = st.pending[i][:0]
-		}
 	}
-	if st.acc != nil {
+	if st.win.acc != nil {
+		for _, i := range st.set.pre.win {
+			clear(st.win.acc[i])
+			st.win.pending[i] = st.win.pending[i][:0]
+		}
 		st.head = st.head[:0]
 		st.tail = st.tail[:0]
 	}
@@ -389,17 +257,14 @@ func (st *SetStream) Compose(t *SetStream) error {
 	if t.set != st.set {
 		return errDifferentSets
 	}
-	if st.acc != nil {
+	if st.win.acc != nil {
 		st.composeWindows(t)
 	}
-	for i, sh := range st.set.shards {
-		if st.bypass(i) {
-			continue
-		}
-		sh.m.ComposeMask(st.tmp[i], st.cur[i], t.cur[i])
+	for _, i := range st.set.carry {
+		st.set.shards[i].m.ComposeMask(st.tmp[i], st.cur[i], t.cur[i])
 		st.cur[i], st.tmp[i] = st.tmp[i], st.cur[i]
 	}
-	if st.acc != nil {
+	if st.win.acc != nil {
 		st.composeCarry(t)
 	}
 	st.bytes += t.bytes
@@ -417,74 +282,55 @@ func (st *SetStream) Compose(t *SetStream) error {
 // are occurrences crossing the seam. Each such occurrence is at most
 // maxLen long, so it lies entirely inside the junction buffer
 // st.tail ++ t.head (each side holds min(segment, tailCap) ≥
-// min(segment, maxLen) bytes) — one OrMask over the junction closes the
-// verdicts. Windows still awaiting input after the new end come from
-// st's pending (shifted), t's pending (already end-relative), and
-// literals straddling the seam itself.
+// min(segment, maxLen) bytes) — one lock-step walk of the junction
+// closes the verdicts of every window shard. Windows still awaiting
+// input after the new end come from st's pending (shifted), t's pending
+// (already end-relative), and literals straddling the seam itself.
 func (st *SetStream) composeWindows(t *SetStream) {
-	p := st.set.pre
-	if p.maxSpan == 0 {
+	p, w := st.set.pre, &st.win
+	if len(p.win) == 0 {
 		return // prefix-only: composeCarry's head merge is all that matters
 	}
-	jbuf := append(st.wbuf[:0], st.tail...)
+	jbuf := append(w.wbuf[:0], st.tail...)
 	jbuf = append(jbuf, t.head...)
 	boundary := len(st.tail)
-	// Literal hits straddling the seam, jbuf-relative.
-	st.hits = st.hits[:0]
+	// Literal hits straddling the seam, relative to it.
+	w.hits = w.hits[:0]
 	if lm := p.litMax; lm > 1 && boundary > 0 && len(t.head) > 0 {
-		lo := boundary - (lm - 1)
-		if lo < 0 {
-			lo = 0
-		}
-		hi := boundary + lm - 1
-		if hi > len(jbuf) {
-			hi = len(jbuf)
-		}
-		n0 := 0
-		st.hits = p.m.AppendHits(st.hits[:0], jbuf[lo:hi])
-		kept := st.hits[:n0]
-		for _, h := range st.hits[n0:] {
-			pos := h.Pos + lo
-			if pos < boundary && pos+len(p.m.Lits()[h.Lit]) > boundary {
+		lo := max(boundary-(lm-1), 0)
+		w.hits = p.m.AppendHits(w.hits, jbuf[lo:min(boundary+lm-1, len(jbuf))])
+		kept := w.hits[:0]
+		for _, h := range w.hits {
+			if pos := h.Pos + lo - boundary; pos < 0 && pos+len(p.m.Lits()[h.Lit]) > 0 {
 				kept = append(kept, prefilter.Hit{Lit: h.Lit, Pos: pos})
 			}
 		}
-		st.hits = kept
+		w.hits = kept
 	}
-	for i, sh := range st.set.shards {
-		if st.acc[i] == nil {
-			continue
+	if len(jbuf) > 0 {
+		p.candBytes.Add(int64(len(jbuf) * len(p.win)))
+		st.set.lock.OrMasks(p.win, jbuf, w.acc)
+	}
+	// Rebuild pending relative to the new end of stream: whatever still
+	// reaches past it.
+	for _, i := range p.win {
+		for j, bits := range t.win.acc[i] {
+			w.acc[i][j] |= bits
 		}
-		for w := range st.acc[i] {
-			st.acc[i][w] |= t.acc[i][w]
+		w.newsp[i] = w.newsp[i][:0]
+		for _, sp := range w.pending[i] {
+			w.newsp[i] = append(w.newsp[i], span{sp.lo - int(t.bytes), sp.hi - int(t.bytes)})
 		}
-		if len(jbuf) > 0 {
-			p.candBytes.Add(int64(len(jbuf)))
-			sh.m.OrMask(jbuf, st.acc[i])
-		}
-		// Rebuild pending relative to the new end of stream.
-		merged := st.newsp[i][:0]
-		for _, sp := range st.pending[i] {
-			if hi := int64(sp.hi) - t.bytes; hi > 0 {
-				merged = append(merged, span{sp.lo - int(t.bytes), int(hi)})
+		w.newsp[i] = append(w.newsp[i], t.win.pending[i]...)
+	}
+	p.addSpans(w.newsp, w.hits, -int(t.bytes))
+	for _, i := range p.win {
+		w.pending[i] = w.pending[i][:0]
+		for _, sp := range mergeSpans(w.newsp[i], -st.tailCap, st.tailCap) {
+			if sp.hi > 0 {
+				w.pending[i] = append(w.pending[i], sp)
 			}
 		}
-		merged = append(merged, t.pending[i]...)
-		for _, h := range st.hits {
-			for _, tgt := range p.targets[h.Lit] {
-				if int(tgt.shard) != i || tgt.fwd < 0 {
-					continue
-				}
-				posRel := int64(h.Pos-boundary) - t.bytes
-				if hi := posRel + int64(tgt.fwd); hi > 0 {
-					merged = append(merged,
-						span{int(posRel) - int(tgt.back), int(hi)})
-				}
-			}
-		}
-		st.newsp[i] = merged
-		merged = mergeSpans(merged, -st.tailCap, st.tailCap)
-		st.pending[i] = append(st.pending[i][:0], merged...)
 	}
 }
 

@@ -355,12 +355,29 @@ func writePromPrefilter(p *obs.PromWriter, rows []promRow) {
 	}
 	for _, r := range rows {
 		if res(r) {
-			p.Counter("sfa_prefilter_chunks_skipped_total", "Stream shard-chunks with no candidate work.", r.pf.ChunksSkipped, "tenant", r.name)
+			p.Counter("sfa_prefilter_chunks_skipped_total", "Window-shard blocks with no candidate work.", r.pf.ChunksSkipped, "tenant", r.name)
 		}
 	}
 	for _, r := range rows {
 		if res(r) {
-			p.Counter("sfa_prefilter_chunks_scanned_total", "Stream shard-chunks with candidate windows.", r.pf.ChunksScanned, "tenant", r.name)
+			p.Counter("sfa_prefilter_chunks_scanned_total", "Window-shard blocks with candidate windows.", r.pf.ChunksScanned, "tenant", r.name)
+		}
+	}
+	for _, r := range rows {
+		if res(r) {
+			p.Counter("sfa_prefilter_bypass_blocks_total", "Blocks that skipped the literal matcher and walked every window shard whole.", r.pf.BypassedBlocks, "tenant", r.name)
+		}
+	}
+	for _, r := range rows {
+		if res(r) {
+			p.Counter("sfa_prefilter_bypass_bytes_total", "Bytes of the blocks that bypassed the literal matcher.", r.pf.BypassedBytes, "tenant", r.name)
+		}
+	}
+	for _, r := range rows {
+		if res(r) {
+			const help = "Smoothed measured cost of each block arm; 0 until the arm has run a block of 4 KiB or more."
+			p.Gauge("sfa_prefilter_arm_cost_ns_per_kib", help, float64(r.pf.CascadeNsPerKiB), "tenant", r.name, "arm", "cascade")
+			p.Gauge("sfa_prefilter_arm_cost_ns_per_kib", help, float64(r.pf.WholeNsPerKiB), "tenant", r.name, "arm", "whole")
 		}
 	}
 }

@@ -396,6 +396,26 @@ func TestPromAttributionSeries(t *testing.T) {
 			t.Errorf("shard %s coverage not monotone in k: %v", shard, ks)
 		}
 	}
+
+	// The block-arm choice: the first body read of 4 KiB or more measures
+	// the cascade, the next tries the whole arm, and both show. (How a
+	// body is cut into reads is the network's business, so keep scanning
+	// until two such reads have happened.)
+	measured := func() bool {
+		return doc.get(t, `sfa_prefilter_arm_cost_ns_per_kib{tenant="web",arm="cascade"}`) > 0 &&
+			doc.get(t, `sfa_prefilter_arm_cost_ns_per_kib{tenant="web",arm="whole"}`) > 0
+	}
+	for i := 0; i < 20 && !measured(); i++ {
+		doJSON[ScanReply](t, srv.Client(), "POST", srv.URL+"/v1/tenants/web/scan",
+			strings.NewReader(payload), http.StatusOK)
+		doc = scrapeProm(t, srv.Client(), srv.URL)
+	}
+	if !measured() {
+		t.Error("arm costs not measured after 23 scans of 68 KiB")
+	}
+	if blocks, bytes := doc.get(t, `sfa_prefilter_bypass_blocks_total{tenant="web"}`), doc.get(t, `sfa_prefilter_bypass_bytes_total{tenant="web"}`); blocks < 1 || bytes < blocks {
+		t.Errorf("bypass counters: %v blocks, %v bytes", blocks, bytes)
+	}
 }
 
 // TestPromMonotonicUnderConcurrentScansAndReloads scrapes the endpoint

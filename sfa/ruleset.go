@@ -418,8 +418,20 @@ type PrefilterStats struct {
 	ShardsSkipped  int64 `json:"shards_skipped"`  // one-shot shard scans skipped outright
 	CandidateBytes int64 `json:"candidate_bytes"` // bytes walked by prefiltered shards
 	TotalBytes     int64 `json:"total_bytes"`     // bytes they would have walked unfiltered
-	ChunksSkipped  int64 `json:"chunks_skipped"`  // stream shard-chunks with no candidate work
-	ChunksScanned  int64 `json:"chunks_scanned"`  // stream shard-chunks with candidate windows
+	ChunksSkipped  int64 `json:"chunks_skipped"`  // window-shard blocks (stream writes, 64 KiB scan blocks) with no candidate work
+	ChunksScanned  int64 `json:"chunks_scanned"`  // window-shard blocks with candidate windows
+
+	// The per-block arm choice. A block (one stream write, or 64 KiB of a
+	// one-shot scan) either runs the cascade — literal matcher, then the
+	// window shards over candidate windows — or bypasses it and walks
+	// every window shard over the whole block in one lock-step pass,
+	// whichever has measured cheaper on this set's traffic. Bypassed*
+	// count the second kind; the two costs are the smoothed measurements
+	// the choice runs on, 0 until an arm has run a block of 4 KiB or more.
+	BypassedBlocks  int64 `json:"bypassed_blocks"`
+	BypassedBytes   int64 `json:"bypassed_bytes"`
+	CascadeNsPerKiB int64 `json:"cascade_ns_per_kib"`
+	WholeNsPerKiB   int64 `json:"whole_ns_per_kib"`
 
 	MatcherCalls int64 `json:"matcher_calls"` // global literal matcher invocations
 	MatcherBytes int64 `json:"matcher_bytes"` // input bytes swept by the matcher
@@ -449,9 +461,15 @@ func (rs *RuleSet) PrefilterStats() PrefilterStats {
 		TotalBytes:     s.TotalBytes,
 		ChunksSkipped:  s.ChunksSkipped,
 		ChunksScanned:  s.ChunksScanned,
-		MatcherCalls:   s.MatcherCalls,
-		MatcherBytes:   s.MatcherBytes,
-		MatcherHits:    s.MatcherHits,
+
+		BypassedBlocks:  s.BypassedBlocks,
+		BypassedBytes:   s.BypassedBytes,
+		CascadeNsPerKiB: s.CascadeNsPerKiB,
+		WholeNsPerKiB:   s.WholeNsPerKiB,
+
+		MatcherCalls: s.MatcherCalls,
+		MatcherBytes: s.MatcherBytes,
+		MatcherHits:  s.MatcherHits,
 	}
 }
 
@@ -492,10 +510,10 @@ func (rs *RuleSet) MaskWords() int { return (len(rs.defs) + 63) / 64 }
 // MatchMask scans data once and writes the rule bitmask — bit i set iff
 // rule i (in Names() order) matches — into dst, which must have
 // MaskWords() capacity; dst[:MaskWords()] is returned. In combined mode
-// this is the zero-allocation hot path: shards are scanned sequentially
-// on the calling goroutine (each shard's pass is itself chunk-parallel
-// on the worker pool) into the caller's buffer. Use Scan for the
-// shard-concurrent form.
+// this is the zero-allocation hot path: the shards are walked together,
+// lock-step, on the calling goroutine (the pass is itself chunk-parallel
+// on the worker pool) into the caller's buffer. Use Scan to also spread
+// a large input's blocks over the pool.
 func (rs *RuleSet) MatchMask(data []byte, dst []uint64) []uint64 {
 	if rs.isolated == nil {
 		return rs.set.Scan(data, 1, dst)
@@ -525,10 +543,11 @@ func (rs *RuleSet) MaskNames(mask []uint64) []string {
 }
 
 // Scan matches every rule against data and returns the names of matching
-// rules in the deterministic Names() order. In combined mode this is one
-// pooled pass per shard, with up to `workers` shards scanned concurrently
-// (0 = all); in isolated mode it fans the per-rule engines out over up to
-// `workers` goroutines (0 = all).
+// rules in the deterministic Names() order. In combined mode the shards
+// are walked together as in MatchMask, and a prefiltered set's 64 KiB
+// input blocks are spread over up to `workers` pool workers (0 = all);
+// in isolated mode it fans the per-rule engines out over up to `workers`
+// goroutines (0 = all).
 func (rs *RuleSet) Scan(data []byte, workers int) []string {
 	if rs.isolated != nil {
 		hits := rs.isolatedHits(data, workers)
