@@ -17,9 +17,11 @@
 # adds no allocations to the streaming hot path. `make bench-check`
 # keeps the repo's benchmark (bench/, its own module, which tier-1 does
 # not build) compiling, its unit tests and input pins green, and one
-# short real window of scan_dense verified against the isolated-rule
-# oracle — so a change that breaks the benchmark fails here, not in the
-# pipeline that runs it.
+# short real window each of scan_dense (the eager path) and scan_lazy
+# (lazy shards behind the prefilter, and the lazy tuple in its
+# no-prefilter twin's set-up) verified against the isolated-rule oracle
+# — so a change that breaks the benchmark, or a lazy verdict, fails
+# here, not in the pipeline that runs it.
 
 GO ?= go
 BENCH_JSON ?= BENCH_9.json
@@ -55,10 +57,13 @@ race:
 
 # Exercise the fuzz corpora for a few seconds so the oracle cross-checks
 # actually run somewhere: FuzzMatch (combined vs isolated vs derivative
-# oracle) and FuzzLoadRuleSet (malformed snapshots must error, never
-# panic or over-allocate).
+# oracle), FuzzPrefilter (prefiltered vs unfiltered, one-shot, split and
+# composed, over an eager set of every shard mode and a lazily compiled
+# gap-rule set verified per rule) and FuzzLoadRuleSet (malformed
+# snapshots must error, never panic or over-allocate).
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzMatch -fuzztime=10s -run '^$$' ./sfa
+	$(GO) test -fuzz=FuzzPrefilter -fuzztime=10s -run '^$$' ./sfa
 	$(GO) test -fuzz=FuzzLoadRuleSet -fuzztime=10s -run '^$$' ./sfa
 
 # Serving subsystem smoke: boot the real sfaserve loop, load rules over
@@ -83,11 +88,14 @@ bench-smoke:
 	SFA_BENCH_MB=1 $(GO) test -run '^$$' -bench 'Hotpath|Layout_' -benchtime 2x .
 
 # The benchmark BENCHMARK.json names: its own tests (-short skips the
-# full-length runs), then one 1-second window of one workload through
-# the same entry point the driver uses. run.sh builds into .bench_build/.
+# full-length runs), then one 1-second window each of an eager and the
+# lazy workload through the same entry point the driver uses — every op
+# and spot slice checked by the bench's isolated-rule oracle. run.sh
+# builds into .bench_build/.
 bench-check:
 	cd bench && $(GO) test -short ./...
 	bash bench/run.sh -workload scan_dense -seconds 1
+	bash bench/run.sh -workload scan_lazy -seconds 1
 
 # Benchmark-trajectory snapshot: hot path + layouts + the multi-pattern
 # RuleSet engines + the streaming writes + the cold-vs-warm rule-set

@@ -540,10 +540,12 @@ func BenchmarkRuleSet_ColdBuild_Vector(b *testing.B) {
 // BenchmarkRuleSet_LazyColdStart tracks the lazy subsystem's headline
 // scenario end to end: a bounded-gap corpus the eager planner rejects
 // outright (the hard SFA cap fails every split) is compiled with
-// WithLazyCompile under a 16 MiB table budget and scanned once — the
-// scan that pays every on-demand product-state fill. Per iteration this
-// is build + first scan: the cold-start latency of a tenant the eager
-// builder cannot host at all (BENCH_7.json).
+// WithLazyCompile under a 16 MiB table budget and scanned once. Per
+// iteration this is build + first scan: the cold-start latency of a
+// tenant the eager builder cannot host at all (BENCH_7.json). Since the
+// rules are windowable, the scan verifies candidate windows on single
+// rules' DFAs and fills no product state; the lazy tuple's own cold
+// start is what the same set costs compiled WithoutPrefilter.
 func BenchmarkRuleSet_LazyColdStart(b *testing.B) {
 	defs := make([]sfa.RuleDef, 64)
 	for i := range defs {

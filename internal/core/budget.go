@@ -129,7 +129,8 @@ func (b *TableBudget) root() *TableBudget {
 // rolling back completely when any level would exceed its limit.
 func (b *TableBudget) tryCharge(n int64) bool {
 	for x := b; x != nil; x = x.parent {
-		if lim := x.limit.Load(); lim > 0 && x.used.Add(n) > lim {
+		// Add first: an unlimited level still meters what it holds.
+		if used, lim := x.used.Add(n), x.limit.Load(); lim > 0 && used > lim {
 			for y := b; ; y = y.parent {
 				y.used.Add(-n)
 				if y == x {

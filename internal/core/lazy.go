@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/dfa"
 )
@@ -24,7 +25,10 @@ import (
 // release/acquire pairing of the atomic store/load makes the state's row
 // and mapping vector visible to every reader — no lock on the hot path.
 //
-// State storage is paged so that pages, once allocated, never move.
+// State storage is paged so that pages, once allocated, never move; the
+// page directory grows on demand (pageDir), so an automaton that
+// materializes a handful of states holds a handful of directory entries
+// — not one per page its state cap would allow.
 //
 // A Lazy may be tied to a table budget (newLazySized with a
 // *BudgetHandle): page allocations are then charged through the handle
@@ -46,16 +50,62 @@ type Lazy struct {
 	mu        sync.Mutex
 	numStates atomic.Int32
 	ids       map[uint64][]int32
-	bytes     int64 // bytes charged for pages (under mu)
+	bytes     int64   // bytes charged for pages and directory entries (under mu)
+	scratch   []int16 // successor / identity vector being interned (under mu)
 
-	// Pages of transition rows and mapping vectors; index = id >> pageBits.
-	// The page slices are sized up front so readers never see them grow.
-	rows   [][]int32 // page: pageSize × nc entries
-	maps   [][]int16 // page: pageSize × n entries
-	accept [][]bool  // page: pageSize entries
+	pages pageDir[lazyPage] // index = id >> pageBits
 
 	start int32
 }
+
+// lazyPage is one page of states: their transition rows, mapping vectors
+// and accept flags.
+type lazyPage struct {
+	rows   []int32 // pageSize × nc entries
+	maps   []int16 // pageSize × n entries
+	accept []bool  // pageSize entries
+}
+
+// pageDir is a page directory that grows on demand. Pages never move, so
+// growing copies the directory, not the pages, and publishes the copy
+// through an atomic pointer. Writers (page allocation, grow, reset) hold
+// the owner's construction mutex. A reader learns a state id only through
+// an atomically published transition whose writer had already published
+// the directory that holds the state's page, so a directory loaded after
+// the id always covers it; a loop that keeps one snapshot across many
+// steps reloads it when an id indexes past the snapshot.
+type pageDir[P any] struct{ p atomic.Pointer[[]P] }
+
+// minDirPages is the directory length the first page allocates.
+const minDirPages = 4
+
+func (d *pageDir[P]) load() []P {
+	if s := d.p.Load(); s != nil {
+		return *s
+	}
+	return nil
+}
+
+// grownFor returns the length a directory of n entries grows to so that
+// page p fits: n when it already does, else doubled.
+func grownFor(n, p int) int {
+	if p < n {
+		return n
+	}
+	return max(2*n, p+1, minDirPages)
+}
+
+// grow publishes a copy of the directory with n entries.
+func (d *pageDir[P]) grow(n int) []P {
+	s := make([]P, n)
+	copy(s, d.load())
+	d.p.Store(&s)
+	return s
+}
+
+// reset drops the directory and with it every page. The owner must have
+// excluded readers.
+func (d *pageDir[P]) reset() { d.p.Store(nil) }
 
 const (
 	lazyPageBits = 10
@@ -86,7 +136,6 @@ func newLazySized(d *dfa.DFA, maxStates int, pageBits uint, h *BudgetHandle) (*L
 		maxStates = 1 << 20
 	}
 	pageSize := 1 << pageBits
-	numPages := (maxStates + pageSize - 1) / pageSize
 	l := &Lazy{
 		D:        d,
 		nc:       d.BC.Count,
@@ -96,9 +145,7 @@ func newLazySized(d *dfa.DFA, maxStates int, pageBits uint, h *BudgetHandle) (*L
 		pageSize: int32(pageSize),
 		h:        h,
 		ids:      make(map[uint64][]int32),
-		rows:     make([][]int32, numPages),
-		maps:     make([][]int16, numPages),
-		accept:   make([][]bool, numPages),
+		scratch:  make([]int16, d.NumStates),
 	}
 	if err := l.reinit(); err != nil {
 		return nil, err
@@ -111,6 +158,15 @@ func (l *Lazy) pageBytes() int64 {
 	return int64(l.pageSize) * int64(4*l.nc+2*l.n+1+lazyStateOverhead)
 }
 
+// lazyDirEntryBytes is the budget charge of one page-directory entry.
+const lazyDirEntryBytes = int64(unsafe.Sizeof(lazyPage{}))
+
+// maxCharge bounds the next single charge intern can make: one page, plus
+// the directory's doubling when the page is the first past its end.
+func (l *Lazy) maxCharge() int64 {
+	return l.pageBytes() + int64(max(len(l.pages.load()), minDirPages))*lazyDirEntryBytes
+}
+
 // drop releases every materialized state and its budget bytes, leaving
 // the structure empty (not even the identity). The owner must exclude
 // readers and follow with reinit before the next use; the two-phase
@@ -119,9 +175,7 @@ func (l *Lazy) pageBytes() int64 {
 func (l *Lazy) drop() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for i := range l.rows {
-		l.rows[i], l.maps[i], l.accept[i] = nil, nil, nil
-	}
+	l.pages.reset()
 	clear(l.ids)
 	l.numStates.Store(0)
 	if l.h != nil {
@@ -135,12 +189,11 @@ func (l *Lazy) drop() {
 // so on an evicted structure it cannot fail; the only error is the
 // state cap, impossible when empty.
 func (l *Lazy) reinit() error {
-	identity := make([]int16, l.n)
-	for q := range identity {
-		identity[q] = int16(q)
-	}
 	l.mu.Lock()
-	start, _, err := l.intern(identity)
+	for q := range l.scratch {
+		l.scratch[q] = int16(q)
+	}
+	start, _, err := l.intern(l.scratch)
 	l.mu.Unlock()
 	if err != nil {
 		return err
@@ -171,13 +224,13 @@ func (l *Lazy) NumStates() int { return int(l.numStates.Load()) }
 // Map returns the transformation vector of state id (read-only).
 func (l *Lazy) Map(id int32) []int16 {
 	p, off := id>>l.pageBits, int(id&(l.pageSize-1))
-	return l.maps[p][off*l.n : (off+1)*l.n]
+	return l.pages.load()[p].maps[off*l.n : (off+1)*l.n]
 }
 
 // Accepting reports whether state id is accepting.
 func (l *Lazy) Accepting(id int32) bool {
 	p, off := id>>l.pageBits, id&(l.pageSize-1)
-	return l.accept[p][off]
+	return l.pages.load()[p].accept[off]
 }
 
 // NextByte returns the successor of state id on byte b, constructing it if
@@ -189,7 +242,7 @@ func (l *Lazy) NextByte(id int32, b byte) (int32, error) {
 // NextClass is NextByte for a byte class.
 func (l *Lazy) NextClass(id int32, c int) (int32, error) {
 	p, off := id>>l.pageBits, int(id&(l.pageSize-1))
-	slot := &l.rows[p][off*l.nc+c]
+	slot := &l.pages.load()[p].rows[off*l.nc+c]
 	if to := atomic.LoadInt32(slot); to >= 0 {
 		return to, nil
 	}
@@ -203,8 +256,7 @@ func (l *Lazy) construct(id int32, c int, slot *int32) (int32, error) {
 	if to := atomic.LoadInt32(slot); to >= 0 {
 		return to, nil // lost the race; another goroutine built it
 	}
-	f := l.Map(id)
-	next := make([]int16, l.n)
+	f, next := l.Map(id), l.scratch
 	for q := 0; q < l.n; q++ {
 		next[q] = int16(l.D.NextClass(int32(f[q]), c))
 	}
@@ -228,22 +280,28 @@ func (l *Lazy) intern(vec []int16) (int32, bool, error) {
 	if id >= l.maxState {
 		return 0, false, fmt.Errorf("%w (lazy cap %d)", ErrTooManyStates, l.maxState)
 	}
-	p, off := id>>l.pageBits, int(id&(l.pageSize-1))
-	if l.rows[p] == nil {
-		if !l.h.TryCharge(l.pageBytes()) {
+	p, off := int(id>>l.pageBits), int(id&(l.pageSize-1))
+	pages := l.pages.load()
+	if p >= len(pages) || pages[p].rows == nil {
+		// A new page, and a longer directory when the page is past its
+		// end: one charge, so a refusal leaves nothing half-made.
+		grown := grownFor(len(pages), p)
+		charge := l.pageBytes() + int64(grown-len(pages))*lazyDirEntryBytes
+		if !l.h.TryCharge(charge) {
 			return 0, false, fmt.Errorf("%w (lazy page)", ErrTableBudget)
 		}
-		l.bytes += l.pageBytes()
+		l.bytes += charge
+		if grown > len(pages) {
+			pages = l.pages.grow(grown)
+		}
 		rows := make([]int32, int(l.pageSize)*l.nc)
 		for i := range rows {
 			rows[i] = -1
 		}
-		l.rows[p] = rows
-		l.maps[p] = make([]int16, int(l.pageSize)*l.n)
-		l.accept[p] = make([]bool, l.pageSize)
+		pages[p] = lazyPage{rows, make([]int16, int(l.pageSize)*l.n), make([]bool, l.pageSize)}
 	}
-	copy(l.maps[p][off*l.n:(off+1)*l.n], vec)
-	l.accept[p][off] = l.D.Accept[vec[l.D.Start]]
+	copy(pages[p].maps[off*l.n:(off+1)*l.n], vec)
+	pages[p].accept[off] = l.D.Accept[vec[l.D.Start]]
 	l.ids[h] = append(l.ids[h], id)
 	// numStates.Store is the only mutation of the counter and happens
 	// under l.mu; readers use it only for statistics.

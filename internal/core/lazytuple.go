@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"repro/internal/dfa"
 )
@@ -41,29 +42,42 @@ import (
 // read lock, asks the budget for room (which may evict this very
 // structure), re-acquires, re-interns, and retries the same byte — so
 // RunToVec always completes and never returns an error.
+//
+// NewLazyTuple only records the shape — the component DFAs and the block
+// offsets of the carried vector, which is all Identity, Compose, OrAccept
+// and Component need. Everything a combined walk needs (the byte-class
+// refinement, the component automata, the tuple tables, the budget
+// registration) is built by the first RunToVec, so a structure whose
+// owner only ever verifies single rules from their start states (a
+// window-mode lazy shard, see internal/multi/prefilter.go) never charges
+// the budget a byte and is never a candidate for eviction.
 type LazyTuple struct {
-	dfas  []*dfa.DFA
-	comps []*Lazy
-	k     int
-	nc    int // combined byte-class count
+	dfas []*dfa.DFA
+	k    int
+	offs []int32 // k+1 block offsets into carried vectors
+	vlen int     // Σ|Di|, the carried-vector length
+	opts LazyTupleOptions
 
+	// Everything below is written by build, once, before built is set.
+	once  sync.Once
+	built atomic.Bool
+
+	comps     []*Lazy
+	nc        int         // combined byte-class count
 	classOf   [256]uint16 // byte → combined class
 	compClass []int32     // [k*nc]: component i's class for combined class c
-	offs      []int32     // k+1 block offsets into carried vectors
-	vlen      int         // Σ|Di|, the carried-vector length
 
-	h    *BudgetHandle
-	room int64 // MakeRoom request size: the largest single allocation
+	h *BudgetHandle
 
-	rw sync.RWMutex // readers: scans; writer: eviction
+	rw sync.RWMutex // readers: scans; writer: eviction (and build)
 	mu sync.Mutex   // construction
 
 	ids       map[string]int32
-	tuples    []int32   // stride k, read under mu only
-	rows      [][]int32 // paged transition rows, stride nc per state
+	tuples    []int32          // stride k, read under mu only
+	rows      pageDir[[]int32] // paged transition rows, stride nc per state
 	states    int32
 	maxStates int32
-	bytes     int64 // tuple-layer charged bytes (under mu)
+	bytes     int64 // tuple-layer charged bytes, directory included (under mu)
 	start     int32
 	next      []int32 // slow-path scratch (under mu)
 	key       []byte  // intern-key scratch (under mu)
@@ -98,40 +112,52 @@ type LazyTupleOptions struct {
 }
 
 // NewLazyTuple prepares the lazy combined automaton for the given
-// component DFAs (one per rule; verdict bit i belongs to dfas[i]).
+// component DFAs (one per rule; verdict bit i belongs to dfas[i]). It
+// builds no tables and registers nothing with the budget; the first
+// RunToVec does.
 func NewLazyTuple(dfas []*dfa.DFA, opts LazyTupleOptions) (*LazyTuple, error) {
 	if len(dfas) == 0 {
 		return nil, errors.New("core: lazy tuple over zero components")
 	}
 	k := len(dfas)
-	maxStates := opts.MaxStates
+	t := &LazyTuple{dfas: dfas, k: k, opts: opts, offs: make([]int32, k+1)}
+	for i, d := range dfas {
+		if d.NumStates > MaxDFAStates {
+			return nil, fmt.Errorf("core: lazy tuple component %d: DFA has %d states, limit %d", i, d.NumStates, MaxDFAStates)
+		}
+		t.offs[i+1] = t.offs[i] + int32(d.NumStates)
+	}
+	t.vlen = int(t.offs[k])
+	return t, nil
+}
+
+// build constructs what a combined walk needs; see the type comment. It
+// cannot fail: the component sizes were checked by NewLazyTuple, and the
+// identity working set charges through the grace floor.
+func (t *LazyTuple) build() {
+	// The handle is registered — and so evictable — before the components
+	// exist; the write lock keeps BudgetEvict out until they do.
+	t.rw.Lock()
+	defer t.rw.Unlock()
+	k, dfas := t.k, t.dfas
+	maxStates := t.opts.MaxStates
 	if maxStates <= 0 {
 		maxStates = 1 << 20
 	}
 	if maxStates < lazyTuplePageSize {
 		maxStates = lazyTuplePageSize
 	}
-	compMax := opts.CompMaxStates
+	compMax := t.opts.CompMaxStates
 	if compMax <= 0 {
 		compMax = 1 << 20
 	}
 	if compMax < 1<<lazyCompPageBits {
 		compMax = 1 << lazyCompPageBits
 	}
-
-	t := &LazyTuple{
-		dfas:      dfas,
-		k:         k,
-		ids:       make(map[string]int32),
-		maxStates: int32(maxStates),
-		next:      make([]int32, k),
-		key:       make([]byte, 4*k),
-		offs:      make([]int32, k+1),
-	}
-	for i, d := range dfas {
-		t.offs[i+1] = t.offs[i] + int32(d.NumStates)
-	}
-	t.vlen = int(t.offs[k])
+	t.ids = make(map[string]int32)
+	t.maxStates = int32(maxStates)
+	t.next = make([]int32, k)
+	t.key = make([]byte, 4*k)
 
 	// Common byte-class refinement: two bytes share a combined class iff
 	// no component distinguishes them.
@@ -162,53 +188,57 @@ func NewLazyTuple(dfas []*dfa.DFA, opts LazyTupleOptions) (*LazyTuple, error) {
 	}
 
 	// Budget wiring. The grace floor covers the identity working set —
-	// one page per component plus one tuple page, exactly what reinit
-	// charges after an eviction — plus the slack a re-entry needs (the
-	// spilled vectors intern into the fresh pages; only the tuple-state
-	// bookkeeping charges). An evicted structure can therefore always
-	// re-initialize and re-enter regardless of how full the shared
-	// budget is; docs/memory-model.md states the resulting RSS bound.
-	budget := opts.Budget
+	// one page and a first directory per component plus the same for the
+	// tuple rows, exactly what reinit charges after an eviction — plus the
+	// slack a re-entry needs (the spilled vectors intern into the fresh
+	// pages; only the tuple-state bookkeeping charges). An evicted
+	// structure can therefore always re-initialize and re-enter regardless
+	// of how full the shared budget is; docs/memory-model.md states the
+	// resulting bound.
+	budget := t.opts.Budget
 	if budget == nil {
 		budget = NewTableBudget(0)
 	}
-	tuplePage := t.tuplePageBytes()
-	var compPages int64
-	t.room = tuplePage
+	grace := t.tuplePageBytes() + minDirPages*tupleDirEntryBytes + 4*t.tupleStateBytes() + 1024
 	for _, d := range dfas {
-		pb := int64(1<<lazyCompPageBits) * int64(4*d.BC.Count+2*d.NumStates+1+lazyStateOverhead)
-		compPages += pb
-		if pb > t.room {
-			t.room = pb
-		}
+		grace += int64(1<<lazyCompPageBits)*int64(4*d.BC.Count+2*d.NumStates+1+lazyStateOverhead) +
+			minDirPages*lazyDirEntryBytes
 	}
-	grace := compPages + tuplePage + 4*t.tupleStateBytes() + 1024
 	t.h = budget.Register(t, grace)
 
 	t.comps = make([]*Lazy, k)
 	for i, d := range dfas {
 		l, err := newLazySized(d, compMax, lazyCompPageBits, t.h)
 		if err != nil {
-			t.h.Close()
-			return nil, fmt.Errorf("core: lazy tuple component %d: %w", i, err)
+			panic(fmt.Sprintf("core: lazy tuple component %d: %v", i, err))
 		}
 		t.comps[i] = l
 	}
-	numPages := (maxStates + lazyTuplePageSize - 1) / lazyTuplePageSize
-	t.rows = make([][]int32, numPages)
 	t.mu.Lock()
 	err := t.initStartLocked()
 	t.mu.Unlock()
 	if err != nil {
-		t.h.Close()
-		return nil, err
+		panic(fmt.Sprintf("core: lazy tuple init: %v", err))
 	}
-	return t, nil
+	t.built.Store(true)
 }
 
 // tuplePageBytes is the budget charge of one page of transition rows.
 func (t *LazyTuple) tuplePageBytes() int64 {
 	return int64(lazyTuplePageSize) * int64(4*t.nc)
+}
+
+// tupleDirEntryBytes is the budget charge of one row-directory entry.
+const tupleDirEntryBytes = int64(unsafe.Sizeof([]int32(nil)))
+
+// room is the MakeRoom request size: a bound on the largest single charge
+// the next fill can make, over the tuple rows and every component.
+func (t *LazyTuple) room() int64 {
+	n := t.tuplePageBytes() + t.tupleStateBytes() + int64(max(len(t.rows.load()), minDirPages))*tupleDirEntryBytes
+	for _, c := range t.comps {
+		n = max(n, c.maxCharge())
+	}
+	return n
 }
 
 // tupleStateBytes is the per-state charge outside the rows: the tuple
@@ -226,9 +256,22 @@ func (t *LazyTuple) VecLen() int { return t.vlen }
 // Gen returns the eviction generation (test observability).
 func (t *LazyTuple) Gen() uint64 { return t.gen.Load() }
 
+// Component returns rule i's DFA: what a consumer that knows the rule and
+// the start state walks instead of the combined automaton.
+func (t *LazyTuple) Component(i int) *dfa.DFA { return t.dfas[i] }
+
+// Built reports whether the combined automaton's tables exist — whether
+// any RunToVec has run.
+func (t *LazyTuple) Built() bool { return t.built.Load() }
+
 // Close releases the structure's budget bytes and deregisters it from
-// eviction. The structure must not be scanned afterwards.
-func (t *LazyTuple) Close() { t.h.Close() }
+// eviction; a structure that never built its tables has neither. The
+// structure must not be scanned afterwards.
+func (t *LazyTuple) Close() {
+	if t.built.Load() {
+		t.h.Close()
+	}
+}
 
 // Identity writes the empty input's transformation — every block the
 // identity over its component's states — into dst (VecLen() long).
@@ -245,6 +288,7 @@ func (t *LazyTuple) Identity(dst []int16) {
 // Compose merges two carried vectors blockwise: h ← "f then g" per
 // component (Lemma 1's ⊙ applied block-diagonally). h must not alias f
 // or g.
+//
 //sfa:borrowed f g
 func (t *LazyTuple) Compose(h, f, g []int16) {
 	for i := 0; i < t.k; i++ {
@@ -259,6 +303,7 @@ func (t *LazyTuple) Compose(h, f, g []int16) {
 
 // OrAccept ORs the verdicts of a carried vector into dst: bit i is set
 // when component i accepts the input the vector summarizes.
+//
 //sfa:borrowed cur
 func (t *LazyTuple) OrAccept(cur []int16, dst []uint64) {
 	for i := 0; i < t.k; i++ {
@@ -275,13 +320,17 @@ func (t *LazyTuple) OrAccept(cur []int16, dst []uint64) {
 // budget exhaustion and state-cap overruns are absorbed internally by
 // the spill–evict–re-enter protocol, so RunToVec always completes.
 func (t *LazyTuple) RunToVec(chunk []byte, dst []int16) {
+	t.once.Do(t.build)
 	t.h.Touch()
 	t.rw.RLock()
-	cur := t.start
+	cur, rows := t.start, t.rows.load()
 	for i := 0; i < len(chunk); {
 		c := int(t.classOf[chunk[i]])
-		page := t.rows[cur>>lazyTuplePageBits]
-		to := atomic.LoadInt32(&page[(int(cur)&(lazyTuplePageSize-1))*t.nc+c])
+		p := int(cur >> lazyTuplePageBits)
+		if p >= len(rows) {
+			rows = t.rows.load() // cur was published after this snapshot was taken
+		}
+		to := atomic.LoadInt32(&rows[p][(int(cur)&(lazyTuplePageSize-1))*t.nc+c])
 		if to < 0 {
 			var err error
 			to, err = t.slowStep(cur, c)
@@ -291,14 +340,15 @@ func (t *LazyTuple) RunToVec(chunk []byte, dst []int16) {
 				// read lock up so eviction can run, make room, and
 				// re-enter at the same byte.
 				t.materialize(cur, dst)
+				room := t.room()
 				t.rw.RUnlock()
 				if errors.Is(err, ErrTableBudget) {
-					t.h.MakeRoom(t.room)
+					t.h.MakeRoom(room)
 				} else {
 					t.BudgetEvict() // own state cap: only a reset helps
 				}
 				t.rw.RLock()
-				cur = t.reenterLoop(dst)
+				cur, rows = t.reenterLoop(dst), t.rows.load() // an eviction replaces the directory
 				continue
 			}
 		}
@@ -316,7 +366,7 @@ func (t *LazyTuple) RunToVec(chunk []byte, dst []int16) {
 func (t *LazyTuple) slowStep(cur int32, c int) (int32, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	page := t.rows[cur>>lazyTuplePageBits]
+	page := t.rows.load()[cur>>lazyTuplePageBits]
 	slot := &page[(int(cur)&(lazyTuplePageSize-1))*t.nc+c]
 	if to := atomic.LoadInt32(slot); to >= 0 {
 		return to, nil // lost the race
@@ -351,21 +401,27 @@ func (t *LazyTuple) internTupleLocked(tup []int32) (int32, error) {
 	if id >= t.maxStates {
 		return 0, fmt.Errorf("%w (lazy tuple cap %d)", ErrTooManyStates, t.maxStates)
 	}
-	p := id >> lazyTuplePageBits
-	charge := t.tupleStateBytes()
-	if t.rows[p] == nil {
+	p := int(id >> lazyTuplePageBits)
+	dir := t.rows.load()
+	newPage := p >= len(dir) || dir[p] == nil
+	grown := grownFor(len(dir), p)
+	charge := t.tupleStateBytes() + int64(grown-len(dir))*tupleDirEntryBytes
+	if newPage {
 		charge += t.tuplePageBytes()
 	}
 	if !t.h.TryCharge(charge) {
 		return 0, fmt.Errorf("%w (tuple state)", ErrTableBudget)
 	}
 	t.bytes += charge
-	if t.rows[p] == nil {
+	if grown > len(dir) {
+		dir = t.rows.grow(grown)
+	}
+	if newPage {
 		rows := make([]int32, lazyTuplePageSize*t.nc)
 		for i := range rows {
 			rows[i] = -1
 		}
-		t.rows[p] = rows
+		dir[p] = rows
 	}
 	t.ids[string(t.key)] = id
 	t.tuples = append(t.tuples, tup...)
@@ -443,9 +499,7 @@ func (t *LazyTuple) BudgetEvict() int64 {
 	for _, c := range t.comps {
 		c.drop()
 	}
-	for i := range t.rows {
-		t.rows[i] = nil
-	}
+	t.rows.reset()
 	t.tuples = t.tuples[:0]
 	clear(t.ids)
 	t.states = 0
@@ -483,6 +537,9 @@ type LazyTupleStats struct {
 
 // Stats snapshots the structure's counters.
 func (t *LazyTuple) Stats() LazyTupleStats {
+	if !t.built.Load() {
+		return LazyTupleStats{Rules: t.k}
+	}
 	t.mu.Lock()
 	states := int(t.states)
 	t.mu.Unlock()

@@ -107,6 +107,10 @@ func TestLazyTupleEvictsUnderSharedBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if st := ltA.Stats(); st.ResidentBytes != 0 || st.States != 0 || ltA.Built() {
+		t.Fatalf("an unscanned structure holds tables: %+v", st)
+	}
+	ltA.RunToVec(nil, make([]int16, ltA.VecLen())) // the first walk builds the identity working set
 	wsA := ltA.Stats().ResidentBytes
 	ltA.Close()
 
@@ -220,4 +224,81 @@ func TestLazyTupleConcurrentFillEvict(t *testing.T) {
 		}(int64(g))
 	}
 	wg.Wait()
+}
+
+// TestLazyTupleDirectoriesGrowOnDemand: the page directories of the
+// tuple rows and of every component start at a few entries, double as
+// states are materialized — while other goroutines keep walking on the
+// directory snapshot they loaded — and are charged to the budget like the
+// pages they index, so a freshly built structure is charged its identity
+// working set and nothing sized by its state cap.
+func TestLazyTupleDirectoriesGrowOnDemand(t *testing.T) {
+	// Bounded gaps between three-byte tokens: small DFAs whose D-SFAs, and
+	// the tuples over them, run to hundreds of reachable states.
+	pats := []string{
+		"[a-d]*abb[a-d]{0,8}cdd[a-d]*", "[a-d]*bcc[a-d]{0,10}daa[a-d]*",
+		"[a-d]*cdd[a-d]{0,9}abb[a-d]*", "[a-d]*daa[a-d]{0,11}bcc[a-d]*",
+	}
+	dfas := make([]*dfa.DFA, len(pats))
+	for i, p := range pats {
+		dfas[i] = dfa.MustCompilePattern(p)
+	}
+	budget := NewTableBudget(0)
+	lt, err := NewLazyTuple(dfas, LazyTupleOptions{Budget: budget})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lt.Close()
+	lt.RunToVec(nil, make([]int16, lt.VecLen()))
+	if fresh := lt.Stats().ResidentBytes; fresh > 256<<10 {
+		t.Fatalf("a freshly built structure is charged %d bytes", fresh)
+	}
+
+	var wg sync.WaitGroup
+	errs := make(chan string, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			r := rand.New(rand.NewSource(seed))
+			vec := make([]int16, lt.VecLen())
+			for i := 0; i < 40; i++ {
+				w := make([]byte, 400)
+				for j := range w {
+					w[j] = "abcd"[r.Intn(4)]
+				}
+				lt.RunToVec(w, vec)
+				got := make([]uint64, 1)
+				lt.OrAccept(vec, got)
+				for k, d := range dfas {
+					if d.Accepts(w) != (got[0]>>k&1 == 1) {
+						errs <- "verdict of rule " + pats[k] + " on " + string(w)
+						return
+					}
+				}
+			}
+		}(int64(g))
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Fatal(e)
+	}
+	if n := len(lt.rows.load()); n <= minDirPages {
+		t.Fatalf("the row directory never grew: %d entries for %d states", n, lt.Stats().States)
+	}
+	grown := 0
+	var charged int64
+	for _, c := range lt.comps {
+		if len(c.pages.load()) > minDirPages {
+			grown++
+		}
+		charged += c.bytes
+	}
+	if grown == 0 {
+		t.Fatalf("no component directory ever grew: %+v", lt.Stats())
+	}
+	if st := budget.Stats(); st.Used != charged+lt.bytes || st.Evictions != 0 {
+		t.Fatalf("budget holds %d bytes, the tables account for %d (+%d): %+v", st.Used, charged, lt.bytes, st)
+	}
 }

@@ -88,21 +88,20 @@ func (d *DFA) LiveSize() int {
 // Accepts runs the DFA over text and reports whole-input acceptance.
 // This is the paper's Algorithm 2 in its simplest form; the tuned
 // implementations live in package engine.
-func (d *DFA) Accepts(text []byte) bool {
-	q := d.Start
-	for _, b := range text {
-		q = d.NextByte(q, b)
-	}
-	return d.Accept[q]
-}
+func (d *DFA) Accepts(text []byte) bool { return d.Accept[d.Run(d.Start, text)] }
 
-// Run returns the destination state q0 --text--> q.
+// Run returns the destination state q0 --text--> q. The table, the class
+// map and the row stride are read once, not per byte: for a small DFA —
+// one rule's, a few KB, cache-resident — the loop is then the serial
+// chain of lookups and nothing else.
+//
+//sfa:noalloc
 func (d *DFA) Run(from int32, text []byte) int32 {
-	q := from
+	next, of, nc, q := d.NextC, &d.BC.Of, d.BC.Count, int(from)
 	for _, b := range text {
-		q = d.NextByte(q, b)
+		q = int(next[q*nc+int(of[b])])
 	}
-	return q
+	return int32(q)
 }
 
 // Table256 materializes the flat 256-entries-per-state transition table

@@ -29,6 +29,15 @@ import (
 // There is no table layout to choose (rows are class-indexed and grow at
 // run time) and no mask table (verdict bits are read per component
 // block), so layout options do not apply; pool/spawn options do.
+//
+// A consumer that knows both the rule and the start state needs none of
+// that: OrRule walks the one rule's own DFA — the literal prefilter's
+// verifier for a window-mode lazy shard, whose every candidate window
+// starts at the automaton's start state and was opened by a literal that
+// names the rule. The combined automaton's tables are built by the first
+// call that needs a combined walk (core.LazyTuple), so an engine used
+// only through OrRule holds the rule DFAs and nothing else, and charges
+// the table budget nothing.
 type LazyMultiSFA struct {
 	t       *core.LazyTuple
 	words   int
@@ -72,10 +81,10 @@ func NewLazyMultiSFA(t *core.LazyTuple, threads int, opts ...Option) *LazyMultiS
 		return c
 	}
 	// The budget keeps a process-wide registry entry (and therefore a
-	// strong reference) for every lazy structure; without a release
-	// hook, dropping a rule set would leak its charged bytes forever.
-	// Engines have no Close in this codebase — reclamation rides the
-	// collector instead.
+	// strong reference) for every lazy structure that has built its
+	// tables; without a release hook, dropping a rule set would leak its
+	// charged bytes forever. Engines have no Close in this codebase —
+	// reclamation rides the collector instead.
 	runtime.SetFinalizer(m, func(m *LazyMultiSFA) { m.t.Close() })
 	return m
 }
@@ -136,9 +145,33 @@ func (m *LazyMultiSFA) MatchMask(text []byte, dst []uint64) []uint64 {
 	return dst
 }
 
+// OrRule walks rule's own DFA over window from its start state and sets
+// bit rule of dst if it accepts: the verdict OrMask would give that bit,
+// for the price of one small table walk — no context, no lock, no budget
+// traffic, no fill. It keeps no account of its own; the caller books a
+// block's windows and bytes at once (ChargeWindows).
+//
+//sfa:noalloc
+func (m *LazyMultiSFA) OrRule(rule int, window []byte, dst []uint64) {
+	if m.t.Component(rule).Accepts(window) {
+		dst[rule>>6] |= 1 << (rule & 63)
+	}
+}
+
+// ChargeWindows books candidate windows verified by OrRule, and the bytes
+// they covered, to the engine's cost account.
+//
+//sfa:noalloc
+func (m *LazyMultiSFA) ChargeWindows(windows, bytes int64) {
+	m.attr.windows.Add(windows)
+	m.attr.bytes.Add(bytes)
+}
+
 // OrMask scans text sequentially on the calling goroutine and ORs the
-// accept bitmask into dst — the candidate-window primitive of the
-// literal prefilter, same contract as MultiSFA.OrMask.
+// accept bitmask of every rule into dst — the candidate-window primitive
+// of the literal prefilter, same contract as MultiSFA.OrMask. It walks
+// the combined automaton; OrRule is the cheaper call when the rule is
+// known.
 func (m *LazyMultiSFA) OrMask(text []byte, dst []uint64) {
 	m.attr.windows.Inc()
 	m.attr.bytes.Add(int64(len(text)))
@@ -184,6 +217,7 @@ func (m *LazyMultiSFA) InitMapping(cur []int16) { m.t.Identity(cur) }
 // tmp are the caller's ping-pong pair; the updated pair is returned in
 // (current, scratch) order. The carried value survives evictions of the
 // underlying lazy automaton — it is a denotation, not a state id.
+//
 //sfa:noalloc
 func (m *LazyMultiSFA) ComposeChunk(cur, tmp []int16, chunk []byte) ([]int16, []int16) {
 	if len(chunk) == 0 {
@@ -201,6 +235,7 @@ func (m *LazyMultiSFA) ComposeChunk(cur, tmp []int16, chunk []byte) ([]int16, []
 
 // MatchMaskFrom writes the accept bitmask of a carried mapping into
 // dst, which must have Words() capacity. It returns dst[:Words()].
+//
 //sfa:noalloc
 //sfa:borrowed cur
 func (m *LazyMultiSFA) MatchMaskFrom(cur []int16, dst []uint64) []uint64 {
@@ -214,11 +249,13 @@ func (m *LazyMultiSFA) MatchMaskFrom(cur []int16, dst []uint64) []uint64 {
 
 // ComposeMask merges two carried mappings: h ← "f then g", blockwise.
 // h must not alias f or g.
+//
 //sfa:borrowed f g
 func (m *LazyMultiSFA) ComposeMask(h, f, g []int16) { m.t.Compose(h, f, g) }
 
 // TableBytes returns the bytes currently charged to the table budget —
-// the lazy analogue of the eager engines' materialized table size.
+// the lazy analogue of the eager engines' materialized table size; 0
+// while the combined automaton has not been needed.
 func (m *LazyMultiSFA) TableBytes() int64 { return m.t.Stats().ResidentBytes }
 
 // Stats exposes the underlying structure's counters.
@@ -236,10 +273,14 @@ func (m *LazyMultiSFA) Name() string {
 // Info implements the shard-engine stats surface.
 func (m *LazyMultiSFA) Info() Info {
 	st := m.t.Stats()
+	layout := "lazy-rules" // only the per-rule DFAs exist
+	if m.t.Built() {
+		layout = "lazy"
+	}
 	inf := Info{
 		DFAStates:     m.t.VecLen(), // Σ|Di|: no product DFA exists
 		SFAStates:     st.States,
-		Layout:        "lazy",
+		Layout:        layout,
 		TableBytes:    st.ResidentBytes,
 		Lazy:          true,
 		ResidentBytes: st.ResidentBytes,
@@ -255,7 +296,7 @@ func (m *LazyMultiSFA) Info() Info {
 type Info struct {
 	DFAStates  int    // eager: combined minimal DFA live states; lazy: Σ|Di|
 	SFAStates  int    // eager: combined D-SFA live states; lazy: resident tuple states
-	Layout     string // transition-table layout, or "lazy"
+	Layout     string // transition-table layout; lazy: "lazy" once the combined automaton is built, "lazy-rules" while only the rule DFAs exist
 	TableBytes int64  // resident table bytes (lazy: budget-charged bytes)
 
 	Lazy          bool  // engine builds states on demand under a budget

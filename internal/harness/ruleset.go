@@ -138,10 +138,10 @@ func (c Config) Ruleset() error {
 	// on this corpus (most never do — planted suspicion is rare).
 	c.header("Ruleset attribution — combined mode: per-shard cost and rule heat")
 	w = c.table()
-	fmt.Fprintf(w, "shard\trules\tprefilter\tcompose ms\tchunks\tMB scanned\tcand windows\t\n")
+	fmt.Fprintf(w, "shard\trules\tlayout\tprefilter\tcompose ms\tchunks\tMB scanned\tcand windows\t\n")
 	for i, sh := range combined.Shards() {
-		fmt.Fprintf(w, "%d\t%d\t%s\t%.1f\t%d\t%.1f\t%d\t\n",
-			i, len(sh.Rules), sh.Prefilter,
+		fmt.Fprintf(w, "%d\t%d\t%s\t%s\t%.1f\t%d\t%.1f\t%d\t\n",
+			i, len(sh.Rules), sh.Layout, sh.Prefilter,
 			float64(sh.ComposeNs)/1e6, sh.ScanChunks,
 			float64(sh.ScanBytes)/1e6, sh.CandWindows)
 	}

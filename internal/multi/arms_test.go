@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/dfa"
 	"repro/internal/prefilter"
 	"repro/internal/syntax"
@@ -37,6 +38,7 @@ var armPool = []string{
 // isolated engines would run.
 type armSet struct {
 	set    *Set
+	nodes  []*syntax.Node // bracketed, as compiled
 	oracle []*dfa.DFA
 }
 
@@ -74,7 +76,7 @@ func compileArmSet(t testing.TB, patterns []string, o Options) *armSet {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.set = s
+	a.set, a.nodes = s, nodes
 	return a
 }
 
@@ -150,6 +152,42 @@ func composeTree(s *Set, r *rand.Rand, in []byte, cuts []int, sizes []int) *SetS
 	return left
 }
 
+// checkEveryPath requires mask want of in from every way s can scan it:
+// one-shot in order and block-parallel, streamed in chunkings from 1 B
+// (small inputs only) to 200 KiB, and cut at random points into segments
+// scanned on their own streams and folded by a random Compose tree.
+func checkEveryPath(t *testing.T, what string, s *Set, r *rand.Rand, in []byte, want []uint64) {
+	t.Helper()
+	got := make([]uint64, s.Words())
+	for _, workers := range []int{1, 0} {
+		if m := s.Scan(in, workers, got); !slices.Equal(m, want) {
+			t.Fatalf("%s: Scan(workers=%d) %x, want %x", what, workers, m, want)
+		}
+	}
+	chunkings := [][]int{{200 << 10}, {64 << 10}, {4096, 5000, 100, 70000}, {1 << 10, 37, 4095}}
+	if len(in) < 8<<10 {
+		chunkings = append(chunkings[2:], []int{1}, []int{2, 3, 1}, []int{7}, []int{13, 40, 5})
+	}
+	for _, sizes := range chunkings {
+		st := s.NewStream()
+		streamIn(st, in, sizes)
+		if m := st.Mask(got); !slices.Equal(m, want) {
+			t.Fatalf("%s: streamed in %v: %x, want %x", what, sizes, m, want)
+		}
+		if len(in) == 0 {
+			continue
+		}
+		var cuts []int
+		for c := 0; c < 1+r.Intn(4); c++ {
+			cuts = append(cuts, r.Intn(len(in)+1))
+		}
+		slices.Sort(cuts)
+		if m := composeTree(s, r, in, cuts, sizes).Mask(got); !slices.Equal(m, want) {
+			t.Fatalf("%s: composed at %v in %v: %x, want %x", what, cuts, sizes, m, want)
+		}
+	}
+}
+
 // TestArmScheduleVerdictInvariance is the block driver's contract: for
 // random rule sets, inputs with occurrences across block edges,
 // chunkings from 1 B to 200 KiB, Compose trees, every arm schedule,
@@ -171,8 +209,6 @@ func TestArmScheduleVerdictInvariance(t *testing.T) {
 			armTraffic(r, 3000+r.Intn(3000), 512),
 			[]byte("needle1"), nil,
 		}
-		chunkings := [][]int{{200 << 10}, {64 << 10}, {4096, 5000, 100, 70000}, {1 << 10, 37, 4095}}
-		tiny := [][]int{{1}, {2, 3, 1}, {7}, {13, 40, 5}}
 		for _, threads := range []int{1, 2, 4} {
 			// A small shard budget splits the windowable rules over
 			// several window shards, the case lock-step walks.
@@ -182,39 +218,12 @@ func TestArmScheduleVerdictInvariance(t *testing.T) {
 					windowShards++
 				}
 			}
-			got := make([]uint64, a.set.Words())
 			for name, sched := range armSchedules {
 				a.set.ForceArm(sched)
 				for ii, in := range inputs {
 					want := a.want(in)
 					what := fmt.Sprintf("set %d %v p=%d schedule %s input %d (%d B)", si, patterns, threads, name, ii, len(in))
-					for _, workers := range []int{1, 0} {
-						if m := a.set.Scan(in, workers, got); !slices.Equal(m, want) {
-							t.Fatalf("%s: Scan(workers=%d) %x, want %x", what, workers, m, want)
-						}
-					}
-					cs := chunkings
-					if len(in) < 8<<10 {
-						cs = append(slices.Clone(chunkings[2:]), tiny...)
-					}
-					for _, sizes := range cs {
-						st := a.set.NewStream()
-						streamIn(st, in, sizes)
-						if m := st.Mask(got); !slices.Equal(m, want) {
-							t.Fatalf("%s: streamed in %v: %x, want %x", what, sizes, m, want)
-						}
-						if len(in) == 0 {
-							continue
-						}
-						var cuts []int
-						for c := 0; c < 1+r.Intn(4); c++ {
-							cuts = append(cuts, r.Intn(len(in)+1))
-						}
-						slices.Sort(cuts)
-						if m := composeTree(a.set, r, in, cuts, sizes).Mask(got); !slices.Equal(m, want) {
-							t.Fatalf("%s: composed at %v in %v: %x, want %x", what, cuts, sizes, m, want)
-						}
-					}
+					checkEveryPath(t, what, a.set, r, in, want)
 				}
 			}
 		}
@@ -233,33 +242,41 @@ func TestArmsConcurrentStreams(t *testing.T) {
 	for _, sched := range []string{"measured", "random"} {
 		a := compileArmSet(t, armPool, Options{Threads: 2, SFABudget: 600})
 		a.set.ForceArm(armSchedules[sched])
-		want := a.want(in)
-		var wg sync.WaitGroup
-		errs := make(chan error, 8)
-		for g := 0; g < 8; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				got := make([]uint64, a.set.Words())
-				for round := 0; round < 3; round++ {
-					st := a.set.NewStream()
-					streamIn(st, in, []int{4096 + g*1000, 64 << 10, 100})
-					if m := st.Mask(got); !slices.Equal(m, want) {
-						errs <- fmt.Errorf("%s: goroutine %d stream %x, want %x", sched, g, m, want)
-						return
-					}
-					if m := a.set.Scan(in, g%2, got); !slices.Equal(m, want) {
-						errs <- fmt.Errorf("%s: goroutine %d scan %x, want %x", sched, g, m, want)
-						return
-					}
+		streamAndScanConcurrently(t, sched, a, in)
+	}
+}
+
+// streamAndScanConcurrently has eight goroutines stream in through a's
+// set in their own chunkings (down to a few bytes a write) and scan it
+// one-shot, three rounds each, all against the reference verdict.
+func streamAndScanConcurrently(t *testing.T, what string, a *armSet, in []byte) {
+	t.Helper()
+	want := a.want(in)
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			got := make([]uint64, a.set.Words())
+			for round := 0; round < 3; round++ {
+				st := a.set.NewStream()
+				streamIn(st, in, []int{4096 + g*1000, 64 << 10, 100, 1 + g})
+				if m := st.Mask(got); !slices.Equal(m, want) {
+					errs <- fmt.Errorf("%s: goroutine %d stream %x, want %x", what, g, m, want)
+					return
 				}
-			}(g)
-		}
-		wg.Wait()
-		close(errs)
-		for err := range errs {
-			t.Fatal(err)
-		}
+				if m := a.set.Scan(in, g%2, got); !slices.Equal(m, want) {
+					errs <- fmt.Errorf("%s: goroutine %d scan %x, want %x", what, g, m, want)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
 	}
 }
 
@@ -393,4 +410,300 @@ func TestWindowShardAttribution(t *testing.T) {
 			t.Fatalf("whole=%v: stream stats %+v", whole, ss)
 		}
 	}
+}
+
+// gapSet draws a bounded-gap rule set the eager planner cannot afford
+// under gapOptions, so its rules land in lazy window shards and are
+// verified per rule: n random rules, plus the shapes the per-rule
+// bookkeeping has to get right — two rules opened by the same literal,
+// and a rule whose literals differ in length (so its windows do not
+// arrive in position order).
+func gapSet(r *rand.Rand, n int) []string {
+	pats := []string{
+		`abcd.{0,8}x1`, `abcd.{0,5}y2`,
+		`kk.{0,6}(lmn|lmnop)`,
+	}
+	for i := 0; i < n; i++ {
+		pats = append(pats, fmt.Sprintf("h%02d.{0,%d}t%02d", i, 3+r.Intn(14), (i*7)%100))
+	}
+	return pats
+}
+
+// gapOptions sends every gap rule to a lazy shard (no capped D-SFA of
+// one fits 256 states) and leaves small literal rules eager.
+func gapOptions(threads int) Options {
+	return Options{Lazy: true, SFABudget: 256, Budget: core.NewTableBudget(0), Threads: threads}
+}
+
+// gapTraffic is lower-case filler with heads and tails of the set's
+// rules planted at gaps that sometimes fit and sometimes overshoot, and
+// across every edge multiple of edge bytes.
+func gapTraffic(r *rand.Rand, pats []string, size, edge int) []byte {
+	const filler = "efgijopqrsuvwz \n"
+	out := make([]byte, size)
+	for i := range out {
+		out[i] = filler[r.Intn(len(filler))]
+	}
+	plant := func(at int) {
+		p := pats[r.Intn(len(pats))]
+		var head, tail string
+		switch {
+		case p[0] == 'h':
+			head, tail = p[:3], p[len(p)-3:]
+		case p[0] == 'a':
+			head, tail = "abcd", p[len(p)-2:]
+		case p[0] == 'k':
+			head, tail = "kk", []string{"lmn", "lmnop", "lm"}[r.Intn(3)]
+		default:
+			head = []string{"SeCrEt", "id=4711'", "SeCr", "needle12x"}[r.Intn(4)]
+		}
+		at = max(at, 0)
+		at += copy(out[at:], head)
+		if at += r.Intn(20); at < size {
+			copy(out[at:], tail)
+		}
+	}
+	for i := 0; i < size/60+1; i++ {
+		plant(r.Intn(size))
+	}
+	for e := edge; e < size; e += edge {
+		plant(e - r.Intn(24))
+	}
+	return out
+}
+
+// lazyWindowShards counts a set's lazy window shards and fails unless
+// each is still on the per-rule path: no combined automaton built, no
+// budget byte charged.
+func lazyWindowShards(t *testing.T, what string, s *Set) int {
+	t.Helper()
+	n := 0
+	for i, sh := range s.Shards() {
+		if !sh.Lazy || sh.Prefilter != "window" {
+			continue
+		}
+		n++
+		if sh.Layout != "lazy-rules" || sh.Fills != 0 || sh.ResidentBytes != 0 || sh.TableBytes != 0 {
+			t.Fatalf("%s: lazy window shard %d left the per-rule path: %+v", what, i, sh)
+		}
+	}
+	return n
+}
+
+// TestPerRuleVerificationInvariance is the differential test of per-rule
+// window verification: random bounded-gap sets whose lazy window shards
+// are verified one rule's DFA at a time, over chunkings from 1 B to
+// 200 KiB, Compose trees, 1, 2 and 4 threads and sequential and
+// block-parallel one-shot scans, give masks byte-identical to the
+// per-rule reference DFAs and to the twin compiled without a prefilter
+// (which walks the lazy tuple D-SFA) — without ever building a combined
+// automaton.
+func TestPerRuleVerificationInvariance(t *testing.T) {
+	r := rand.New(rand.NewSource(77))
+	nsets, large := 3, 260<<10
+	if raceEnabled {
+		nsets, large = 2, 140<<10
+	}
+	for si := 0; si < nsets; si++ {
+		patterns := gapSet(r, 4+r.Intn(30))
+		if si > 0 {
+			// A mixed set: eager window shards and a prefix shard beside the
+			// lazy ones, so blocks verify both kinds.
+			patterns = append(patterns, `SeCrEt`, `id=[0-9]{1,6}'`, `needle[0-9]{1,8}x`, `^h0[0-9]`)
+		}
+		inputs := [][]byte{
+			gapTraffic(r, patterns, large, scanBlock),
+			gapTraffic(r, patterns, 2000+r.Intn(3000), 256),
+			[]byte("xxabcdefgijopqy2x1"), []byte("h00"), nil,
+		}
+		for _, threads := range []int{1, 2, 4} {
+			a := compileArmSet(t, patterns, gapOptions(threads))
+			what := fmt.Sprintf("set %d p=%d", si, threads)
+			if lazyWindowShards(t, what, a.set) == 0 {
+				t.Fatalf("%s: no lazy window shard planned: %+v", what, a.set.Shards())
+			}
+			if pf := a.set.PrefilterStats(); si > 0 && (pf.PrefixShards == 0 || len(a.set.pre.eagerWin) == 0) {
+				t.Fatalf("%s: the mixed set has no eager window or no prefix shard: %+v", what, pf)
+			}
+			o := gapOptions(threads)
+			twin, err := Compile(a.nodes, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tw := make([]uint64, twin.Words())
+			for ii, in := range inputs {
+				want := a.want(in)
+				what := fmt.Sprintf("%s input %d (%d B)", what, ii, len(in))
+				if m := twin.Scan(in, 1, tw); !slices.Equal(m, want) {
+					t.Fatalf("%s: no-prefilter twin %x, want %x", what, m, want)
+				}
+				checkEveryPath(t, what, a.set, r, in, want)
+			}
+			lazyWindowShards(t, what+" after scanning", a.set)
+			if twinBuilt := twin.Shards()[0]; twinBuilt.Layout != "lazy" || twinBuilt.Fills == 0 {
+				t.Fatalf("%s: the no-prefilter twin never walked its tuple: %+v", what, twinBuilt)
+			}
+		}
+	}
+}
+
+// TestPerRuleWindowsAcrossWrites pins the stream cases of per-rule
+// verification one at a time: a literal cut by a Write boundary, a
+// window that stays pending across three 1-byte Writes, writes shorter
+// than any rule's MaxLen, one literal opening windows of two rules, a
+// rule's windows arriving out of position order, and Mask read while a
+// window is still open.
+func TestPerRuleWindowsAcrossWrites(t *testing.T) {
+	a := compileArmSet(t, gapSet(rand.New(rand.NewSource(1)), 4), gapOptions(1))
+	if lazyWindowShards(t, "fixture", a.set) == 0 {
+		t.Fatal("no lazy window shard planned")
+	}
+	shared, mixedLen := false, false
+	for id, ts := range a.set.pre.targets {
+		for _, x := range ts {
+			for _, y := range ts {
+				shared = shared || (x.shard == y.shard && x.rule >= 0 && y.rule >= 0 && x.rule != y.rule)
+			}
+			for id2, ts2 := range a.set.pre.targets {
+				for _, y := range ts2 {
+					l, l2 := a.set.pre.m.Lits()[id], a.set.pre.m.Lits()[id2]
+					mixedLen = mixedLen || (x.shard == y.shard && x.rule >= 0 && x.rule == y.rule && len(l) != len(l2))
+				}
+			}
+		}
+	}
+	if !shared || !mixedLen {
+		t.Fatalf("fixture lost a shape: one literal for two rules %v, one rule with literals of two lengths %v", shared, mixedLen)
+	}
+	cases := []struct {
+		name   string
+		writes []string
+	}{
+		{"literal cut by a write", []string{"zzh0", "0gggt00zz"}},
+		{"literal cut twice", []string{"zza", "b", "cdefy2"}},
+		{"pending across three 1-byte writes", []string{"h00", "e", "f", "g", "t00"}},
+		{"every write one byte", []string{"a", "b", "c", "d", "e", "f", "x", "1", "q", "y", "2"}},
+		{"gap overshoots after pending", []string{"h00", "e", "f", "g", "eeeeeeeeeeeeeeeeeeeeeeeeeeeeee", "t00"}},
+		{"one literal, two rules, one completes", []string{"abcdefgij", "y2"}},
+		{"both rules of one literal", []string{"abcd", "ey2", "x1"}},
+		{"short and long literal of one rule", []string{"kkeelmnop eee kk", "lm", "n"}},
+		{"occurrence split at every byte of the tail", []string{"kkeel", "m", "n", "o", "p"}},
+		{"second occurrence inside the first window", []string{"h00h00", "eeet0", "0"}},
+		{"nothing to find", []string{"h00eeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeee", "t00"}},
+	}
+	got := make([]uint64, a.set.Words())
+	for _, c := range cases {
+		st := a.set.NewStream()
+		var in []byte
+		for _, wr := range c.writes {
+			st.Write([]byte(wr))
+			in = append(in, wr...)
+			// Mask must be right at every point, open windows included.
+			if m, want := st.Mask(got), a.want(in); !slices.Equal(m, want) {
+				t.Fatalf("%s: after %q: mask %x, want %x", c.name, in, m, want)
+			}
+		}
+		if m, want := a.set.Scan(in, 1, got), a.want(in); !slices.Equal(m, want) {
+			t.Fatalf("%s: Scan(%q) %x, want %x", c.name, in, m, want)
+		}
+		// The same writes with a Compose in the middle: writes[:i] and
+		// writes[i:j] on their own streams, folded, and the rest written to
+		// the fold — which must have kept every window that still awaits
+		// input: the left stream's, the right stream's, and those of
+		// literals cut by the seam.
+		for i := 0; i <= len(c.writes); i++ {
+			for j := i; j <= len(c.writes); j++ {
+				left, right := a.set.NewStream(), a.set.NewStream()
+				for k, wr := range c.writes {
+					switch {
+					case k < i:
+						left.Write([]byte(wr))
+					case k < j:
+						right.Write([]byte(wr))
+					case k == j:
+						if err := left.Compose(right); err != nil {
+							t.Fatal(err)
+						}
+						fallthrough
+					default:
+						left.Write([]byte(wr))
+					}
+				}
+				if j == len(c.writes) {
+					if err := left.Compose(right); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if m, want := left.Mask(got), a.want(in); !slices.Equal(m, want) {
+					t.Fatalf("%s: composed writes[:%d] · writes[%d:%d], then the rest: mask %x, want %x", c.name, i, i, j, m, want)
+				}
+			}
+		}
+		st.Reset()
+		st.Write([]byte("zz"))
+		if m := st.Mask(got); !slices.Equal(m, a.want([]byte("zz"))) {
+			t.Fatalf("%s: a window survived Reset: mask %x", c.name, m)
+		}
+	}
+	if a.want([]byte("abcdey2x1"))[0] == 0 {
+		t.Fatal("fixture inputs match nothing")
+	}
+}
+
+// TestPerRuleConcurrentStreams shares one mixed set — eager window
+// shards, lazy window shards verified per rule, a prefix shard — between
+// goroutines streaming and scanning at once. Run under -race.
+func TestPerRuleConcurrentStreams(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	patterns := append(gapSet(r, 20), `SeCrEt`, `id=[0-9]{1,6}'`, `needle[0-9]{1,8}x`, `^h0[0-9]`)
+	a := compileArmSet(t, patterns, gapOptions(2))
+	if pf := a.set.PrefilterStats(); lazyWindowShards(t, "fixture", a.set) == 0 || len(a.set.pre.eagerWin) == 0 || pf.PrefixShards == 0 {
+		t.Fatalf("fixture is not mixed: %+v", pf)
+	}
+	streamAndScanConcurrently(t, "mixed set", a, gapTraffic(r, patterns, 150<<10, scanBlock))
+	lazyWindowShards(t, "after concurrent use", a.set)
+}
+
+// TestPerRuleZeroAllocAndCounters: steady-state Scan and Write over lazy
+// window shards allocate nothing, and the counters count per-rule
+// windows — candidate bytes and shard scan bytes agree, a window per
+// verified rule.
+func TestPerRuleZeroAllocAndCounters(t *testing.T) {
+	r := rand.New(rand.NewSource(21))
+	patterns := gapSet(r, 40)
+	a := compileArmSet(t, patterns, gapOptions(1))
+	in := gapTraffic(r, patterns, 256<<10, scanBlock)
+	dst := make([]uint64, a.set.Words())
+	st := a.set.NewStream()
+	pass := func() {
+		a.set.Scan(in, 1, dst)
+		st.Write(in[:64<<10])
+		st.Write(in[64<<10 : 64<<10+300])
+		st.Write(in[64<<10+300 : 64<<10+301])
+	}
+	pass()
+	pass()
+	if !raceEnabled {
+		if avg := testing.AllocsPerRun(10, pass); avg != 0 {
+			t.Fatalf("Scan + Write over lazy window shards allocate %.1f/op in steady state, want 0", avg)
+		}
+	}
+	pf := a.set.PrefilterStats()
+	var bytes, windows int64
+	for _, sh := range a.set.Shards() {
+		if sh.Lazy {
+			bytes += sh.ScanBytes
+			windows += sh.CandWindows
+			if sh.ComposeNs <= 0 || sh.ScanChunks != 0 {
+				t.Fatalf("lazy window shard account: %+v", sh)
+			}
+		}
+	}
+	if bytes == 0 || bytes != pf.CandidateBytes || windows == 0 {
+		t.Fatalf("shards verified %d bytes in %d windows, the prefilter counts %d candidate bytes", bytes, windows, pf.CandidateBytes)
+	}
+	if pf.BypassedBlocks != 0 {
+		t.Fatalf("a set with lazy window shards took the whole arm: %+v", pf)
+	}
+	lazyWindowShards(t, "after the passes", a.set)
 }

@@ -54,6 +54,17 @@
 // matcher is worth its own cost on this input. The choice is visible in
 // [PrefilterStats] and never configurable.
 //
+// A window shard whose engine is lazy is verified per rule instead: its
+// literals are recorded against (shard, rule) with the rule's own
+// extents, the cascade keeps one open window per rule, and each window is
+// one walk of that rule's own DFA from its start state
+// ([engine.LazyMultiSFA.OrRule]). That is the window contract at k = 1 —
+// an occurrence of rule r contains one of r's literals and lies within
+// MaxLen_r of it, and r's search-bracketed DFA accepts exactly the
+// windows that contain an occurrence — so verdicts are unchanged, and
+// such a shard never builds a combined automaton. Sets with one stay on
+// the cascade arm.
+//
 // # Lazy shards
 //
 // With Options.Lazy, rules whose dry-run construction exceeds the eager
@@ -61,7 +72,10 @@
 // product states materialize on demand during scanning
 // (core.LazyTuple interns k-tuples of component D-SFA states), bounded
 // by a process-wide byte budget (Options.Budget, default the global
-// budget) with LRU eviction of cold automata. Rules that fit keep the
+// budget) with LRU eviction of cold automata. The tuple tables are made
+// by the first walk that needs every rule at once (a whole-input scan, a
+// carried mapping); a lazy shard in window mode, verified per rule,
+// never makes them and charges the budget nothing. Rules that fit keep the
 // eager plan — the sticky fallback — so lazy mode never slows a set the
 // eager builder could compile. Lazy shards are not serializable
 // ([ErrNotSerializable]); Set.Encode fails on them and callers persist

@@ -96,14 +96,22 @@ func TestLazyStickyFallback(t *testing.T) {
 
 // TestLazySetStreamUnderEviction drives the streaming path while a
 // starved budget forces mid-stream resets, checking verdicts against
-// whole-input scans.
+// whole-input scans. The set has no prefilter, so every Write walks the
+// lazy tuple D-SFA and carries its mapping: this is the spill / evict /
+// re-enter path, which windowed lazy shards no longer reach.
 func TestLazySetStreamUnderEviction(t *testing.T) {
 	nodes := parseAll(t, lazyTestPatterns)
 	ds := oracleDFAs(t, lazyTestPatterns)
-	s, err := Compile(nodes, lazyTestOptions(core.NewTableBudget(2<<10)))
+	budget := core.NewTableBudget(2 << 10)
+	s, err := Compile(nodes, lazyTestOptions(budget))
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer func() {
+		if st := budget.Stats(); !t.Failed() && st.Evictions == 0 {
+			t.Fatalf("the starved budget evicted nothing mid-stream: %+v", st)
+		}
+	}()
 	r := rand.New(rand.NewSource(13))
 	dst := make([]uint64, s.Words())
 	for trial := 0; trial < 20; trial++ {

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/prefilter"
 )
 
@@ -52,6 +53,27 @@ import (
 // price of one shard — cheaper than the matcher alone on text where
 // literal prefixes are everywhere. The arm is chosen per block from
 // the measured cost of each (armCosts).
+//
+// A window shard whose engine is lazy is verified per rule, which is the
+// window contract instantiated for one rule at a time (k = 1). An
+// occurrence of rule r contains one of r's own literals, at some position
+// p with length l, and lies inside [p+l−MaxLen_r, p+MaxLen_r]; r's DFA is
+// search-bracketed, so it accepts any window that contains the occurrence
+// and accepts no window unless an occurrence of r is really in it. So the
+// literal that opens a window already names the rule the window can
+// witness, and the window always starts at the automaton's start state:
+// nothing about it needs the combined automaton, whose tuple states exist
+// to carry *every* rule from an *unknown* state. armPrefilter therefore
+// records such a shard's literals against (shard, rule) with the rule's
+// own extents, the cascade arm keeps one open window per rule — hits
+// extend it or close it (ruleWindow) — and each closed window is one walk
+// of that rule's own DFA from its start state (engine.LazyMultiSFA.OrRule):
+// a table of a few KB instead of tuple rows in the megabytes, with no
+// lock, no budget traffic and nothing to materialize, so a set whose lazy
+// shards are all windowed never builds a combined automaton at all. The
+// whole arm is never taken by a set with such a shard (lazyWin): one
+// window for every rule is exactly the walk the lazy tuple exists for,
+// and what a window shard exists to avoid.
 
 type shardMode uint8
 
@@ -69,10 +91,12 @@ const (
 // input).
 type span struct{ lo, hi int }
 
-// litTarget maps one literal to one shard it can witness a rule of.
-// fwd < 0 marks a gate-only target (the shard never windows).
+// litTarget maps one literal to one shard it can witness a rule of — or,
+// in a shard verified per rule, to that one rule. fwd < 0 marks a
+// gate-only target (the shard never windows).
 type litTarget struct {
 	shard int32
+	rule  int32 // shard-local rule the window is verified for; −1: the whole shard
 	back  int32 // window lo = pos − back  (back = maxLen − len(lit))
 	fwd   int32 // window hi = pos + fwd   (fwd = maxLen)
 }
@@ -80,6 +104,11 @@ type litTarget struct {
 type shardPre struct {
 	mode   shardMode
 	maxLen int // window/prefix mode: max MaxLen over the shard's rules
+	// rules is the engine of a window shard verified per rule (a lazy
+	// one), nil for every other shard; ruleMax is then MaxLen by
+	// shard-local rule.
+	rules   *engine.LazyMultiSFA
+	ruleMax []int
 }
 
 // setPre is a Set's armed prefilter: the global literal matcher, the
@@ -90,15 +119,18 @@ type setPre struct {
 	shards  []shardPre
 	infos   []prefilter.Rule
 	win     []int // window-mode shard indices
-	gates   []int // gate-mode shard indices
-	prefix  int   // number of prefix-mode shards
-	litMax  int   // longest literal (stream boundary-carry width)
-	maxSpan int   // max window-shard span length, 2×maxLen (stream buffers)
-	maxPre  int   // max prefix-shard scan length (stream head sizing)
-	// lazyWin: some window shard is lazy. A lazy engine cannot join a
-	// lock-step pass, so the whole arm would cost it a full pass per
-	// block (and materialize states the windows never reach); such sets
-	// keep every block on the cascade arm.
+	// eagerWin is the part of win verified a shard at a time — all of it
+	// but the lazy shards, which are verified per rule (shardPre.rules).
+	eagerWin []int
+	gates    []int // gate-mode shard indices
+	prefix   int   // number of prefix-mode shards
+	litMax   int   // longest literal (stream boundary-carry width)
+	maxSpan  int   // max window-shard span length, 2×maxLen (stream buffers)
+	maxPre   int   // max prefix-shard scan length (stream head sizing)
+	// lazyWin: some window shard is lazy, verified per rule. The whole arm
+	// would walk its combined automaton over every block (and materialize
+	// states no window reaches); such sets keep every block on the cascade
+	// arm.
 	lazyWin bool
 
 	covered   int // rules the cascade accelerates (literal-covered or prefix-bounded)
@@ -162,8 +194,15 @@ func (s *Set) armPrefilter(infos []prefilter.Rule) {
 			sp.mode = preWindow
 			sp.maxLen = maxLen
 			pre.win = append(pre.win, si)
-			if eagerEngine(sh.m) == nil {
+			if lz, ok := sh.m.(*engine.LazyMultiSFA); ok {
 				pre.lazyWin = true
+				sp.rules = lz
+				sp.ruleMax = make([]int, len(sh.rules))
+				for k, ri := range sh.rules {
+					sp.ruleMax[k] = infos[ri].MaxLen
+				}
+			} else {
+				pre.eagerWin = append(pre.eagerWin, si)
 			}
 			if 2*maxLen > pre.maxSpan {
 				pre.maxSpan = 2 * maxLen
@@ -186,7 +225,11 @@ func (s *Set) armPrefilter(infos []prefilter.Rule) {
 			s.carry = append(s.carry, si)
 			continue // preFull, the zero value
 		}
-		for _, ri := range sh.rules {
+		for k, ri := range sh.rules {
+			rule := -1
+			if sp.rules != nil {
+				rule = k
+			}
 			for _, l := range infos[ri].Lits {
 				id, ok := litID[l]
 				if !ok {
@@ -195,7 +238,7 @@ func (s *Set) armPrefilter(infos []prefilter.Rule) {
 					lits = append(lits, l)
 					pre.targets = append(pre.targets, nil)
 				}
-				pre.addTarget(id, si, sp.mode, infos[ri].MaxLen, len(l))
+				pre.addTarget(id, si, rule, sp.mode, infos[ri].MaxLen, len(l))
 			}
 		}
 	}
@@ -210,9 +253,10 @@ func (s *Set) armPrefilter(infos []prefilter.Rule) {
 	s.pre = pre
 }
 
-// addTarget records that literal id witnesses some rule of shard si,
+// addTarget records that literal id witnesses some rule of shard si —
+// rule ≥ 0: that shard-local rule, in a shard verified per rule —
 // widening the window extents if a target for the pair already exists.
-func (p *setPre) addTarget(id, si int, mode shardMode, maxLen, litLen int) {
+func (p *setPre) addTarget(id, si, rule int, mode shardMode, maxLen, litLen int) {
 	back, fwd := int32(-1), int32(-1)
 	if mode == preWindow {
 		back, fwd = int32(maxLen-litLen), int32(maxLen)
@@ -225,7 +269,7 @@ func (p *setPre) addTarget(id, si int, mode shardMode, maxLen, litLen int) {
 	}
 	for i := range p.targets[id] {
 		t := &p.targets[id][i]
-		if int(t.shard) != si {
+		if int(t.shard) != si || int(t.rule) != rule {
 			continue
 		}
 		if t.back < back {
@@ -236,7 +280,7 @@ func (p *setPre) addTarget(id, si int, mode shardMode, maxLen, litLen int) {
 		}
 		return
 	}
-	p.targets[id] = append(p.targets[id], litTarget{shard: int32(si), back: back, fwd: fwd})
+	p.targets[id] = append(p.targets[id], litTarget{shard: int32(si), rule: int32(rule), back: back, fwd: fwd})
 }
 
 // active reports whether scans actually consult a matcher.
@@ -291,10 +335,13 @@ func (a *armCosts) wholeWins() bool {
 // still closed the matcher is buying a whole-shard skip, so the block
 // stays on the cascade.
 func (p *setPre) pick(n int, gate []bool) bool {
+	if p.lazyWin {
+		return false
+	}
 	if p.forceArm != nil {
 		return p.forceArm(p.blockSeq.Add(1) - 1)
 	}
-	if p.lazyWin || len(p.win) == 0 {
+	if len(p.win) == 0 {
 		return false
 	}
 	if gate != nil {
@@ -361,31 +408,131 @@ type winState struct {
 	acc     [][]uint64 // accumulated shard-local masks
 	pending [][]span   // windows outliving the consumed input, relative to the next block's buffer
 	newsp   [][]span   // the block's candidate spans
-	walked  []int64    // bytes each shard walked in the block (attribution split)
+	// open is the per-rule form of newsp and pending together, for the
+	// shards verified per rule: open[i][r] is rule r's one open window
+	// (lo == hi: none) — within a block the window later hits may still
+	// extend, between blocks the window that awaits input.
+	open    [][]span
+	walked  []int64 // bytes each shard walked in the block (attribution split)
+	windows []int64 // windows each per-rule shard verified in the block
 	hits    []prefilter.Hit
 	wbuf    []byte // junction materialization (streams)
 }
 
-// init sizes the per-shard scratch; the caller allocates acc.
-func (w *winState) init(shards int) {
-	spans := make([][]span, 2*shards)
-	w.pending, w.newsp = spans[:shards:shards], spans[shards:]
-	w.walked = make([]int64, shards)
+// init sizes the per-shard scratch for s; the caller allocates acc.
+func (w *winState) init(s *Set) {
+	shards := len(s.shards)
+	spans := make([][]span, 3*shards)
+	w.pending, w.newsp, w.open = spans[:shards:shards], spans[shards:2*shards:2*shards], spans[2*shards:]
+	counts := make([]int64, 2*shards)
+	w.walked, w.windows = counts[:shards:shards], counts[shards:]
+	if s.pre == nil {
+		return
+	}
+	for _, i := range s.pre.win {
+		if s.pre.shards[i].rules != nil {
+			w.open[i] = make([]span, len(s.shards[i].rules))
+		}
+	}
 }
 
-// addSpans turns literal hits into candidate spans of the window shards
-// they can witness: a hit at buffer position base+Pos opens
-// [pos−back, pos+fwd) on each target shard.
+// reset forgets every window that awaits input.
+func (w *winState) reset(p *setPre) {
+	for _, i := range p.win {
+		w.pending[i] = w.pending[i][:0]
+		clear(w.open[i])
+	}
+}
+
+// addSpans turns the block's literal hits (w.hits, buffer-relative) into
+// candidate windows of the window shards they can witness: a hit at pos
+// opens [pos−back, pos+fwd) on each target — appended to the shard's
+// spans, or handed to the target's rule (ruleWindow).
 //
 //sfa:noalloc
-func (p *setPre) addSpans(newsp [][]span, hits []prefilter.Hit, base int) {
-	for _, h := range hits {
+func (p *setPre) addSpans(w *winState, tail, cur []byte, ahead int) {
+	for _, h := range w.hits {
 		for _, t := range p.targets[h.Lit] {
-			if t.fwd >= 0 {
-				newsp[t.shard] = append(newsp[t.shard],
-					span{base + h.Pos - int(t.back), base + h.Pos + int(t.fwd)})
+			switch {
+			case t.rule >= 0:
+				p.ruleWindow(w, tail, cur, t, span{h.Pos - int(t.back), min(h.Pos+int(t.fwd), len(cur)+ahead)})
+			case t.fwd >= 0:
+				w.newsp[t.shard] = append(w.newsp[t.shard], span{h.Pos - int(t.back), h.Pos + int(t.fwd)})
 			}
 		}
+	}
+}
+
+// ruleWindow merges candidate window sp of rule t.rule into the rule's
+// open window, in arrival order: a window that touches the open one
+// extends it; one that begins past it closes it — the open window is
+// verified and sp becomes the open one; one that lies wholly before it
+// (the matcher orders hits per literal only) is verified on its own.
+// Whatever the order, every candidate window ends up inside a verified
+// one, which is all the window contract asks. Only a window that reaches
+// the end of the input can await more of it, and any later window begins
+// before that end and so touches it: a window verified here is complete.
+//
+//sfa:noalloc
+func (p *setPre) ruleWindow(w *winState, tail, cur []byte, t litTarget, sp span) {
+	o := &w.open[t.shard][t.rule]
+	switch {
+	case o.lo == o.hi:
+		*o = sp
+	case sp.lo <= o.hi && sp.hi >= o.lo:
+		o.lo, o.hi = min(o.lo, sp.lo), max(o.hi, sp.hi)
+	case sp.lo > o.hi:
+		p.verify(w, tail, cur, int(t.shard), int(t.rule), *o)
+		*o = sp
+	default:
+		p.verify(w, tail, cur, int(t.shard), int(t.rule), sp)
+	}
+}
+
+// verify walks the part of rule r's window sp that is here — from the
+// start of the tail to the end of cur — on the rule's own DFA, ORing the
+// verdict into w.acc[i].
+//
+//sfa:noalloc
+func (p *setPre) verify(w *winState, tail, cur []byte, i, r int, sp span) {
+	lo, hi := max(sp.lo, -len(tail)), min(sp.hi, len(cur))
+	if hi <= lo {
+		return
+	}
+	sh := &p.shards[i]
+	a, b := w.window(tail, cur, lo, hi, sh.ruleMax[r])
+	sh.rules.OrRule(r, a, w.acc[i])
+	if len(b) > 0 {
+		sh.rules.OrRule(r, b, w.acc[i])
+	}
+	w.walked[i] += int64(len(a) + len(b))
+	w.windows[i]++
+}
+
+// closeRules ends the block for shard i, verified per rule: every window
+// still open is verified as far as the input goes — occurrences completed
+// inside it must show in Mask now — and one that awaits input stays open
+// for the next block, relative to its buffer. Only an occurrence that
+// ends past len(cur) is still owed, and it begins less than the rule's
+// MaxLen before that.
+//
+//sfa:noalloc
+func (p *setPre) closeRules(w *winState, tail, cur []byte, i int) {
+	sh := &p.shards[i]
+	for r := range w.open[i] {
+		o := &w.open[i][r]
+		if o.lo == o.hi {
+			continue
+		}
+		p.verify(w, tail, cur, i, r, *o)
+		if o.hi > len(cur) {
+			*o = span{max(o.lo-len(cur), -sh.ruleMax[r]), o.hi - len(cur)}
+		} else {
+			*o = span{}
+		}
+	}
+	if w.windows[i] > 0 {
+		sh.rules.ChargeWindows(w.windows[i], w.walked[i])
 	}
 }
 
@@ -397,8 +544,8 @@ func (p *setPre) addSpans(newsp [][]span, hits []prefilter.Hit, base int) {
 // far past len(cur) a window may wait for input — 0 in a one-shot scan,
 // where the part walked now is all there will ever be, the stream's
 // tail capacity otherwise — and the waiting remainder is left in
-// w.pending. It returns how many window shards had candidate work and
-// how many had none.
+// w.pending (w.open for shards verified per rule). It returns how many
+// window shards had candidate work and how many had none.
 //
 //sfa:noalloc
 func (p *setPre) block(s *Set, w *winState, gate []bool, tail, cur []byte, blo, bhi, ahead int) (scanned, skipped int64) {
@@ -412,7 +559,7 @@ func (p *setPre) block(s *Set, w *winState, gate []bool, tail, cur []byte, blo, 
 	}
 	for _, i := range p.win {
 		w.newsp[i] = w.newsp[i][:0]
-		w.walked[i] = 0
+		w.walked[i], w.windows[i] = 0, 0
 	}
 	if whole {
 		// One window for every shard: the block, widened by the longest
@@ -437,7 +584,17 @@ func (p *setPre) block(s *Set, w *winState, gate []bool, tail, cur []byte, blo, 
 		if timed {
 			walk0 = time.Now()
 		}
+		p.addSpans(w, tail, cur, ahead)
 		for k, i := range p.win {
+			if p.shards[i].rules != nil {
+				p.closeRules(w, tail, cur, i)
+				if w.windows[i] == 0 {
+					skipped++
+				} else {
+					scanned++
+				}
+				continue
+			}
 			w.newsp[i] = append(w.newsp[i], w.pending[i]...)
 			w.pending[i] = w.pending[i][:0]
 			if len(w.newsp[i]) == 0 {
@@ -470,8 +627,8 @@ func (p *setPre) block(s *Set, w *winState, gate []bool, tail, cur []byte, blo, 
 	return scanned, skipped
 }
 
-// cascade runs the literal matcher for the block and leaves each window
-// shard's candidate spans in w.newsp (and opens the gates its hits
+// cascade runs the literal matcher for the block and leaves its hits in
+// w.hits, positions relative to cur[0] (and opens the gates they
 // witness): literals that begin in the block, including those that run
 // on past its end, and — in a stream — those the previous Write cut in
 // two, found by matching the (litMax−1)-byte overlap and keeping the
@@ -484,10 +641,10 @@ func (p *setPre) cascade(w *winState, gate []bool, tail, cur []byte, blo, bhi in
 	own := w.hits[:0]
 	for _, h := range w.hits {
 		if h.Pos < bhi-blo {
-			own = append(own, h)
+			own = append(own, prefilter.Hit{Lit: h.Lit, Pos: h.Pos + blo})
 		}
 	}
-	p.addSpans(w.newsp, own, blo)
+	w.hits = own
 	if gate != nil {
 		for _, h := range own {
 			for _, t := range p.targets[h.Lit] {
@@ -501,15 +658,15 @@ func (p *setPre) cascade(w *winState, gate []bool, tail, cur []byte, blo, bhi in
 	}
 	reg := append(w.wbuf[:0], tail[len(tail)-left:]...)
 	reg = append(reg, cur[:min(p.litMax-1, len(cur))]...)
-	w.hits = p.m.AppendHits(w.hits[:0], reg)
-	cut := w.hits[:0]
-	for _, h := range w.hits {
+	w.wbuf = reg[:0]
+	w.hits = p.m.AppendHits(w.hits, reg)
+	cut := w.hits[:len(own)]
+	for _, h := range w.hits[len(own):] {
 		if h.Pos < left && h.Pos+len(p.m.Lits()[h.Lit]) > left {
-			cut = append(cut, h)
+			cut = append(cut, prefilter.Hit{Lit: h.Lit, Pos: h.Pos - left})
 		}
 	}
-	w.wbuf = reg[:0]
-	p.addSpans(w.newsp, cut, -left)
+	w.hits = cut
 }
 
 // walk verifies the candidate spans in w.newsp[i] on every shard of sel

@@ -80,7 +80,7 @@ func newSet(shards []*shard, rules int, pool *engine.Pool) *Set {
 			gate: make([]bool, len(shards)),
 			sel:  make([]int, 0, len(shards)),
 		}
-		c.win.init(len(shards))
+		c.win.init(s)
 		c.win.acc = make([][]uint64, len(shards))
 		for i, sh := range shards {
 			c.win.acc[i] = make([]uint64, maskWords(len(sh.rules)))

@@ -108,7 +108,7 @@ func (s *Set) NewStream() *SetStream {
 		if p.maxPre > st.tailCap {
 			st.tailCap = p.maxPre
 		}
-		st.win.init(len(s.shards))
+		st.win.init(s)
 		st.win.acc = make([][]uint64, len(s.shards))
 		for _, i := range p.win {
 			st.win.acc[i] = make([]uint64, maskWords(len(s.shards[i].rules)))
@@ -238,8 +238,8 @@ func (st *SetStream) Reset() {
 	if st.win.acc != nil {
 		for _, i := range st.set.pre.win {
 			clear(st.win.acc[i])
-			st.win.pending[i] = st.win.pending[i][:0]
 		}
+		st.win.reset(st.set.pre)
 		st.head = st.head[:0]
 		st.tail = st.tail[:0]
 	}
@@ -283,9 +283,11 @@ func (st *SetStream) Compose(t *SetStream) error {
 // maxLen long, so it lies entirely inside the junction buffer
 // st.tail ++ t.head (each side holds min(segment, tailCap) ≥
 // min(segment, maxLen) bytes) — one lock-step walk of the junction
-// closes the verdicts of every window shard. Windows still awaiting
-// input after the new end come from st's pending (shifted), t's pending
-// (already end-relative), and literals straddling the seam itself.
+// closes the verdicts of every window shard verified whole, one walk of
+// each rule's DFA those of a shard verified per rule. Windows still
+// awaiting input after the new end come from st's pending (shifted), t's
+// pending (already end-relative), and literals straddling the seam
+// itself.
 func (st *SetStream) composeWindows(t *SetStream) {
 	p, w := st.set.pre, &st.win
 	if len(p.win) == 0 {
@@ -293,8 +295,8 @@ func (st *SetStream) composeWindows(t *SetStream) {
 	}
 	jbuf := append(w.wbuf[:0], st.tail...)
 	jbuf = append(jbuf, t.head...)
-	boundary := len(st.tail)
-	// Literal hits straddling the seam, relative to it.
+	boundary, shift := len(st.tail), int(t.bytes)
+	// Literal hits straddling the seam, relative to the new end of stream.
 	w.hits = w.hits[:0]
 	if lm := p.litMax; lm > 1 && boundary > 0 && len(t.head) > 0 {
 		lo := max(boundary-(lm-1), 0)
@@ -302,35 +304,76 @@ func (st *SetStream) composeWindows(t *SetStream) {
 		kept := w.hits[:0]
 		for _, h := range w.hits {
 			if pos := h.Pos + lo - boundary; pos < 0 && pos+len(p.m.Lits()[h.Lit]) > 0 {
-				kept = append(kept, prefilter.Hit{Lit: h.Lit, Pos: pos})
+				kept = append(kept, prefilter.Hit{Lit: h.Lit, Pos: pos - shift})
 			}
 		}
 		w.hits = kept
 	}
 	if len(jbuf) > 0 {
-		p.candBytes.Add(int64(len(jbuf) * len(p.win)))
-		st.set.lock.OrMasks(p.win, jbuf, w.acc)
+		p.candBytes.Add(int64(len(jbuf) * len(p.eagerWin)))
+		st.set.lock.OrMasks(p.eagerWin, jbuf, w.acc)
 	}
 	// Rebuild pending relative to the new end of stream: whatever still
-	// reaches past it.
+	// reaches past it. Per rule that is at most one window — every window
+	// that reaches past the end contains it.
 	for _, i := range p.win {
 		for j, bits := range t.win.acc[i] {
 			w.acc[i][j] |= bits
 		}
 		w.newsp[i] = w.newsp[i][:0]
 		for _, sp := range w.pending[i] {
-			w.newsp[i] = append(w.newsp[i], span{sp.lo - int(t.bytes), sp.hi - int(t.bytes)})
+			w.newsp[i] = append(w.newsp[i], span{sp.lo - shift, sp.hi - shift})
 		}
 		w.newsp[i] = append(w.newsp[i], t.win.pending[i]...)
+		sh := &p.shards[i]
+		if sh.rules == nil {
+			continue
+		}
+		for r := range w.open[i] {
+			if len(jbuf) > 0 {
+				sh.rules.OrRule(r, jbuf, w.acc[i])
+			}
+			o := w.open[i][r]
+			w.open[i][r] = span{}
+			w.joinOpen(i, r, span{o.lo - shift, o.hi - shift}, st.tailCap)
+			w.joinOpen(i, r, t.win.open[i][r], st.tailCap)
+		}
+		if k := int64(len(w.open[i])); len(jbuf) > 0 {
+			p.candBytes.Add(k * int64(len(jbuf)))
+			sh.rules.ChargeWindows(k, k*int64(len(jbuf)))
+		}
 	}
-	p.addSpans(w.newsp, w.hits, -int(t.bytes))
-	for _, i := range p.win {
+	for _, h := range w.hits {
+		for _, tg := range p.targets[h.Lit] {
+			sp := span{h.Pos - int(tg.back), h.Pos + int(tg.fwd)}
+			if tg.rule >= 0 {
+				w.joinOpen(int(tg.shard), int(tg.rule), sp, st.tailCap)
+			} else if tg.fwd >= 0 {
+				w.newsp[tg.shard] = append(w.newsp[tg.shard], sp)
+			}
+		}
+	}
+	for _, i := range p.eagerWin {
 		w.pending[i] = w.pending[i][:0]
 		for _, sp := range mergeSpans(w.newsp[i], -st.tailCap, st.tailCap) {
 			if sp.hi > 0 {
 				w.pending[i] = append(w.pending[i], sp)
 			}
 		}
+	}
+}
+
+// joinOpen widens rule r's open window by sp, clipped to reach on both
+// sides of the end of the stream, if sp reaches past that end at all.
+func (w *winState) joinOpen(i, r int, sp span, reach int) {
+	if sp.hi <= 0 {
+		return
+	}
+	sp = span{max(sp.lo, -reach), min(sp.hi, reach)}
+	if o := &w.open[i][r]; o.lo == o.hi {
+		*o = sp
+	} else {
+		o.lo, o.hi = min(o.lo, sp.lo), max(o.hi, sp.hi)
 	}
 }
 

@@ -290,7 +290,9 @@ func lazyGapDefs(n int) []sfa.RuleDef {
 }
 
 func TestHubTableBudgetPerTenant(t *testing.T) {
-	hub := NewHub(sfa.WithSearch(), sfa.WithThreads(1), sfa.WithLazyCompile(), sfa.WithShardStateBudget(256))
+	// Without the prefilter: behind it these rules are windowed and
+	// verified per rule, which builds no budgeted tables at all.
+	hub := NewHub(sfa.WithSearch(), sfa.WithThreads(1), sfa.WithLazyCompile(), sfa.WithShardStateBudget(256), sfa.WithoutPrefilter())
 	root := sfa.NewTableBudget(8 << 20)
 	hub.SetTableBudget(root, 1<<20)
 

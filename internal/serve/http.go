@@ -138,8 +138,13 @@ type TenantAttribution struct {
 
 // ShardAttribution is one shard's cost row.
 type ShardAttribution struct {
-	Shard       int    `json:"shard"`
-	Rules       int    `json:"rules"`
+	Shard int `json:"shard"`
+	Rules int `json:"rules"`
+	// Layout is the shard's table layout; for a lazy shard it says which
+	// walk it is on: "lazy-rules" while candidate windows are verified on
+	// single rules' DFAs and no combined automaton exists, "lazy" once
+	// the tuple D-SFA has been built.
+	Layout      string `json:"layout"`
 	Prefilter   string `json:"prefilter"`
 	Lazy        bool   `json:"lazy,omitempty"`
 	ComposeNs   int64  `json:"compose_ns"`
@@ -424,6 +429,7 @@ func NewHandler(h *Hub, opts ...HandlerOption) http.Handler {
 				ta.Shards = append(ta.Shards, ShardAttribution{
 					Shard:       i,
 					Rules:       len(sh.Rules),
+					Layout:      sh.Layout,
 					Prefilter:   sh.Prefilter,
 					Lazy:        sh.Lazy,
 					ComposeNs:   sh.ComposeNs,

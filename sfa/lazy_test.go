@@ -92,10 +92,50 @@ func popcount(w uint64) int {
 	return n
 }
 
+// lazyLegs are the two ways a lazily compiled gap-rule set is scanned.
+// Behind the prefilter its rules are windowed and each candidate window
+// is verified on the one rule's own DFA: no combined automaton is built
+// and the budget is never charged. Without the prefilter every byte goes
+// through the lazy tuple D-SFA, which fills, spills, evicts and
+// re-enters under the budget. Every lazy test runs both, so neither
+// path goes untested.
+var lazyLegs = []struct {
+	name     string
+	opts     []Option
+	combined bool
+}{
+	{"windowed", nil, false},
+	{"combined", []Option{WithoutPrefilter()}, true},
+}
+
+// checkLazyLayout asserts which path the set's lazy shards are on after
+// scanning: the combined tuple built and charged, or only rule DFAs.
+func checkLazyLayout(t *testing.T, label string, rs *RuleSet, combined bool) {
+	t.Helper()
+	lazyShards := 0
+	for i, sh := range rs.Shards() {
+		if !sh.Lazy {
+			continue
+		}
+		lazyShards++
+		if combined {
+			if sh.Layout != "lazy" || sh.Fills == 0 || sh.ResidentBytes == 0 {
+				t.Fatalf("%s: lazy shard %d walked whole inputs and reports no combined automaton: %+v", label, i, sh)
+			}
+		} else if sh.Layout != "lazy-rules" || sh.Fills != 0 || sh.ResidentBytes != 0 || sh.SFAStates != 0 {
+			t.Fatalf("%s: windowed lazy shard %d built a combined automaton: %+v", label, i, sh)
+		}
+	}
+	if lazyShards == 0 {
+		t.Fatalf("%s: no lazy shards for a corpus the eager budget cannot fit", label)
+	}
+}
+
 // TestLazyRuleSetOracle cross-checks lazily compiled sets against
 // isolated per-rule scanning across budget sizes — unlimited, roomy,
 // and starved enough to force evictions mid-run — over mixed rule
-// populations (some rules fit the eager budget, some do not).
+// populations (some rules fit the eager budget, some do not), on both
+// legs.
 func TestLazyRuleSetOracle(t *testing.T) {
 	defs := append(lazyGapDefs(24),
 		RuleDef{Name: "lit-a", Pattern: "alpha"},
@@ -104,77 +144,86 @@ func TestLazyRuleSetOracle(t *testing.T) {
 	oracle := lazyOracleSet(t, defs, WithSearch())
 	inputs := lazyTrafficInputs(defs, 30, 1<<10, 17)
 
-	budgets := map[string]*TableBudget{
-		"unlimited": nil,
-		"roomy":     NewTableBudget(32 << 20),
-		"starved":   NewTableBudget(48 << 10),
-	}
-	for label, b := range budgets {
-		opts := []Option{WithSearch(), WithThreads(2), WithLazyCompile(), WithShardStateBudget(256)}
-		if b != nil {
-			opts = append(opts, WithTableBudget(b))
+	for _, leg := range lazyLegs {
+		budgets := map[string]*TableBudget{
+			"unlimited": nil,
+			"roomy":     NewTableBudget(32 << 20),
+			"starved":   NewTableBudget(48 << 10),
 		}
-		rs, err := NewRuleSetFromDefs(defs, opts...)
-		if err != nil {
-			t.Fatalf("%s: %v", label, err)
-		}
-		var lazyShards int
-		for _, sh := range rs.Shards() {
-			if sh.Lazy {
-				lazyShards++
+		for name, b := range budgets {
+			label := leg.name + "/" + name
+			opts := append([]Option{WithSearch(), WithThreads(2), WithLazyCompile(), WithShardStateBudget(256)}, leg.opts...)
+			if b != nil {
+				opts = append(opts, WithTableBudget(b))
 			}
-		}
-		if lazyShards == 0 {
-			t.Fatalf("%s: no lazy shards for a corpus the eager budget cannot fit", label)
-		}
-		checkLazyAgainstOracle(t, label, rs, oracle, inputs)
-		if b != nil {
+			rs, err := NewRuleSetFromDefs(defs, opts...)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			checkLazyAgainstOracle(t, label, rs, oracle, inputs)
+			checkLazyLayout(t, label, rs, leg.combined)
+			if b == nil {
+				continue
+			}
 			st := b.Stats()
-			if st.UsedBytes > st.LimitBytes && label == "starved" {
-				// Grace floors may exceed a tiny limit, but not wildly.
-				if st.UsedBytes > st.LimitBytes*8 {
-					t.Fatalf("%s: resident %d bytes far exceeds limit %d", label, st.UsedBytes, st.LimitBytes)
+			if !leg.combined {
+				if st.UsedBytes != 0 || st.Fills != 0 {
+					t.Fatalf("%s: per-rule verification charged the budget: %+v", label, st)
 				}
+				continue
 			}
-			if label == "starved" && st.Evictions == 0 {
-				t.Fatalf("starved budget saw no evictions (resident %d, fills %d)", st.UsedBytes, st.Fills)
+			// Grace floors may exceed a tiny limit, but not wildly.
+			if name == "starved" && st.UsedBytes > st.LimitBytes*8 {
+				t.Fatalf("%s: resident %d bytes far exceeds limit %d", label, st.UsedBytes, st.LimitBytes)
+			}
+			if name == "starved" && st.Evictions == 0 {
+				t.Fatalf("%s: starved budget saw no evictions (resident %d, fills %d)", label, st.UsedBytes, st.Fills)
 			}
 		}
 	}
 }
 
 // TestLazyRuleSetStreamOracle runs the streamed scan path under a
-// starved budget: verdicts must survive mid-stream evictions because
-// the carried mapping is a denotation, never a table reference.
+// starved budget: on the combined leg verdicts must survive mid-stream
+// evictions because the carried mapping is a denotation, never a table
+// reference; on the windowed leg the per-rule windows must survive any
+// chunking.
 func TestLazyRuleSetStreamOracle(t *testing.T) {
 	defs := lazyGapDefs(16)
 	oracle := lazyOracleSet(t, defs, WithSearch())
-	rs, err := NewRuleSetFromDefs(defs, WithSearch(), WithThreads(2), WithLazyCompile(),
-		WithShardStateBudget(256), WithTableBudget(NewTableBudget(32<<10)))
-	if err != nil {
-		t.Fatal(err)
-	}
 	inputs := lazyTrafficInputs(defs, 20, 4<<10, 23)
-	r := rand.New(rand.NewSource(29))
-	got := make([]uint64, rs.MaskWords())
-	want := make([]uint64, oracle.MaskWords())
-	for _, in := range inputs {
-		st, err := rs.NewStream()
+	for _, leg := range lazyLegs {
+		budget := NewTableBudget(32 << 10)
+		rs, err := NewRuleSetFromDefs(defs, append([]Option{WithSearch(), WithThreads(2), WithLazyCompile(),
+			WithShardStateBudget(256), WithTableBudget(budget)}, leg.opts...)...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for lo := 0; lo < len(in); {
-			hi := lo + 1 + r.Intn(700)
-			if hi > len(in) {
-				hi = len(in)
+		r := rand.New(rand.NewSource(29))
+		got := make([]uint64, rs.MaskWords())
+		want := make([]uint64, oracle.MaskWords())
+		for _, in := range inputs {
+			st, err := rs.NewStream()
+			if err != nil {
+				t.Fatal(err)
 			}
-			st.Write(in[lo:hi])
-			lo = hi
+			for lo := 0; lo < len(in); {
+				hi := lo + 1 + r.Intn(700)
+				if hi > len(in) {
+					hi = len(in)
+				}
+				st.Write(in[lo:hi])
+				lo = hi
+			}
+			st.Mask(got)
+			oracle.MatchMask(in, want)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: stream input %q: lazy=%v isolated=%v", leg.name, in, rs.MaskNames(got), oracle.MaskNames(want))
+			}
 		}
-		st.Mask(got)
-		oracle.MatchMask(in, want)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("stream input %q: lazy=%v isolated=%v", in, rs.MaskNames(got), oracle.MaskNames(want))
+		checkLazyLayout(t, leg.name, rs, leg.combined)
+		if st := budget.Stats(); leg.combined && st.Evictions == 0 {
+			t.Fatalf("%s: starved budget saw no mid-stream evictions (resident %d, fills %d)", leg.name, st.UsedBytes, st.Fills)
 		}
 	}
 }
@@ -199,31 +248,27 @@ func TestLazyRuleSetRejectedCorpus(t *testing.T) {
 		t.Fatal("eager build of the gap corpus unexpectedly succeeded; the corpus no longer exercises lazy compilation")
 	}
 
-	budget := NewTableBudget(16 << 20)
-	rs, err := NewRuleSetFromDefs(defs, append(eagerOpts, WithLazyCompile(), WithTableBudget(budget))...)
-	if err != nil {
-		t.Fatalf("lazy build of the rejected corpus failed: %v", err)
-	}
-	lazyShards := 0
-	for _, sh := range rs.Shards() {
-		if sh.Lazy {
-			lazyShards++
-		}
-	}
-	if lazyShards == 0 {
-		t.Fatal("rejected corpus compiled without lazy shards")
-	}
-
 	oracle := lazyOracleSet(t, defs, WithSearch())
 	inputs := lazyTrafficInputs(defs, inputsN, 2<<10, 31)
-	checkLazyAgainstOracle(t, "rejected-corpus", rs, oracle, inputs)
+	for _, leg := range lazyLegs {
+		budget := NewTableBudget(16 << 20)
+		rs, err := NewRuleSetFromDefs(defs, append(append(eagerOpts, WithLazyCompile(), WithTableBudget(budget)), leg.opts...)...)
+		if err != nil {
+			t.Fatalf("%s: lazy build of the rejected corpus failed: %v", leg.name, err)
+		}
+		checkLazyAgainstOracle(t, "rejected-corpus/"+leg.name, rs, oracle, inputs)
+		checkLazyLayout(t, "rejected-corpus/"+leg.name, rs, leg.combined)
 
-	st := budget.Stats()
-	if st.UsedBytes == 0 || st.Fills == 0 {
-		t.Fatalf("lazy scan charged nothing (resident %d, fills %d)", st.UsedBytes, st.Fills)
-	}
-	if st.UsedBytes > st.LimitBytes {
-		t.Fatalf("resident bytes %d exceed the %d-byte budget", st.UsedBytes, st.LimitBytes)
+		st := budget.Stats()
+		if leg.combined && (st.UsedBytes == 0 || st.Fills == 0) {
+			t.Fatalf("%s: lazy scan charged nothing (resident %d, fills %d)", leg.name, st.UsedBytes, st.Fills)
+		}
+		if !leg.combined && st.UsedBytes != 0 {
+			t.Fatalf("%s: per-rule verification charged %d bytes", leg.name, st.UsedBytes)
+		}
+		if st.UsedBytes > st.LimitBytes {
+			t.Fatalf("%s: resident bytes %d exceed the %d-byte budget", leg.name, st.UsedBytes, st.LimitBytes)
+		}
 	}
 }
 
@@ -231,9 +276,18 @@ func TestLazyRuleSetRejectedCorpus(t *testing.T) {
 // goroutines under a budget small enough to interleave fills and
 // evictions with scans — the -race guard for the lazy engine.
 func TestLazyRuleSetConcurrentScan(t *testing.T) {
+	for _, leg := range lazyLegs {
+		t.Run(leg.name, func(t *testing.T) { testLazyConcurrentScan(t, leg.opts, leg.combined) })
+	}
+}
+
+func testLazyConcurrentScan(t *testing.T, legOpts []Option, combined bool) {
 	defs := lazyGapDefs(12)
-	rs, err := NewRuleSetFromDefs(defs, WithSearch(), WithThreads(2), WithLazyCompile(),
-		WithShardStateBudget(256), WithTableBudget(NewTableBudget(48<<10)))
+	budget := NewTableBudget(48 << 10)
+	// The first scans of the combined leg race to build the tuple: eight
+	// goroutines meet its sync.Once while a starved budget evicts.
+	rs, err := NewRuleSetFromDefs(defs, append([]Option{WithSearch(), WithThreads(2), WithLazyCompile(),
+		WithShardStateBudget(256), WithTableBudget(budget)}, legOpts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,5 +323,9 @@ func TestLazyRuleSetConcurrentScan(t *testing.T) {
 	close(errc)
 	if err := <-errc; err != nil {
 		t.Fatal(err)
+	}
+	checkLazyLayout(t, "concurrent", rs, combined)
+	if st := budget.Stats(); combined && st.Evictions == 0 {
+		t.Fatalf("starved budget saw no evictions under concurrent scans (resident %d, fills %d)", st.UsedBytes, st.Fills)
 	}
 }

@@ -206,43 +206,82 @@ func TestPrefilterUncoveredRuleStillMatches(t *testing.T) {
 }
 
 // FuzzPrefilter feeds arbitrary payloads and split points through the
-// prefiltered and unfiltered sets: one-shot masks and streamed masks
-// (split bisecting whatever the fuzzer chooses, including literals) must
-// agree bit for bit.
+// prefiltered and unfiltered sets: one-shot masks, streamed masks (split
+// bisecting whatever the fuzzer chooses, including literals) and the
+// mask of the two halves composed must agree bit for bit. Two pairs run:
+// the eager set of every shard mode, and a lazily compiled gap-rule set
+// whose prefiltered side verifies candidate windows per rule while its
+// unfiltered side walks the lazy tuple D-SFA.
 func FuzzPrefilter(f *testing.F) {
-	defs := prefilterDefs()
-	pre, err := NewRuleSetFromDefs(defs, WithSearch(), WithThreads(1))
-	if err != nil {
-		f.Fatal(err)
+	type pair struct {
+		name     string
+		pre, off *RuleSet
 	}
-	off, err := NewRuleSetFromDefs(defs, WithSearch(), WithThreads(1), WithoutPrefilter())
-	if err != nil {
-		f.Fatal(err)
+	var pairs []pair
+	for _, c := range []struct {
+		name string
+		defs []RuleDef
+		opts []Option
+	}{
+		{"eager", prefilterDefs(), nil},
+		{"lazy", lazyWindowDefs(6), []Option{WithLazyCompile(), WithShardStateBudget(256)}},
+	} {
+		opts := append([]Option{WithSearch(), WithThreads(1)}, c.opts...)
+		pre, err := NewRuleSetFromDefs(c.defs, opts...)
+		if err != nil {
+			f.Fatal(err)
+		}
+		off, err := NewRuleSetFromDefs(c.defs, append(opts, WithoutPrefilter())...)
+		if err != nil {
+			f.Fatal(err)
+		}
+		pairs = append(pairs, pair{c.name, pre, off})
 	}
 	f.Add([]byte("a needle in HDR/12 begin123end"), uint16(9))
 	f.Add([]byte("SeCrEtSeCrEt\x90\x90\x90\x90\x90"), uint16(3))
 	f.Add([]byte("exploit-42abcdefghij"), uint16(8))
+	f.Add([]byte("q00abcdefghz00q01z07 abcdefgy2x1"), uint16(2))
+	f.Add([]byte("kkabclmnop kk lmn q05q05abcdefghijklmz23"), uint16(13))
+	f.Add([]byte("q03q04q03abz15abcdz1cabcdabcdx1y2"), uint16(20))
 	f.Fuzz(func(t *testing.T, data []byte, split uint16) {
-		wbuf := make([]uint64, off.MaskWords())
-		pbuf := make([]uint64, pre.MaskWords())
-		want := append([]uint64(nil), off.MatchMask(data, wbuf)...)
-		if got := pre.MatchMask(data, pbuf); !reflect.DeepEqual([]uint64(got), want) {
-			t.Fatalf("one-shot mask diverged: %x vs %x on %q", got, want, data)
-		}
-		st, err := pre.NewStream()
-		if err != nil {
-			t.Fatal(err)
-		}
-		s := int(split)
+		s := 0
 		if len(data) > 0 {
-			s %= len(data) + 1
-		} else {
-			s = 0
+			s = int(split) % (len(data) + 1)
 		}
-		st.Write(data[:s])
-		st.Write(data[s:])
-		if got := st.Mask(pbuf); !reflect.DeepEqual([]uint64(got), want) {
-			t.Fatalf("streamed mask diverged at split %d: %x vs %x on %q", s, got, want, data)
+		for _, p := range pairs {
+			wbuf := make([]uint64, p.off.MaskWords())
+			pbuf := make([]uint64, p.pre.MaskWords())
+			want := append([]uint64(nil), p.off.MatchMask(data, wbuf)...)
+			if got := p.pre.MatchMask(data, pbuf); !reflect.DeepEqual([]uint64(got), want) {
+				t.Fatalf("%s: one-shot mask diverged: %x vs %x on %q", p.name, got, want, data)
+			}
+			st, err := p.pre.NewStream()
+			if err != nil {
+				t.Fatal(err)
+			}
+			st.Write(data[:s])
+			st.Write(data[s:])
+			if got := st.Mask(pbuf); !reflect.DeepEqual([]uint64(got), want) {
+				t.Fatalf("%s: streamed mask diverged at split %d: %x vs %x on %q", p.name, s, got, want, data)
+			}
+			head, err := p.pre.NewStream()
+			if err != nil {
+				t.Fatal(err)
+			}
+			tail, err := p.pre.NewStream()
+			if err != nil {
+				t.Fatal(err)
+			}
+			head.Write(data[:s])
+			for i := s; i < len(data); i++ {
+				tail.Write(data[i : i+1])
+			}
+			if err := head.Compose(tail); err != nil {
+				t.Fatal(err)
+			}
+			if got := head.Mask(pbuf); !reflect.DeepEqual([]uint64(got), want) {
+				t.Fatalf("%s: composed mask diverged at split %d: %x vs %x on %q", p.name, s, got, want, data)
+			}
 		}
 	})
 }

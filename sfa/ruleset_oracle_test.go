@@ -1,9 +1,11 @@
 package sfa
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/snort"
@@ -204,35 +206,222 @@ func TestRuleSetArmSchedulesAgree(t *testing.T) {
 				if names := rs.Scan(in, 0); !reflect.DeepEqual(names, rs.MaskNames(want[i])) {
 					t.Fatalf("%s: Scan %v, isolated %v", what, names, rs.MaskNames(want[i]))
 				}
-				for _, sizes := range [][]int{{200 << 10}, {64 << 10}, {4096, 100, 70000, 5000}, {1, 7, 3}} {
-					if sizes[0] == 1 && len(in) > 8<<10 {
-						continue // byte-sized writes only over the small inputs
-					}
-					// Three segments on their own streams, folded out of order.
-					a, b := r.Intn(len(in)+1), r.Intn(len(in)+1)
-					a, b = min(a, b), max(a, b)
-					var segs [3]*RuleStream
-					for k, seg := range [][]byte{in[:a], in[a:b], in[b:]} {
-						if segs[k], err = rs.NewStream(); err != nil {
-							t.Fatal(err)
-						}
-						for j := 0; len(seg) > 0; j++ {
-							w := min(sizes[j%len(sizes)], len(seg))
-							segs[k].Write(seg[:w])
-							seg = seg[w:]
-						}
-					}
-					if err := segs[1].Compose(segs[2]); err != nil {
-						t.Fatal(err)
-					}
-					if err := segs[0].Compose(segs[1]); err != nil {
-						t.Fatal(err)
-					}
-					if m := segs[0].Mask(got); !reflect.DeepEqual(m, want[i]) {
-						t.Fatalf("%s: streamed in %v, cut at %d and %d: %x, isolated %x", what, sizes, a, b, m, want[i])
-					}
-				}
+				checkSegmentsAgree(t, what, rs, r, in, want[i])
 			}
+		}
+	}
+}
+
+// checkSegmentsAgree streams in through rs cut in three segments, each
+// on its own stream in writes of several size patterns (byte-sized ones
+// over small inputs only), folds the streams out of order with Compose,
+// and requires the fold's mask to be want.
+func checkSegmentsAgree(t *testing.T, what string, rs *RuleSet, r *rand.Rand, in []byte, want []uint64) {
+	t.Helper()
+	got := make([]uint64, rs.MaskWords())
+	for _, sizes := range [][]int{{200 << 10}, {64 << 10}, {4096, 100, 70000, 5000}, {1, 7, 3}} {
+		if sizes[0] == 1 && len(in) > 8<<10 {
+			continue
+		}
+		a, b := r.Intn(len(in)+1), r.Intn(len(in)+1)
+		a, b = min(a, b), max(a, b)
+		var segs [3]*RuleStream
+		for k, seg := range [][]byte{in[:a], in[a:b], in[b:]} {
+			st, err := rs.NewStream()
+			if err != nil {
+				t.Fatal(err)
+			}
+			segs[k] = st
+			for j := 0; len(seg) > 0; j++ {
+				w := min(sizes[j%len(sizes)], len(seg))
+				st.Write(seg[:w])
+				seg = seg[w:]
+			}
+		}
+		if err := segs[1].Compose(segs[2]); err != nil {
+			t.Fatal(err)
+		}
+		if err := segs[0].Compose(segs[1]); err != nil {
+			t.Fatal(err)
+		}
+		if m := segs[0].Mask(got); !reflect.DeepEqual(m, want) {
+			t.Fatalf("%s: streamed in %v, cut at %d and %d: %x, isolated %x", what, sizes, a, b, m, want)
+		}
+	}
+}
+
+// lazyWindowDefs is a rule set whose bounded-gap rules no eager shard
+// can host under WithShardStateBudget(256): lazily compiled they land in
+// lazy window shards, verified per rule. It carries the shapes that
+// bookkeeping must get right — one literal opening windows of two rules,
+// one rule with literals of two lengths — beside small rules that stay
+// eager (window shards and a prefix shard), so one block verifies both
+// kinds.
+func lazyWindowDefs(n int) []RuleDef {
+	return append(lazyGapDefs(n),
+		RuleDef{Name: "shared-x", Pattern: `abcd.{0,8}x1`},
+		RuleDef{Name: "shared-y", Pattern: `abcd.{0,5}y2`},
+		RuleDef{Name: "two-lengths", Pattern: `kk.{0,6}(lmn|lmnop)`},
+		RuleDef{Name: "lit", Pattern: `needle`},
+		RuleDef{Name: "alt", Pattern: `(attack|exploit)-[0-9]{1,4}`},
+		RuleDef{Name: "anchored", Pattern: `^q0[0-9]`},
+	)
+}
+
+// TestLazyPerRuleVerificationAgrees is the public face of per-rule window
+// verification (internal/multi has the randomized twin): a lazily compiled
+// set whose lazy shards are windowed gives masks byte-identical to
+// WithIsolatedRules and to its WithoutPrefilter twin — which walks the
+// lazy tuple D-SFA over every byte — one-shot, block-parallel, streamed in
+// any chunking and composed out of order, at 1, 2 and 4 threads, and never
+// builds a combined automaton or charges the table budget doing it.
+func TestLazyPerRuleVerificationAgrees(t *testing.T) {
+	n, size := 40, 200<<10
+	if raceEnabled {
+		n, size = 24, 100<<10
+	}
+	defs := lazyWindowDefs(n)
+	iso, err := NewRuleSetFromDefs(defs, WithSearch(), WithIsolatedRules(), WithEngine(EngineDFA))
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := bytes.Join(lazyTrafficInputs(defs[:n], size/(1<<10), 1<<10, 5), []byte("needle abcdefy2 kk..lmnop\n"))
+	// Occurrences across the 64 KiB edges of a one-shot scan's blocks.
+	for e := 64 << 10; e < len(big); e += 64 << 10 {
+		copy(big[e-7:], "q03efgefgz15 abcdx1")
+	}
+	inputs := [][]byte{big, big[:5000], big[66000:66400], []byte("q00abcdefghz00 kklmn abcdy2"), []byte("q0"), nil}
+	want := make([][]uint64, len(inputs))
+	for i, in := range inputs {
+		want[i] = append([]uint64(nil), iso.MatchMask(in, make([]uint64, iso.MaskWords()))...)
+	}
+	if popcount(want[0][0]) < 8 || reflect.DeepEqual(want[0], want[2]) {
+		t.Fatalf("fixture masks too plain: %x %x", want[0], want[2])
+	}
+	r := rand.New(rand.NewSource(31))
+	for _, threads := range []int{1, 2, 4} {
+		budget := NewTableBudget(0)
+		opts := []Option{WithSearch(), WithThreads(threads), WithLazyCompile(), WithShardStateBudget(256), WithTableBudget(budget)}
+		rs, err := NewRuleSetFromDefs(defs, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		twin, err := NewRuleSetFromDefs(defs, append(opts, WithoutPrefilter())...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pf := rs.PrefilterStats(); pf.WindowShards < 3 || pf.PrefixShards == 0 {
+			t.Fatalf("p=%d: fixture planned %+v, want eager and lazy window shards and a prefix shard", threads, pf)
+		}
+		got := make([]uint64, rs.MaskWords())
+		for i, in := range inputs {
+			what := fmt.Sprintf("p=%d input %d (%d B)", threads, i, len(in))
+			if m := twin.MatchMask(in, got); !reflect.DeepEqual(m, want[i]) {
+				t.Fatalf("%s: WithoutPrefilter twin %x, isolated %x", what, m, want[i])
+			}
+			if m := rs.MatchMask(in, got); !reflect.DeepEqual(m, want[i]) {
+				t.Fatalf("%s: MatchMask %x, isolated %x", what, m, want[i])
+			}
+			if names := rs.Scan(in, 0); !reflect.DeepEqual(names, rs.MaskNames(want[i])) {
+				t.Fatalf("%s: Scan %v, isolated %v", what, names, rs.MaskNames(want[i]))
+			}
+			checkSegmentsAgree(t, what, rs, r, in, want[i])
+		}
+		checkLazyLayout(t, fmt.Sprintf("p=%d", threads), rs, false)
+		if st := budget.Stats(); st.Fills == 0 {
+			t.Fatalf("p=%d: the WithoutPrefilter twin filled nothing: %+v", threads, st)
+		}
+	}
+}
+
+// TestLazyHotPathsZeroAlloc: steady-state MatchMask and RuleStream.Write
+// over a lazily compiled set allocate nothing — behind the prefilter,
+// where lazy shards are verified per rule, and without it, where the
+// tuple D-SFA walks every byte and has stopped filling.
+func TestLazyHotPathsZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	defs := lazyWindowDefs(24)
+	data := bytes.Join(lazyTrafficInputs(defs[:24], 128, 1<<10, 3), []byte("needle abcdefy2\n"))
+	for _, leg := range lazyLegs {
+		rs, err := NewRuleSetFromDefs(defs, append([]Option{WithSearch(), WithThreads(1), WithLazyCompile(),
+			WithShardStateBudget(256), WithTableBudget(NewTableBudget(0))}, leg.opts...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := rs.NewStream()
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst := make([]uint64, rs.MaskWords())
+		pass := func() {
+			rs.MatchMask(data, dst)
+			st.Write(data[:64<<10])
+			st.Write(data[64<<10 : 64<<10+512])
+			st.Write(data[64<<10+512 : 64<<10+513])
+		}
+		pass() // fill what the traffic reaches, grow the scratch
+		pass()
+		if avg := testing.AllocsPerRun(10, pass); avg != 0 {
+			t.Fatalf("%s: MatchMask + Write allocate %.1f/op in steady state, want 0", leg.name, avg)
+		}
+	}
+}
+
+// TestLazyRetainedWithinCharged is the lazy memory contract: what a
+// lazily compiled set keeps on the heap is what it charged to the table
+// budget, within a factor of two and a constant — the rule DFAs, the
+// literal matcher and the pooled scratch are the constant; every table
+// that grows with the traffic is charged, page directories included.
+// Compiled without the prefilter so that the tuple D-SFA really runs;
+// behind it the same rules retain under a megabyte and charge nothing.
+func TestLazyRetainedWithinCharged(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap readings are not comparable under -race")
+	}
+	defs := lazyGapDefs(64)
+	// Heads of every rule a few bytes apart, some closed by their tails:
+	// the traffic that makes the combined automaton unroll its counters
+	// against each other, thousands of tuple states per shard.
+	r := rand.New(rand.NewSource(7))
+	var data []byte
+	for len(data) < 1<<20 {
+		i := r.Intn(len(defs))
+		data = fmt.Appendf(data, "q%02x%s", i, "abcdefghijklmnop"[:r.Intn(17)])
+		if r.Intn(8) == 0 {
+			data = fmt.Appendf(data, "z%02x", i*7%256)
+		}
+	}
+	heap := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	for _, leg := range lazyLegs {
+		budget := NewTableBudget(64 << 20)
+		before := heap()
+		rs, err := NewRuleSetFromDefs(defs, append([]Option{WithSearch(), WithThreads(1), WithSFACap(512),
+			WithLazyCompile(), WithTableBudget(budget)}, leg.opts...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst := make([]uint64, rs.MaskWords())
+		rs.MatchMask(data, dst)
+		retained := heap() - before
+		used := budget.Stats().UsedBytes
+		runtime.KeepAlive(rs)
+		t.Logf("%s: retained %d used %d", leg.name, retained, used)
+		if leg.combined && used < 1<<20 {
+			t.Fatalf("%s: the scan charged only %d bytes; the contract was not exercised", leg.name, used)
+		}
+		if !leg.combined && used != 0 {
+			t.Fatalf("%s: per-rule verification charged %d bytes", leg.name, used)
+		}
+		if limit := 2*used + 1<<20; retained > limit {
+			t.Fatalf("%s: the set retains %d heap bytes for %d charged to the budget (limit %d)", leg.name, retained, used, limit)
 		}
 	}
 }
