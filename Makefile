@@ -1,7 +1,8 @@
 # CI entry points. `make ci` is the gate: vet + sfavet (the first-party
 # static-analysis suite of docs/static-analysis.md) + build + docs checks
 # (markdown links + stale documented options) + race tests + fuzz smoke
-# runs (the multi-pattern match oracle and the snapshot decoder) + the
+# runs (the multi-pattern match oracle, the literal matcher against its
+# naive scan, and the snapshot decoder) + the
 # sfaserve serving smoke (server boot, rule load, hot reload under
 # concurrent streamed scans, Prometheus /metrics scrape + exposition
 # checks) + the snapshot smoke (save → reload → verify verdicts,
@@ -17,11 +18,12 @@
 # adds no allocations to the streaming hot path. `make bench-check`
 # keeps the repo's benchmark (bench/, its own module, which tier-1 does
 # not build) compiling, its unit tests and input pins green, and one
-# short real window each of scan_dense (the eager path) and scan_lazy
+# short real window each of scan_dense (the eager path), scan_sparse
+# (the workload where the literal matcher is the whole op) and scan_lazy
 # (lazy shards behind the prefilter, and the lazy tuple in its
 # no-prefilter twin's set-up) verified against the isolated-rule oracle
-# — so a change that breaks the benchmark, or a lazy verdict, fails
-# here, not in the pipeline that runs it.
+# — so a change that breaks the benchmark, drops a literal hit, or
+# breaks a lazy verdict, fails here, not in the pipeline that runs it.
 
 GO ?= go
 BENCH_JSON ?= BENCH_9.json
@@ -59,11 +61,14 @@ race:
 # actually run somewhere: FuzzMatch (combined vs isolated vs derivative
 # oracle), FuzzPrefilter (prefiltered vs unfiltered, one-shot, split and
 # composed, over an eager set of every shard mode and a lazily compiled
-# gap-rule set verified per rule) and FuzzLoadRuleSet (malformed
-# snapshots must error, never panic or over-allocate).
+# gap-rule set verified per rule), FuzzMatcher (the literal matcher vs
+# the naive scan, literal set and data both from the fuzz bytes) and
+# FuzzLoadRuleSet (malformed snapshots must error, never panic or
+# over-allocate).
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzMatch -fuzztime=10s -run '^$$' ./sfa
 	$(GO) test -fuzz=FuzzPrefilter -fuzztime=10s -run '^$$' ./sfa
+	$(GO) test -fuzz=FuzzMatcher -fuzztime=10s -run '^$$' ./internal/prefilter
 	$(GO) test -fuzz=FuzzLoadRuleSet -fuzztime=10s -run '^$$' ./sfa
 
 # Serving subsystem smoke: boot the real sfaserve loop, load rules over
@@ -88,13 +93,14 @@ bench-smoke:
 	SFA_BENCH_MB=1 $(GO) test -run '^$$' -bench 'Hotpath|Layout_' -benchtime 2x .
 
 # The benchmark BENCHMARK.json names: its own tests (-short skips the
-# full-length runs), then one 1-second window each of an eager and the
-# lazy workload through the same entry point the driver uses — every op
-# and spot slice checked by the bench's isolated-rule oracle. run.sh
-# builds into .bench_build/.
+# full-length runs), then one 1-second window each of the two eager scan
+# workloads and the lazy one through the same entry point the driver
+# uses — every op and spot slice checked by the bench's isolated-rule
+# oracle. run.sh builds into .bench_build/.
 bench-check:
 	cd bench && $(GO) test -short ./...
 	bash bench/run.sh -workload scan_dense -seconds 1
+	bash bench/run.sh -workload scan_sparse -seconds 1
 	bash bench/run.sh -workload scan_lazy -seconds 1
 
 # Benchmark-trajectory snapshot: hot path + layouts + the multi-pattern

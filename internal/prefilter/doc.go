@@ -1,5 +1,5 @@
 // Package prefilter extracts required-literal sets from rule syntax
-// trees and matches them with a multi-literal cascade, so a rule-set
+// trees and matches them with one multi-literal filter, so a rule-set
 // scan can run the combined D-SFA only near positions where some rule
 // could possibly match.
 //
@@ -17,20 +17,19 @@
 // unbounded repetition at an unanchored pattern edge shrinks to its
 // minimum count, because a contiguous slice of the repeated run is
 // itself an occurrence). [NewMatcher] builds the multi-literal searcher
-// for a shard's census, selecting one of five stages by literal shape:
-// memchr, a 256-entry byte table, Boyer-Moore-Horspool, a Wu-Manber
-// style shift table, or byte-class-compressed Aho-Corasick. Hits map
-// back to the witnessing rules so a candidate window only grows the
-// shard that needs it.
+// for a set's census: a position-mask filter over the literals' first
+// bytes (at most four), whose per-byte lookups are independent of each
+// other, followed by a comparison of the few literals the masks leave.
+// Hits map back to the witnessing rules so a candidate window only
+// grows the shard that needs it.
 //
 // # Invariants
 //
 // Extraction is conservative in the safe direction: when in doubt
 // (wide classes, nullable subtrees, literal sets past the caps) it
 // degrades the rule's class, never narrows the literal set below
-// "required". The matcher reports a superset of true literal
-// occurrences (stages may over-report across chunk boundaries); callers
-// treat hits as candidates to verify with the automaton, never as
-// verdicts. internal/multi segregates the classes into separate shards
+// "required". The matcher reports exactly the literal occurrences in
+// the bytes it is given, ascending by position; callers treat hits as
+// candidates to verify with the automaton, never as verdicts. internal/multi segregates the classes into separate shards
 // and drives the cascade at scan and stream time.
 package prefilter

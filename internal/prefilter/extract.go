@@ -9,15 +9,16 @@ import (
 
 // Extraction caps. A required set bigger than maxLits stops paying for
 // itself in the verify stage; literals longer than maxLitLen gain
-// nothing (the shift stage keys on a prefix block anyway); classes
-// wider than classCap explode the cross-products that enumerate them.
+// nothing (the matcher filters on a literal's first four bytes, and
+// candidates past that filter are rare); classes wider than classCap
+// explode the cross-products that enumerate them.
 const (
-	maxLits    = 64
-	maxLitLen  = 16
-	classCap   = 4
-	expandCap  = 2048 // NumPositions bound for ExpandRepeats pre-pass
-	maxWindow  = 4096 // beyond this, windows stop being windows
-	minUseful  = 2    // single-byte literals must pass selectiveByte
+	maxLits   = 64
+	maxLitLen = 16
+	classCap  = 4
+	expandCap = 2048 // NumPositions bound for ExpandRepeats pre-pass
+	maxWindow = 4096 // beyond this, windows stop being windows
+	minUseful = 2    // single-byte literals must pass selectiveByte
 )
 
 // Rule is the per-rule extraction result the matcher and the shard

@@ -2,6 +2,9 @@ package prefilter
 
 import (
 	"bytes"
+	"math/bits"
+	"slices"
+	"strings"
 
 	"repro/internal/obs"
 )
@@ -12,37 +15,49 @@ type Hit struct {
 	Pos int
 }
 
-// Matcher finds every occurrence of a fixed literal set, choosing the
-// cheapest sufficient stage at construction:
+// maskWidth caps the filter window: pos is 256 × maskWidth words, 8 KiB.
+const maskWidth = 4
+
+// Matcher finds every occurrence of a fixed literal set with one
+// position-mask filter. The window is the first w = min(shortest
+// literal, maskWidth) bytes of each literal; the distinct w-byte heads
+// are spread over at most 64 buckets, and pos[b] says, per window
+// offset, which buckets hold a literal with byte b there. A position is
+// a candidate when the AND of its w lookups is non-zero — lookups that
+// do not depend on each other, with no skip to wait for — and only the
+// surviving buckets' literals are compared. Stage names the sweep that
+// finds the positions to test:
 //
-//	memchr       one single-byte literal — bytes.IndexByte (SIMD) skip
-//	byte-table   several single-byte literals — per-byte IndexByte
-//	             passes, or one table walk when there are many
-//	bmh          one multi-byte literal — Boyer-Moore-Horspool
-//	shift        many literals, all ≥ 2 bytes — Wu-Manber-style block
-//	             shift table over the minimum-length prefix window,
-//	             verified against a per-block bucket
-//	aho-corasick many literals, some single-byte — dense-table
-//	             Aho-Corasick (no skipping, but one pass)
+//	index   one literal — a bytes.Index loop, no filter
+//	anchor  every literal holds the same byte at some window offset —
+//	        bytes.IndexByte (SIMD) for that byte, the mask test at each
+//	        stop
+//	mask    otherwise — the mask test at every position
 //
 // A Matcher is immutable after construction and safe for concurrent
 // use; AppendHits keeps all state on the caller's stack.
 type Matcher struct {
 	lits   []string
-	minLen int
 	maxLen int
 	stage  string
 
-	single  byte // memchr
-	bmh     *bmhMatcher
-	wm      *wmMatcher
-	ac      *acMatcher
-	byteLit [256]int16 // byte-table: lit id + 1, 0 = absent
+	w int // window length
+	// pos[b][maskWidth-w+j] has bit k set when a literal of bucket k has
+	// byte b at offset j; the columns below maskWidth-w accept every
+	// byte, so the sweep is the same four lookups for every w.
+	pos    [256][maskWidth]uint64
+	bucket [][]int32 // literal ids per bucket
 
-	// Per-stage observability: every AppendHits call records how much
-	// input the stage swept and how many literal occurrences it
-	// surfaced. Lock-free sharded counters — AppendHits runs inside the
-	// streaming hot path and must stay allocation-free.
+	one []byte // the literal of a one-literal set (stage index)
+	// anchor is the window offset that holds anchorByte in every literal
+	// (stage anchor), -1 when there is none.
+	anchor     int
+	anchorByte byte
+
+	// Observability: every AppendHits call records how much input it
+	// swept and how many literal occurrences it surfaced. Lock-free
+	// sharded counters — AppendHits runs inside the streaming hot path
+	// and must stay allocation-free.
 	calls obs.Counter
 	bytes obs.Counter
 	hits  obs.Counter
@@ -50,7 +65,7 @@ type Matcher struct {
 
 // MatcherStats is a point-in-time view of one Matcher's counters.
 type MatcherStats struct {
-	Stage string `json:"stage"` // selected cascade stage
+	Stage string `json:"stage"` // the sweep: index, anchor or mask
 	Calls int64  `json:"calls"` // AppendHits invocations
 	Bytes int64  `json:"bytes"` // input bytes swept
 	Hits  int64  `json:"hits"`  // literal occurrences surfaced
@@ -66,40 +81,63 @@ func (m *Matcher) Stats() MatcherStats {
 	}
 }
 
-// byteTablePasses caps the per-byte IndexByte strategy; beyond it a
-// single table walk beats repeated passes.
-const byteTablePasses = 8
-
-// NewMatcher builds the cascade for lits, which must be non-empty,
+// NewMatcher builds the filter for lits, which must be non-empty,
 // duplicate-free, and contain no empty string.
 func NewMatcher(lits []string) *Matcher {
-	m := &Matcher{lits: lits, minLen: len(lits[0]), maxLen: len(lits[0])}
+	m := &Matcher{lits: lits, w: maskWidth, stage: "mask", anchor: -1}
 	for _, l := range lits {
-		if len(l) < m.minLen {
-			m.minLen = len(l)
+		m.w = min(m.w, len(l))
+		m.maxLen = max(m.maxLen, len(l))
+	}
+	if len(lits) == 1 {
+		m.stage, m.one = "index", []byte(lits[0])
+		return m
+	}
+	// Heads in case-folded order, so that when more than 64 of them must
+	// share buckets the ones that do are alike — case variants of one
+	// keyword first — and the bucket's masks stay narrow.
+	ids := make([]int32, len(lits))
+	for i := range ids {
+		ids[i] = int32(i)
+	}
+	head := func(id int32) string { return lits[id][:m.w] }
+	slices.SortStableFunc(ids, func(a, b int32) int {
+		if c := strings.Compare(strings.ToLower(head(a)), strings.ToLower(head(b))); c != 0 {
+			return c
 		}
-		if len(l) > m.maxLen {
-			m.maxLen = len(l)
+		return strings.Compare(head(a), head(b))
+	})
+	heads := 1
+	for i := 1; i < len(ids); i++ {
+		if head(ids[i]) != head(ids[i-1]) {
+			heads++
 		}
 	}
-	switch {
-	case m.maxLen == 1 && len(lits) == 1:
-		m.stage = "memchr"
-		m.single = lits[0][0]
-	case m.maxLen == 1:
-		m.stage = "byte-table"
-		for id, l := range lits {
-			m.byteLit[l[0]] = int16(id) + 1
+	perBucket := (heads + 63) / 64
+	m.bucket = make([][]int32, (heads+perBucket-1)/perBucket)
+	pad := maskWidth - m.w
+	for b := range m.pos {
+		for j := 0; j < pad; j++ {
+			m.pos[b][j] = ^uint64(0)
 		}
-	case len(lits) == 1:
-		m.stage = "bmh"
-		m.bmh = newBMH(lits[0])
-	case m.minLen >= 2:
-		m.stage = "shift"
-		m.wm = newWM(lits, m.minLen)
-	default:
-		m.stage = "aho-corasick"
-		m.ac = newAC(lits)
+	}
+	rank := 0
+	for i, id := range ids {
+		if i > 0 && head(id) != head(ids[i-1]) {
+			rank++
+		}
+		k := rank / perBucket
+		m.bucket[k] = append(m.bucket[k], id)
+		for j := 0; j < m.w; j++ {
+			m.pos[lits[id][j]][pad+j] |= 1 << k
+		}
+	}
+	for j := 0; j < m.w; j++ {
+		c := lits[0][j]
+		if !slices.ContainsFunc(lits, func(l string) bool { return l[j] != c }) {
+			m.stage, m.anchor, m.anchorByte = "anchor", j, c
+			break
+		}
 	}
 	return m
 }
@@ -110,16 +148,23 @@ func (m *Matcher) Lits() []string { return m.lits }
 // MaxLen returns the longest literal's length.
 func (m *Matcher) MaxLen() int { return m.maxLen }
 
-// Stage names the selected cascade stage.
+// Stage names the sweep NewMatcher selected.
 func (m *Matcher) Stage() string { return m.stage }
 
-// AppendHits appends every occurrence of every literal in data to dst
-// and returns it. Hit order is unspecified across literals; positions
-// for one literal are ascending.
+// AppendHits appends every occurrence of every literal in data to dst,
+// ascending by position, and returns it.
+//
 //sfa:noalloc
 func (m *Matcher) AppendHits(dst []Hit, data []byte) []Hit {
 	n0 := len(dst)
-	dst = m.appendHits(dst, data)
+	switch {
+	case m.one != nil:
+		dst = m.indexSweep(dst, data)
+	case m.anchor >= 0:
+		dst = m.anchorSweep(dst, data)
+	default:
+		dst = m.maskSweep(dst, data, 0)
+	}
 	m.calls.Inc()
 	m.bytes.Add(int64(len(data)))
 	m.hits.Add(int64(len(dst) - n0))
@@ -127,220 +172,91 @@ func (m *Matcher) AppendHits(dst []Hit, data []byte) []Hit {
 }
 
 //sfa:noalloc
-func (m *Matcher) appendHits(dst []Hit, data []byte) []Hit {
-	switch m.stage {
-	case "memchr":
-		off := 0
-		for {
-			j := bytes.IndexByte(data[off:], m.single)
-			if j < 0 {
-				return dst
-			}
-			dst = append(dst, Hit{0, off + j})
-			off += j + 1
-		}
-	case "byte-table":
-		if len(m.lits) <= byteTablePasses {
-			for id, l := range m.lits {
-				b, off := l[0], 0
-				for {
-					j := bytes.IndexByte(data[off:], b)
-					if j < 0 {
-						break
-					}
-					dst = append(dst, Hit{id, off + j})
-					off += j + 1
-				}
-			}
+func (m *Matcher) indexSweep(dst []Hit, data []byte) []Hit {
+	for off := 0; ; {
+		k := bytes.Index(data[off:], m.one)
+		if k < 0 {
 			return dst
 		}
-		for i, b := range data {
-			if id := m.byteLit[b]; id != 0 {
-				dst = append(dst, Hit{int(id) - 1, i})
-			}
-		}
-		return dst
-	case "bmh":
-		return m.bmh.appendHits(dst, data)
-	case "shift":
-		return m.wm.appendHits(dst, data, m.lits)
-	default:
-		return m.ac.appendHits(dst, data, m.lits)
+		dst = append(dst, Hit{0, off + k})
+		off += k + 1
 	}
 }
 
-// --- Boyer-Moore-Horspool, single pattern --------------------------------
-
-type bmhMatcher struct {
-	pat  string
-	skip [256]int
-}
-
-func newBMH(pat string) *bmhMatcher {
-	b := &bmhMatcher{pat: pat}
-	n := len(pat)
-	for i := range b.skip {
-		b.skip[i] = n
-	}
-	for j := 0; j < n-1; j++ {
-		b.skip[pat[j]] = n - 1 - j
-	}
-	return b
-}
-
-//sfa:noalloc
-func (b *bmhMatcher) appendHits(dst []Hit, data []byte) []Hit {
-	n, p := len(data), len(b.pat)
-	last := b.pat[p-1]
-	i := 0
-	for i+p <= n {
-		c := data[i+p-1]
-		if c == last && string(data[i:i+p]) == b.pat {
-			dst = append(dst, Hit{0, i})
-		}
-		i += b.skip[c]
-	}
-	return dst
-}
-
-// --- Wu-Manber-style shift stage, many patterns --------------------------
+// maskSweep tests every window that starts at or after from. a1..a3
+// carry the buckets whose first one to three columns matched the bytes
+// just read, so each byte is loaded once and its four lookups share a
+// cache line; before data[from] only the accept-all columns have
+// matched.
 //
-// Keyed on 2-byte blocks of each literal's first minLen bytes: the
-// shift table says how far the scan window can jump when its trailing
-// block appears nowhere at a compatible offset, and the zero-shift
-// buckets carry the literal ids to verify. Like the classic algorithm
-// this skips most of the input when the blocks are rare, which is what
-// makes the cascade faster than one D-SFA table walk per byte.
-
-type wmMatcher struct {
-	m0     int // minimum literal length; window = first m0 bytes
-	shift  [1 << 16]uint8
-	bucket map[uint16][]int16
-}
-
-func newWM(lits []string, minLen int) *wmMatcher {
-	w := &wmMatcher{m0: minLen, bucket: make(map[uint16][]int16)}
-	def := minLen - 1
-	if def > 255 {
-		def = 255
-	}
-	for i := range w.shift {
-		w.shift[i] = uint8(def)
-	}
-	for id, l := range lits {
-		for j := 1; j < w.m0; j++ {
-			blk := uint16(l[j-1])<<8 | uint16(l[j])
-			sh := w.m0 - 1 - j
-			if sh > int(w.shift[blk]) {
-				continue
-			}
-			w.shift[blk] = uint8(sh)
-			if sh == 0 {
-				w.bucket[blk] = append(w.bucket[blk], int16(id))
-			}
-		}
-	}
-	return w
-}
-
 //sfa:noalloc
-func (w *wmMatcher) appendHits(dst []Hit, data []byte, lits []string) []Hit {
-	n := len(data)
-	i := w.m0 - 1
-	for i < n {
-		blk := uint16(data[i-1])<<8 | uint16(data[i])
-		if sh := w.shift[blk]; sh != 0 {
-			i += int(sh)
-			continue
+func (m *Matcher) maskSweep(dst []Hit, data []byte, from int) []Hit {
+	var a1, a2, a3 uint64
+	switch m.w {
+	case 1:
+		a3 = ^uint64(0)
+		fallthrough
+	case 2:
+		a2 = ^uint64(0)
+		fallthrough
+	case 3:
+		a1 = ^uint64(0)
+	}
+	for i := from; i < len(data); i++ {
+		t := &m.pos[data[i]]
+		cand := a3 & t[3]
+		a3, a2, a1 = a2&t[2], a1&t[1], t[0]
+		if cand != 0 {
+			dst = m.verify(dst, data, i+1-m.w, cand)
 		}
-		start := i - w.m0 + 1
-		for _, id := range w.bucket[blk] {
-			l := lits[id]
-			if start+len(l) <= n && string(data[start:start+len(l)]) == l {
-				dst = append(dst, Hit{int(id), start})
-			}
-		}
-		i++
 	}
 	return dst
 }
 
-// --- Aho-Corasick, dense tables ------------------------------------------
-
-type acMatcher struct {
-	next []int32   // nstates × 256 goto-with-failure table
-	out  [][]int32 // literal ids recognized entering each state
-}
-
-func newAC(lits []string) *acMatcher {
-	type node struct {
-		child [256]int32
-		fail  int32
-		out   []int32
-	}
-	nodes := []*node{new(node)}
-	for i := range nodes[0].child {
-		nodes[0].child[i] = -1
-	}
-	for id, l := range lits {
-		s := int32(0)
-		for k := 0; k < len(l); k++ {
-			c := l[k]
-			if nodes[s].child[c] < 0 {
-				nn := new(node)
-				for i := range nn.child {
-					nn.child[i] = -1
-				}
-				nodes = append(nodes, nn)
-				nodes[s].child[c] = int32(len(nodes) - 1)
-			}
-			s = nodes[s].child[c]
-		}
-		nodes[s].out = append(nodes[s].out, int32(id))
-	}
-	// BFS failure links; out sets absorb their suffix states' outputs.
-	queue := make([]int32, 0, len(nodes))
-	for c := 0; c < 256; c++ {
-		if t := nodes[0].child[c]; t >= 0 {
-			nodes[t].fail = 0
-			queue = append(queue, t)
-		} else {
-			nodes[0].child[c] = 0
-		}
-	}
-	for qi := 0; qi < len(queue); qi++ {
-		s := queue[qi]
-		nodes[s].out = append(nodes[s].out, nodes[nodes[s].fail].out...)
-		for c := 0; c < 256; c++ {
-			t := nodes[s].child[c]
-			if t < 0 {
-				nodes[s].child[c] = nodes[nodes[s].fail].child[c]
-				continue
-			}
-			nodes[t].fail = nodes[nodes[s].fail].child[c]
-			queue = append(queue, t)
-		}
-	}
-	a := &acMatcher{
-		next: make([]int32, len(nodes)*256),
-		out:  make([][]int32, len(nodes)),
-	}
-	for s, nd := range nodes {
-		copy(a.next[s*256:], nd.child[:])
-		if len(nd.out) > 0 {
-			a.out[s] = nd.out
-		}
-	}
-	return a
-}
-
+// anchorSweep stops at each anchorByte and tests the window around it.
+// A stop costs about what maskSweep spends on ten bytes, so — as
+// bytes.Index does with its own IndexByte loop — input that turns out
+// to hold the byte more often than one in eight (past the first 16
+// stops) is finished by maskSweep: all-anchor input would otherwise
+// cost ten times a walk.
+//
 //sfa:noalloc
-func (a *acMatcher) appendHits(dst []Hit, data []byte, lits []string) []Hit {
-	s := int32(0)
-	for i, b := range data {
-		s = a.next[int(s)*256+int(b)]
-		for _, id := range a.out[s] {
-			dst = append(dst, Hit{int(id), i + 1 - len(lits[id])})
+func (m *Matcher) anchorSweep(dst []Hit, data []byte) []Hit {
+	pad := maskWidth - m.w
+	for off, stops := m.anchor, 0; off < len(data); stops++ {
+		if stops > (off+128)/8 {
+			return m.maskSweep(dst, data, off-m.anchor)
+		}
+		k := bytes.IndexByte(data[off:], m.anchorByte)
+		if k < 0 {
+			break
+		}
+		p := off + k - m.anchor
+		off += k + 1
+		if p+m.w > len(data) {
+			break
+		}
+		cand := ^uint64(0)
+		for j, b := range data[p : p+m.w] {
+			cand &= m.pos[b][pad+j]
+		}
+		if cand != 0 {
+			dst = m.verify(dst, data, p, cand)
+		}
+	}
+	return dst
+}
+
+// verify compares the literals of the candidate buckets at data[p:].
+//
+//sfa:noalloc
+func (m *Matcher) verify(dst []Hit, data []byte, p int, cand uint64) []Hit {
+	rest := data[p:]
+	for ; cand != 0; cand &= cand - 1 {
+		for _, id := range m.bucket[bits.TrailingZeros64(cand)] {
+			if l := m.lits[id]; len(l) <= len(rest) && string(rest[:len(l)]) == l {
+				dst = append(dst, Hit{int(id), p})
+			}
 		}
 	}
 	return dst

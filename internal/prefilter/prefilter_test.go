@@ -27,7 +27,7 @@ func TestExtract(t *testing.T) {
 		covered bool
 		window  bool
 		prefix  bool
-		maxLen  int  // -2 = don't check
+		maxLen  int // -2 = don't check
 		lits    []string
 	}{
 		{name: "plain literal", pattern: `foobar`, search: true,
@@ -177,81 +177,4 @@ func genMatch(r *rand.Rand, n *syntax.Node) string {
 		return b.String()
 	}
 	return ""
-}
-
-// naiveHits is the matcher oracle: quadratic scan for every literal.
-func naiveHits(lits []string, data []byte) []Hit {
-	var out []Hit
-	for id, l := range lits {
-		for p := 0; p+len(l) <= len(data); p++ {
-			if string(data[p:p+len(l)]) == l {
-				out = append(out, Hit{Lit: id, Pos: p})
-			}
-		}
-	}
-	return out
-}
-
-func sortHits(hits []Hit) {
-	sort.Slice(hits, func(i, j int) bool {
-		if hits[i].Pos != hits[j].Pos {
-			return hits[i].Pos < hits[j].Pos
-		}
-		return hits[i].Lit < hits[j].Lit
-	})
-}
-
-// TestMatcherOracle exercises every cascade stage against the naive
-// scan, over random data salted with planted literals (including
-// overlapping and boundary-adjacent occurrences).
-func TestMatcherOracle(t *testing.T) {
-	cases := []struct {
-		name  string
-		stage string
-		lits  []string
-	}{
-		{"memchr", "memchr", []string{"\x07"}},
-		{"byte-table few", "byte-table", []string{"\x01", "\x02", "\x03"}},
-		{"byte-table many", "byte-table", []string{
-			"\x01", "\x02", "\x03", "\x04", "\x05", "\x06", "\x07", "\x08", "\x0b", "\x0c"}},
-		{"bmh", "bmh", []string{"needle"}},
-		{"shift", "shift", []string{"needle", "haystack", "aa", "aba", "ndl"}},
-		{"aho-corasick", "aho-corasick", []string{"needle", "e", "dle", "\x07", "nee"}},
-	}
-	r := rand.New(rand.NewSource(3))
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			m := NewMatcher(tc.lits)
-			if m.Stage() != tc.stage {
-				t.Fatalf("stage = %s, want %s", m.Stage(), tc.stage)
-			}
-			for trial := 0; trial < 50; trial++ {
-				data := make([]byte, r.Intn(400))
-				for i := range data {
-					data[i] = byte(r.Intn(256))
-				}
-				// Plant literals, sometimes overlapping, sometimes at the
-				// very edges.
-				for k := r.Intn(6); k > 0; k-- {
-					l := tc.lits[r.Intn(len(tc.lits))]
-					if len(data) < len(l) {
-						continue
-					}
-					copy(data[r.Intn(len(data)-len(l)+1):], l)
-				}
-				got := m.AppendHits(nil, data)
-				want := naiveHits(tc.lits, data)
-				sortHits(got)
-				sortHits(want)
-				if len(got) != len(want) {
-					t.Fatalf("trial %d: %d hits, want %d", trial, len(got), len(want))
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("trial %d: hit %d = %+v, want %+v", trial, i, got[i], want[i])
-					}
-				}
-			}
-		})
-	}
 }

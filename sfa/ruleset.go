@@ -404,7 +404,7 @@ func (rs *RuleSet) Shards() []ShardInfo {
 // the fix.
 type PrefilterStats struct {
 	Enabled  bool   `json:"enabled"`
-	Stage    string `json:"stage,omitempty"`    // cascade stage: memchr, byte-table, bmh, shift, aho-corasick
+	Stage    string `json:"stage,omitempty"`    // the literal matcher's sweep: index, anchor, mask
 	Literals int    `json:"literals,omitempty"` // distinct literals matched
 
 	RulesCovered   int `json:"rules_covered"`   // rules the cascade accelerates (literals or prefix bound)
