@@ -2,7 +2,8 @@
 # static-analysis suite of docs/static-analysis.md) + build + docs checks
 # (markdown links + stale documented options) + race tests + fuzz smoke
 # runs (the multi-pattern match oracle, the literal matcher against its
-# naive scan, and the snapshot decoder) + the
+# naive scan, the construction state table against a map, and the
+# snapshot decoder) + the
 # sfaserve serving smoke (server boot, rule load, hot reload under
 # concurrent streamed scans, Prometheus /metrics scrape + exposition
 # checks) + the snapshot smoke (save → reload → verify verdicts,
@@ -19,11 +20,13 @@
 # keeps the repo's benchmark (bench/, its own module, which tier-1 does
 # not build) compiling, its unit tests and input pins green, and one
 # short real window each of scan_dense (the eager path), scan_sparse
-# (the workload where the literal matcher is the whole op) and scan_lazy
+# (the workload where the literal matcher is the whole op), scan_lazy
 # (lazy shards behind the prefilter, and the lazy tuple in its
-# no-prefilter twin's set-up) verified against the isolated-rule oracle
-# — so a change that breaks the benchmark, drops a literal hit, or
-# breaks a lazy verdict, fails here, not in the pipeline that runs it.
+# no-prefilter twin's set-up) and build (the only window that checks the
+# masks of sets that were built, saved, loaded and rebuilt) verified
+# against the isolated-rule oracle — so a change that breaks the
+# benchmark, drops a literal hit, breaks a lazy verdict or builds a
+# wrong table, fails here, not in the pipeline that runs it.
 
 GO ?= go
 BENCH_JSON ?= BENCH_9.json
@@ -62,13 +65,15 @@ race:
 # oracle), FuzzPrefilter (prefiltered vs unfiltered, one-shot, split and
 # composed, over an eager set of every shard mode and a lazily compiled
 # gap-rule set verified per rule), FuzzMatcher (the literal matcher vs
-# the naive scan, literal set and data both from the fuzz bytes) and
+# the naive scan, literal set and data both from the fuzz bytes),
+# FuzzIntern (the construction state table vs a string-keyed map) and
 # FuzzLoadRuleSet (malformed snapshots must error, never panic or
 # over-allocate).
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzMatch -fuzztime=10s -run '^$$' ./sfa
 	$(GO) test -fuzz=FuzzPrefilter -fuzztime=10s -run '^$$' ./sfa
 	$(GO) test -fuzz=FuzzMatcher -fuzztime=10s -run '^$$' ./internal/prefilter
+	$(GO) test -fuzz=FuzzIntern -fuzztime=10s -run '^$$' ./internal/intern
 	$(GO) test -fuzz=FuzzLoadRuleSet -fuzztime=10s -run '^$$' ./sfa
 
 # Serving subsystem smoke: boot the real sfaserve loop, load rules over
@@ -94,14 +99,17 @@ bench-smoke:
 
 # The benchmark BENCHMARK.json names: its own tests (-short skips the
 # full-length runs), then one 1-second window each of the two eager scan
-# workloads and the lazy one through the same entry point the driver
-# uses — every op and spot slice checked by the bench's isolated-rule
-# oracle. run.sh builds into .bench_build/.
+# workloads, the lazy one and build (cold build, Save, snapshot loads
+# and one-rule Rebuilds, each resulting set's mask checked) through the
+# same entry point the benchmark's runs use — every op and spot slice
+# checked by the bench's isolated-rule oracle. run.sh builds into
+# .bench_build/.
 bench-check:
 	cd bench && $(GO) test -short ./...
 	bash bench/run.sh -workload scan_dense -seconds 1
 	bash bench/run.sh -workload scan_sparse -seconds 1
 	bash bench/run.sh -workload scan_lazy -seconds 1
+	bash bench/run.sh -workload build -seconds 1
 
 # Benchmark-trajectory snapshot: hot path + layouts + the multi-pattern
 # RuleSet engines + the streaming writes + the cold-vs-warm rule-set

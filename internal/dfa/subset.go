@@ -3,6 +3,7 @@ package dfa
 import (
 	"fmt"
 
+	"repro/internal/intern"
 	"repro/internal/nfa"
 	"repro/internal/syntax"
 )
@@ -27,81 +28,38 @@ func DeterminizeTable(t *nfa.Table, cap int) (*DFA, error) {
 
 func determinize(t *nfa.Table, cap int) (*DFA, error) {
 	nc := t.BC.Count
-	words := t.Words
 
-	// Subset interning: bitset bytes → state id.
-	ids := make(map[string]int32)
-	var subsets [][]uint64 // id → bitset (owned copies)
-	var trans []int32      // id*nc + c → id, grown in lockstep
+	// Subset interning: bitset → state id, ids in discovery order. A state
+	// is explored once, in id order, so the id range is the BFS queue.
+	subsets := intern.New[uint64](t.Words, cap, 64)
+	var trans []int32 // id*nc + c → id, grown in lockstep
 
-	intern := func(set []uint64) (int32, bool, error) {
-		key := bitsetKey(set)
-		if id, ok := ids[key]; ok {
-			return id, false, nil
-		}
-		id := int32(len(subsets))
-		if cap > 0 && len(subsets) >= cap {
-			return 0, false, fmt.Errorf("%w (cap %d)", ErrTooManyStates, cap)
-		}
-		own := make([]uint64, words)
-		copy(own, set)
-		ids[key] = id
-		subsets = append(subsets, own)
-		trans = append(trans, make([]int32, nc)...)
-		return id, true, nil
-	}
-
-	start := t.A.StartSet()
-	startID, _, err := intern(start)
-	if err != nil {
-		return nil, err
-	}
-	queue := []int32{startID}
-	scratch := make([]uint64, words)
-
-	for len(queue) > 0 {
-		id := queue[0]
-		queue = queue[1:]
-		src := subsets[id]
+	subsets.Intern(t.A.StartSet()) // id 0; a cap admits at least one state
+	trans = append(trans, make([]int32, nc)...)
+	scratch := make([]uint64, t.Words)
+	for id := int32(0); int(id) < subsets.Len(); id++ {
 		for c := 0; c < nc; c++ {
-			for i := range scratch {
-				scratch[i] = 0
-			}
-			t.Step(scratch, src, c)
-			to, fresh, err := intern(scratch)
-			if err != nil {
-				return nil, err
+			clear(scratch)
+			t.Step(scratch, subsets.Row(id), c)
+			to, fresh := subsets.Intern(scratch)
+			if to < 0 {
+				return nil, fmt.Errorf("%w (cap %d)", ErrTooManyStates, cap)
 			}
 			trans[int(id)*nc+c] = to
 			if fresh {
-				queue = append(queue, to)
+				trans = append(trans, make([]int32, nc)...)
 			}
 		}
 	}
 
-	d := New(len(subsets), t.BC)
-	d.Start = startID
+	d := New(subsets.Len(), t.BC)
+	d.Start = 0
 	d.NextC = trans
-	for id, set := range subsets {
-		d.Accept[id] = t.A.AcceptsSet(set)
+	for id := range d.Accept {
+		d.Accept[id] = t.A.AcceptsSet(subsets.Row(int32(id)))
 	}
 	d.Dead = d.findDead()
 	return d, nil
-}
-
-func bitsetKey(set []uint64) string {
-	b := make([]byte, len(set)*8)
-	for i, w := range set {
-		b[i*8] = byte(w)
-		b[i*8+1] = byte(w >> 8)
-		b[i*8+2] = byte(w >> 16)
-		b[i*8+3] = byte(w >> 24)
-		b[i*8+4] = byte(w >> 32)
-		b[i*8+5] = byte(w >> 40)
-		b[i*8+6] = byte(w >> 48)
-		b[i*8+7] = byte(w >> 56)
-	}
-	return string(b)
 }
 
 // Compile runs the paper's full front-end pipeline on a parsed pattern:

@@ -1,11 +1,12 @@
 package multi
 
 import (
-	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/dfa"
+	"repro/internal/intern"
 )
 
 // Tuple-interned combined D-SFA construction.
@@ -19,13 +20,19 @@ import (
 // a word induces on the product is fully determined by the k-tuple of
 // component D-SFA states that word reaches — Theorem 2's correspondence,
 // taken per component. Interning those short tuples replaces the O(|D|)
-// per-transition work with k table lookups and an O(k) hash, and the
-// |D|-long mapping vector the engine's reduction needs is materialized
-// once per *interned* state (from its parent's vector, one class step
-// per entry — plain array indexing, never hashed). This is the
+// per-transition work with k table lookups and an O(k) hash. This is the
 // construction direction Jung & Burgstaller's multicore D-SFA work
 // attacks with Rabin fingerprints (PAPERS.md); component tuples are an
-// exact identity here, not a probabilistic one.
+// exact identity here, not a probabilistic one (internal/intern confirms
+// every fingerprint hit by comparing the tuple).
+//
+// The |D|-long mapping vectors the engine's reduction needs come only
+// after the walk has closed under its cap: one per interned state, at
+// the table's exact size, each from its BFS parent's vector by one class
+// step per entry (plain array indexing, never hashed). A capped attempt
+// that overruns — a split or a failed merge — therefore costs cap ×
+// (k + classes) words of tuples and transitions, independent of |D|,
+// instead of cap × |D| vector entries it would throw away.
 //
 // Tuple identity is an over-approximation of vector identity: two
 // distinct tuples can induce the same transformation on every
@@ -65,77 +72,57 @@ func tupleDSFA(comps []*core.DSFA, d *dfa.DFA, cap int) (*core.DSFA, error) {
 	if cap > 0 && cap < sizeHint {
 		sizeHint = cap
 	}
-	ids := make(map[string]int32, sizeHint)
-	tuples := make([]int32, 0, sizeHint*k) // flat, stride k
-	maps := make([]int16, 0, sizeHint*n)   // flat vectors, stride n, in id order
+	// The walk interns tuples only; each fresh state records the state and
+	// class it was first reached by, for the vectors after the walk.
+	tuples := intern.New[int32](k, cap, sizeHint)
 	nextC := make([]int32, 0, sizeHint*nc) // grown in lockstep with interning
-	key := make([]byte, 4*k)
-	states := 0
-	intern := func(t []int32) (int32, bool, error) {
-		for i, q := range t {
-			binary.LittleEndian.PutUint32(key[i*4:], uint32(q))
-		}
-		if id, ok := ids[string(key)]; ok {
-			return id, false, nil
-		}
-		if cap > 0 && states >= cap {
-			return 0, false, fmt.Errorf("%w (tuple cap %d)", core.ErrTooManyStates, cap)
-		}
-		id := int32(states)
-		states++
-		ids[string(key)] = id
-		tuples = append(tuples, t...)
-		nextC = append(nextC, make([]int32, nc)...)
-		return id, true, nil
-	}
-
-	// The identity: every component at its own identity mapping, and the
-	// identity vector over the product DFA.
-	start := make([]int32, k)
-	for i, s := range comps {
-		start[i] = s.Start
-	}
-	startID, _, err := intern(start)
-	if err != nil {
-		return nil, err
-	}
-	identity := make([]int16, n)
-	for q := range identity {
-		identity[q] = int16(q)
-	}
-	maps = append(maps, identity...)
-
-	queue := []int32{startID}
+	parent := make([]int32, 1, sizeHint)   // parent[0] is unused: id 0 is the identity
+	class := make([]uint8, 1, sizeHint)
 	next := make([]int32, k)
-	vec := make([]int16, n)
-	for len(queue) > 0 {
-		id := queue[0]
-		queue = queue[1:]
+	for i, s := range comps {
+		next[i] = s.Start
+	}
+	tuples.Intern(next) // id 0: every component at its identity mapping
+	nextC = append(nextC, make([]int32, nc)...)
+	for id := int32(0); int(id) < tuples.Len(); id++ {
 		for c := 0; c < nc; c++ {
 			// O(k) transition: one component D-SFA table lookup each.
+			src := tuples.Row(id)
 			for i, s := range comps {
-				next[i] = s.NextClass(tuples[int(id)*k+i], classOf[i*nc+c])
+				next[i] = s.NextClass(src[i], classOf[i*nc+c])
 			}
-			to, fresh, err := intern(next)
-			if err != nil {
-				return nil, err
+			to, fresh := tuples.Intern(next)
+			if to < 0 {
+				return nil, fmt.Errorf("%w (tuple cap %d)", core.ErrTooManyStates, cap)
 			}
 			nextC[int(id)*nc+c] = to
 			if fresh {
-				// Materialize the fresh state's product-DFA mapping vector
-				// from its parent's: f_{wσ}(q) = δ(f_w(q), σ). Computed into
-				// scratch first — the append below may move the backing
-				// array while parent still views the old one.
-				parent := maps[int(id)*n : (int(id)+1)*n]
-				for q := 0; q < n; q++ {
-					vec[q] = int16(d.NextClass(int32(parent[q]), c))
-				}
-				maps = append(maps, vec...)
-				queue = append(queue, to)
+				nextC = append(nextC, make([]int32, nc)...)
+				parent = append(parent, id)
+				class = append(class, uint8(c))
 			}
 		}
 	}
-	return core.NewDSFAFromParts(d, startID, nextC, maps)
+
+	// Materialize the product-DFA mapping vectors at their exact size, in
+	// id order: f_{wσ}(q) = δ(f_w(q), σ), and a state's parent was
+	// discovered before it, so its vector is already filled.
+	states := tuples.Len()
+	maps := make([]int16, states*n)
+	for q := 0; q < n; q++ {
+		maps[q] = int16(q)
+	}
+	for id := 1; id < states; id++ {
+		src := maps[int(parent[id])*n : int(parent[id]+1)*n]
+		dst := maps[id*n : (id+1)*n]
+		c := int(class[id])
+		for q, f := range src {
+			dst[q] = int16(d.NextClass(int32(f), c))
+		}
+	}
+	// The automaton keeps nextC for its lifetime: hand it over without
+	// the append slack.
+	return core.NewDSFAFromParts(d, 0, slices.Clone(nextC), maps)
 }
 
 // shardDSFA dispatches a shard's combined D-SFA construction: tuple

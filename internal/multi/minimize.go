@@ -1,9 +1,8 @@
 package multi
 
 import (
-	"encoding/binary"
-
 	"repro/internal/dfa"
+	"repro/internal/intern"
 )
 
 // minimizeMasked is Moore partition refinement generalized to bitmask
@@ -22,49 +21,31 @@ func minimizeMasked(d *dfa.DFA, masks []uint64, words int) (*dfa.DFA, []uint64) 
 
 	// Initial partition: states grouped by accept-mask row.
 	block := make([]int32, n)
-	blocks := 0
-	{
-		seen := make(map[string]int32)
-		key := make([]byte, words*8)
-		for q := 0; q < n; q++ {
-			row := masks[q*words : (q+1)*words]
-			for i, w := range row {
-				binary.LittleEndian.PutUint64(key[i*8:], w)
-			}
-			id, ok := seen[string(key)]
-			if !ok {
-				id = int32(len(seen))
-				seen[string(key)] = id
-			}
-			block[q] = id
-		}
-		blocks = len(seen)
+	rows := intern.New[uint64](words, 0, 64)
+	for q := 0; q < n; q++ {
+		block[q], _ = rows.Intern(masks[q*words : (q+1)*words])
 	}
+	blocks := rows.Len()
 
 	// Refine until the block count stabilizes. Each round's signature is
 	// the current block plus the successor blocks under every class, so
 	// rounds only ever split blocks; at most n-1 rounds terminate.
 	next := make([]int32, n)
-	key := make([]byte, (nc+1)*4)
+	sig := make([]int32, nc+1)
+	sigs := intern.New[int32](nc+1, 0, n)
 	for {
-		seen := make(map[string]int32, blocks)
+		sigs.Reset()
 		for q := 0; q < n; q++ {
-			binary.LittleEndian.PutUint32(key, uint32(block[q]))
-			base := q * nc
-			for c := 0; c < nc; c++ {
-				binary.LittleEndian.PutUint32(key[(c+1)*4:], uint32(block[d.NextC[base+c]]))
+			sig[0] = block[q]
+			for c, to := range d.NextC[q*nc : (q+1)*nc] {
+				sig[c+1] = block[to]
 			}
-			id, ok := seen[string(key)]
-			if !ok {
-				id = int32(len(seen))
-				seen[string(key)] = id
-			}
-			next[q] = id
+			next[q], _ = sigs.Intern(sig)
 		}
-		if len(seen) == blocks {
+		if sigs.Len() == blocks {
 			break
 		}
-		blocks = len(seen)
+		blocks = sigs.Len()
 		block, next = next, block
 	}
 

@@ -309,11 +309,13 @@ func plan(rules []planRule, o Options) [][]planRule {
 	return out
 }
 
-// maxMapEntries bounds the mapping storage a *capped* D-SFA attempt may
-// intern before giving up: cap × |D| int16 entries. Without it a capped
-// build over a large product DFA does cap·|D| work just to fail — the
-// failure must be cheap for the split-and-retry loop to be practical.
-// 32 Mi entries is 64 MiB of vectors, a few hundred milliseconds.
+// maxMapEntries bounds the mapping storage a *capped* D-SFA shard may
+// hold: cap × |D| int16 entries, 32 Mi of them (64 MiB). It does not
+// price a failure — the tuple walk fails before any vector exists, so an
+// overrun costs cap × (k + classes) words whatever |D| is — but it fixes
+// the plan: sfaCapFor derives every capped attempt's cap from it, so
+// which merges and splits happen, and hence every shard, BuildID and
+// snapshot byte, depends on this value.
 const maxMapEntries = 32 << 20
 
 // sfaCapFor derives the effective D-SFA cap for a shard attempt from the
@@ -417,9 +419,10 @@ func buildShards(bin []planRule, o Options) ([]*shardBuild, error) {
 	return builds, nil
 }
 
-// maxMergeFails bounds the merge pass' wasted work: each failed merge
-// attempt costs up to maxMapEntries of interning before the budget
-// fires.
+// maxMergeFails bounds the merge pass: it stops after this many failed
+// merge attempts. Each costs one tuple walk to its cap (FailedNs in the
+// report) and no mapping vectors, so the bound is not a memory guard;
+// like maxMapEntries it fixes which merges are tried, and so the plan.
 const maxMergeFails = 4
 
 // mergeShards greedily recombines shards after the initial build: the
@@ -601,14 +604,19 @@ func buildShard(bin []planRule, o Options, capped, probe bool) (*shard, error) {
 			return nil, fmt.Errorf("%w (cached failure for this membership)", ErrBudget)
 		}
 	}
-	// markBudgetErr records capped budget failures for the next build.
+	buildStart := time.Now()
+	// markBudgetErr records a capped budget failure: its wall time in the
+	// report, and a marker for the next build.
 	markBudgetErr := func(err error) error {
-		if capped && cacheKey != "" && isBudgetErr(err) {
-			storeFailMarker(cacheKey, o)
+		if capped && isBudgetErr(err) {
+			elapsed := time.Since(buildStart).Nanoseconds()
+			o.rep.note(func(r *BuildReport) { r.FailedNs += elapsed })
+			if cacheKey != "" {
+				storeFailMarker(cacheKey, o)
+			}
 		}
 		return err
 	}
-	buildStart := time.Now()
 	ds := make([]*dfa.DFA, len(bin))
 	rules := make([]int, len(bin))
 	for i, r := range bin {

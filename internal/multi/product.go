@@ -1,11 +1,11 @@
 package multi
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"repro/internal/core"
 	"repro/internal/dfa"
+	"repro/internal/intern"
 	"repro/internal/nfa"
 )
 
@@ -60,65 +60,43 @@ func productDFA(ds []*dfa.DFA, budget int) (*dfa.DFA, []uint64, error) {
 	nc := bc.Count
 	words := maskWords(n)
 
-	ids := make(map[string]int32)
-	var tuples []int32 // flat, stride n (owned copies)
-	var trans []int32  // id*nc + c → id, grown in lockstep
-	key := make([]byte, n*4)
-	intern := func(t []int32) (int32, bool, error) {
-		for i, q := range t {
-			binary.LittleEndian.PutUint32(key[i*4:], uint32(q))
-		}
-		if id, ok := ids[string(key)]; ok {
-			return id, false, nil
-		}
-		id := int32(len(ids))
-		if int(id) >= budget {
-			return 0, false, fmt.Errorf("%w: product DFA over %d states", ErrBudget, budget)
-		}
-		ids[string(key)] = id
-		tuples = append(tuples, t...)
-		trans = append(trans, make([]int32, nc)...)
-		return id, true, nil
-	}
-
-	start := make([]int32, n)
-	for i, d := range ds {
-		start[i] = d.Start
-	}
-	startID, _, err := intern(start)
-	if err != nil {
-		return nil, nil, err
-	}
-	queue := []int32{startID}
+	// Tuple interning: ids in discovery order, so the id range is the BFS
+	// queue.
+	tuples := intern.New[int32](n, budget, 64)
+	var trans []int32 // id*nc + c → id, grown in lockstep
 	next := make([]int32, n)
-	for len(queue) > 0 {
-		id := queue[0]
-		queue = queue[1:]
+	for i, d := range ds {
+		next[i] = d.Start
+	}
+	tuples.Intern(next) // id 0
+	trans = append(trans, make([]int32, nc)...)
+	for id := int32(0); int(id) < tuples.Len(); id++ {
 		for c := 0; c < nc; c++ {
 			// One representative byte per combined class steps every
 			// component; within a class no component distinguishes bytes.
 			b := bc.Rep[c]
-			src := tuples[int(id)*n : (int(id)+1)*n]
+			src := tuples.Row(id)
 			for i, d := range ds {
 				next[i] = d.NextByte(src[i], b)
 			}
-			to, fresh, err := intern(next)
-			if err != nil {
-				return nil, nil, err
+			to, fresh := tuples.Intern(next)
+			if to < 0 {
+				return nil, nil, fmt.Errorf("%w: product DFA over %d states", ErrBudget, budget)
 			}
 			trans[int(id)*nc+c] = to
 			if fresh {
-				queue = append(queue, to)
+				trans = append(trans, make([]int32, nc)...)
 			}
 		}
 	}
 
-	d := dfa.New(len(ids), bc)
-	d.Start = startID
+	states := tuples.Len()
+	d := dfa.New(states, bc)
+	d.Start = 0
 	d.NextC = trans
-	masks := make([]uint64, len(ids)*words)
-	for id := 0; id < len(ids); id++ {
-		t := tuples[id*n : (id+1)*n]
+	masks := make([]uint64, states*words)
+	for id := 0; id < states; id++ {
+		t := tuples.Row(int32(id))
 		row := masks[id*words : (id+1)*words]
 		any := false
 		for i, q := range t {

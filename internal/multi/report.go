@@ -22,10 +22,11 @@ type BuildReport struct {
 	Merges     int `json:"merges,omitempty"`
 	MergeFails int `json:"merge_fails,omitempty"`
 	// CacheHits counts shards adopted whole from the content-addressed
-	// cache; Built counts full in-process constructions (split and
-	// merge attempts included); ReusedShards counts Recompile
-	// carry-overs. EstCacheHits counts per-rule size estimates served
-	// from the cache (the warm-plan fast path).
+	// cache; Built counts in-process shard constructions that succeeded
+	// (a committed merge included, attempts that overran a budget not);
+	// ReusedShards counts Recompile carry-overs. EstCacheHits counts
+	// per-rule size estimates served from the cache (the warm-plan fast
+	// path).
 	CacheHits    int `json:"cache_hits,omitempty"`
 	Built        int `json:"built"`
 	ReusedShards int `json:"reused_shards,omitempty"`
@@ -33,11 +34,16 @@ type BuildReport struct {
 	// Phase timings. PrepNs covers per-rule DFA construction and size
 	// estimation; BuildNs the plan→build→merge pipeline; TotalNs the
 	// whole Compile/Recompile call. ShardBuildNs lists the wall time of
-	// each in-process shard construction (unordered — builds run
-	// concurrently on the construction pool).
+	// each successful in-process shard construction (unordered — builds
+	// run concurrently on the construction pool). FailedNs sums the wall
+	// time of the capped shard attempts that overran a budget, the ones
+	// behind Splits and MergeFails. Both are spent inside BuildNs (bins
+	// build concurrently, so either sum can exceed it), and a failed
+	// attempt is in no ShardBuildNs entry.
 	PrepNs       int64   `json:"prep_ns"`
 	BuildNs      int64   `json:"build_ns"`
 	TotalNs      int64   `json:"total_ns"`
+	FailedNs     int64   `json:"failed_ns"`
 	ShardBuildNs []int64 `json:"shard_build_ns,omitempty"`
 }
 

@@ -9,7 +9,6 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
-	"runtime/debug"
 	rpprof "runtime/pprof"
 	"strconv"
 	"strings"
@@ -488,13 +487,6 @@ func NewHandler(h *Hub, opts ...HandlerOption) http.Handler {
 			httpError(w, http.StatusUnprocessableEntity, err)
 			return
 		}
-		// A build's garbage dwarfs what it leaves behind (16 rules: a
-		// 300 MB peak for 25 MB of tables), and the collector paces its
-		// next cycle by that peak: left alone, the process sits at peak RSS
-		// until scans have allocated another peak's worth — and the scan
-		// path allocates next to nothing. Collect and hand the pages back
-		// now; it costs a few ms against a build measured in hundreds.
-		debug.FreeOSMemory()
 		code := http.StatusOK
 		if created {
 			code = http.StatusCreated

@@ -398,6 +398,7 @@ func writePromBuild(p *obs.PromWriter, rows []promRow) {
 		{"sfa_build_lazy_shards", "Shards compiled for on-demand construction.", func(b sfa.BuildReport) float64 { return float64(b.LazyShards) }},
 		{"sfa_build_prep_ns", "Wall time preparing rules (parse, per-rule DFA, size estimates).", func(b sfa.BuildReport) float64 { return float64(b.PrepNs) }},
 		{"sfa_build_build_ns", "Wall time in the plan/build/merge pipeline.", func(b sfa.BuildReport) float64 { return float64(b.BuildNs) }},
+		{"sfa_build_failed_ns", "Wall time of capped shard attempts that overran a budget (splits and failed merges).", func(b sfa.BuildReport) float64 { return float64(b.FailedNs) }},
 		{"sfa_build_total_ns", "Wall time of the whole build that produced this generation.", func(b sfa.BuildReport) float64 { return float64(b.TotalNs) }},
 	}
 	for _, gg := range gauges {

@@ -272,6 +272,9 @@ func TestMetricsPromExposition(t *testing.T) {
 	if doc.get(t, `sfa_build_built_shards{tenant="web"}`) <= 0 {
 		t.Error("build_built_shards not positive")
 	}
+	if doc.get(t, `sfa_build_failed_ns{tenant="web"}`) < 0 {
+		t.Error("build_failed_ns negative")
+	}
 
 	// Pool scheduling series for both pools.
 	if doc.get(t, `sfa_pool_workers{pool="match"}`) <= 0 {
