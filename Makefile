@@ -1,8 +1,9 @@
 # CI entry points. `make ci` is the gate: vet + sfavet (the first-party
 # static-analysis suite of docs/static-analysis.md) + build + docs checks
 # (markdown links + stale documented options) + race tests + fuzz smoke
-# runs (the multi-pattern match oracle, the literal matcher against its
-# naive scan, the construction state table against a map, and the
+# runs (the multi-pattern match oracle, the single-pattern engine and
+# the parser against the derivative oracle, the literal matcher against
+# its naive scan, the construction state table against a map, and the
 # snapshot decoder) + the
 # sfaserve serving smoke (server boot, rule load, hot reload under
 # concurrent streamed scans, Prometheus /metrics scrape + exposition
@@ -52,8 +53,9 @@ test:
 	$(GO) test ./...
 
 # Docs gate: every relative markdown link in README/ROADMAP/docs/ and
-# the package READMEs resolves, and every documented With* option is
-# still declared in the Go source (renames fail here, not in review).
+# the package READMEs resolves, every documented With* option is still
+# declared in the Go source (renames fail here, not in review), and every
+# markdown file a Go comment cites exists.
 docs-check:
 	$(GO) run ./cmd/docscheck
 
@@ -61,17 +63,24 @@ race:
 	$(GO) test -race ./...
 
 # Exercise the fuzz corpora for a few seconds so the oracle cross-checks
-# actually run somewhere: FuzzMatch (combined vs isolated vs derivative
-# oracle), FuzzPrefilter (prefiltered vs unfiltered, one-shot, split and
-# composed, over an eager set of every shard mode and a lazily compiled
-# gap-rule set verified per rule), FuzzMatcher (the literal matcher vs
-# the naive scan, literal set and data both from the fuzz bytes),
-# FuzzIntern (the construction state table vs a string-keyed map) and
-# FuzzLoadRuleSet (malformed snapshots must error, never panic or
-# over-allocate).
+# actually run somewhere — every fuzz target in the module, 10 s each:
+# FuzzMatch (combined vs isolated vs derivative oracle), FuzzEngineAgreement
+# (the single-pattern engine vs the derivative oracle), FuzzPrefilter
+# (prefiltered vs unfiltered, one-shot, split and composed, over an eager
+# set of every shard mode and a lazily compiled gap-rule set verified per
+# rule), FuzzParse (parse → String → parse round trip; derivatives must
+# not panic), FuzzDeriveMatchAgainstSelf (matching vs deriving byte by
+# byte), FuzzMatcher (the literal matcher vs the naive scan, literal set
+# and data both from the fuzz bytes), FuzzIntern (the construction state
+# table vs a string-keyed map) and FuzzLoadRuleSet (malformed snapshots
+# must error, never panic or over-allocate). A failing input lands in the
+# package's testdata/fuzz and is committed with its fix.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzMatch -fuzztime=10s -run '^$$' ./sfa
+	$(GO) test -fuzz=FuzzEngineAgreement -fuzztime=10s -run '^$$' ./sfa
 	$(GO) test -fuzz=FuzzPrefilter -fuzztime=10s -run '^$$' ./sfa
+	$(GO) test -fuzz=FuzzParse -fuzztime=10s -run '^$$' ./internal/syntax
+	$(GO) test -fuzz=FuzzDeriveMatchAgainstSelf -fuzztime=10s -run '^$$' ./internal/syntax
 	$(GO) test -fuzz=FuzzMatcher -fuzztime=10s -run '^$$' ./internal/prefilter
 	$(GO) test -fuzz=FuzzIntern -fuzztime=10s -run '^$$' ./internal/intern
 	$(GO) test -fuzz=FuzzLoadRuleSet -fuzztime=10s -run '^$$' ./sfa

@@ -1,7 +1,7 @@
 // Package repro's root benchmark suite: one testing.B benchmark per table
-// and figure of the paper (plus the DESIGN.md ablations). These are the
-// micro-benchmark versions; cmd/sfabench regenerates the full
-// human-readable tables and series.
+// and figure of the paper, plus the design ablations
+// (harness.Config.Ablations). These are the micro-benchmark versions;
+// cmd/sfabench regenerates the full human-readable tables and series.
 //
 // Input size defaults to 8 MiB per benchmark to keep `go test -bench=.`
 // wall time reasonable; set SFA_BENCH_MB to scale up (the paper used
@@ -299,7 +299,7 @@ func BenchmarkFacts_Fact2FullMonoid(b *testing.B) {
 	}
 }
 
-// --- Ablations (DESIGN.md §7) ----------------------------------------------
+// --- Ablations (harness.Config.Ablations) ----------------------------------
 
 func BenchmarkAblation_ReductionSeq_p8(b *testing.B) {
 	f := rnFixture(b, 50)

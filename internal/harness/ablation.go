@@ -12,7 +12,7 @@ import (
 	"repro/internal/textgen"
 )
 
-// Ablations quantifies the design choices DESIGN.md §7 calls out:
+// Ablations quantifies the implementation's main design choices:
 //
 //	A1 reduction order (sequential O(p) vs ⊙-tree),
 //	A2 table layout (256-wide direct vs byte-class-compressed),

@@ -7,7 +7,8 @@
 //
 // Absolute numbers differ from the paper's 2013 dual-Xeon testbed; the
 // shapes — who wins, by what factor, where the crossover falls — are the
-// reproduction targets. See EXPERIMENTS.md for paper-vs-measured.
+// reproduction targets; each experiment's comment states the shape the
+// paper reports for it.
 package harness
 
 import (

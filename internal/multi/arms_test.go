@@ -3,6 +3,7 @@ package multi
 import (
 	"bytes"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"sync"
@@ -472,6 +473,54 @@ func gapTraffic(r *rand.Rand, pats []string, size, edge int) []byte {
 	return out
 }
 
+// everyRule is one complete occurrence of every rule of gapSet's shapes
+// (and of the eager extras the mixed sets add), after a "h00 " that
+// satisfies the prefix rule `^h0[0-9]`: a head that settles every rule at
+// once.
+func everyRule(pats []string) []byte {
+	out := []byte("h00 ")
+	for _, p := range pats {
+		switch {
+		case p[0] == 'h':
+			out = append(out, p[:3]+p[len(p)-3:]...)
+		case p[0] == 'a':
+			out = append(out, "abcd"+p[len(p)-2:]...)
+		case p[0] == 'k':
+			out = append(out, "kklmn"...)
+		case p == `SeCrEt`:
+			out = append(out, p...)
+		case p == `id=[0-9]{1,6}'`:
+			out = append(out, "id=4711'"...)
+		case p == `needle[0-9]{1,8}x`:
+			out = append(out, "needle12x"...)
+		}
+		out = append(out, ' ')
+	}
+	return out
+}
+
+// ones counts the rules a mask reports.
+func ones(m []uint64) int {
+	n := 0
+	for _, w := range m {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+// checkSettled fails unless every rule a per-rule shard of st has settled
+// holds no open window: settled rules take no windows.
+func checkSettled(t *testing.T, what string, st *SetStream) {
+	t.Helper()
+	for _, i := range st.set.pre.win {
+		for r, o := range st.win.open[i] {
+			if st.win.settled(int32(i), int32(r)) && o != (span{}) {
+				t.Fatalf("%s: shard %d rule %d settled and still holds window %v", what, i, r, o)
+			}
+		}
+	}
+}
+
 // lazyWindowShards counts a set's lazy window shards and fails unless
 // each is still on the per-rule path: no combined automaton built, no
 // budget byte charged.
@@ -511,14 +560,38 @@ func TestPerRuleVerificationInvariance(t *testing.T) {
 			// lazy ones, so blocks verify both kinds.
 			patterns = append(patterns, `SeCrEt`, `id=[0-9]{1,6}'`, `needle[0-9]{1,8}x`, `^h0[0-9]`)
 		}
+		head := everyRule(patterns)
 		inputs := [][]byte{
 			gapTraffic(r, patterns, large, scanBlock),
+			// Every rule matches in the first block: the hits after it can
+			// no longer change a verdict, and take no windows.
+			append(slices.Clip(head), gapTraffic(r, patterns, large/2, scanBlock)...),
 			gapTraffic(r, patterns, 2000+r.Intn(3000), 256),
 			[]byte("xxabcdefgijopqy2x1"), []byte("h00"), nil,
 		}
 		for _, threads := range []int{1, 2, 4} {
 			a := compileArmSet(t, patterns, gapOptions(threads))
 			what := fmt.Sprintf("set %d p=%d", si, threads)
+			if m := a.want(head); ones(m) != len(patterns) {
+				t.Fatalf("%s: the head matches %x, not every rule", what, m)
+			}
+			// Compose splits with every rule settled on the left only, on the
+			// right only, and on neither side, each followed by more input.
+			small := inputs[2]
+			for k, parts := range [][3][]byte{{head, small, small}, {small, head, small}, {small, small, head}, {small, small, small}} {
+				left, right := a.set.NewStream(), a.set.NewStream()
+				streamIn(left, parts[0], []int{7, 300})
+				streamIn(right, parts[1], []int{300, 7})
+				if err := left.Compose(right); err != nil {
+					t.Fatal(err)
+				}
+				checkSettled(t, what, left)
+				streamIn(left, parts[2], []int{64})
+				in := slices.Concat(parts[0], parts[1], parts[2])
+				if m, want := left.Mask(make([]uint64, a.set.Words())), a.want(in); !slices.Equal(m, want) {
+					t.Fatalf("%s: compose split %d: mask %x, want %x", what, k, m, want)
+				}
+			}
 			if lazyWindowShards(t, what, a.set) == 0 {
 				t.Fatalf("%s: no lazy window shard planned: %+v", what, a.set.Shards())
 			}
@@ -590,6 +663,12 @@ func TestPerRuleWindowsAcrossWrites(t *testing.T) {
 		{"occurrence split at every byte of the tail", []string{"kkeel", "m", "n", "o", "p"}},
 		{"second occurrence inside the first window", []string{"h00h00", "eeet0", "0"}},
 		{"nothing to find", []string{"h00eeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeee", "t00"}},
+		// Settled rules: matched in the first write, then hit again — a
+		// window opened before the match, windows after it, and a seam on
+		// either side of the match in the Compose splits below.
+		{"settled in the first write, hit after", []string{"h00t00 h00e", "et00 h00", "t00"}},
+		{"settled while a window is open", []string{"h00eh00t00", "e", "t00"}},
+		{"settled on one side of every seam", []string{"abcdy2", "zzabcd", "eey2", "abcdx1 abcd", "x1"}},
 	}
 	got := make([]uint64, a.set.Words())
 	for _, c := range cases {
@@ -598,6 +677,7 @@ func TestPerRuleWindowsAcrossWrites(t *testing.T) {
 		for _, wr := range c.writes {
 			st.Write([]byte(wr))
 			in = append(in, wr...)
+			checkSettled(t, c.name, st)
 			// Mask must be right at every point, open windows included.
 			if m, want := st.Mask(got), a.want(in); !slices.Equal(m, want) {
 				t.Fatalf("%s: after %q: mask %x, want %x", c.name, in, m, want)
@@ -624,6 +704,7 @@ func TestPerRuleWindowsAcrossWrites(t *testing.T) {
 						if err := left.Compose(right); err != nil {
 							t.Fatal(err)
 						}
+						checkSettled(t, c.name, left)
 						fallthrough
 					default:
 						left.Write([]byte(wr))
@@ -633,16 +714,26 @@ func TestPerRuleWindowsAcrossWrites(t *testing.T) {
 					if err := left.Compose(right); err != nil {
 						t.Fatal(err)
 					}
+					checkSettled(t, c.name, left)
 				}
 				if m, want := left.Mask(got), a.want(in); !slices.Equal(m, want) {
 					t.Fatalf("%s: composed writes[:%d] · writes[%d:%d], then the rest: mask %x, want %x", c.name, i, i, j, m, want)
 				}
 			}
 		}
+		// Reset forgets every window and every settled rule: the stream
+		// reused for the same writes must find the same matches again.
 		st.Reset()
 		st.Write([]byte("zz"))
 		if m := st.Mask(got); !slices.Equal(m, a.want([]byte("zz"))) {
-			t.Fatalf("%s: a window survived Reset: mask %x", c.name, m)
+			t.Fatalf("%s: a window or a settled rule survived Reset: mask %x", c.name, m)
+		}
+		st.Reset()
+		for _, wr := range c.writes {
+			st.Write([]byte(wr))
+		}
+		if m, want := st.Mask(got), a.want(in); !slices.Equal(m, want) {
+			t.Fatalf("%s: reused after Reset: mask %x, want %x", c.name, m, want)
 		}
 	}
 	if a.want([]byte("abcdey2x1"))[0] == 0 {
@@ -706,4 +797,140 @@ func TestPerRuleZeroAllocAndCounters(t *testing.T) {
 		t.Fatalf("a set with lazy window shards took the whole arm: %+v", pf)
 	}
 	lazyWindowShards(t, "after the passes", a.set)
+}
+
+// headsOnly is n hits of the literals of gapSet's rules, none of them
+// completed, in filler no tail can come from: every hit opens a window
+// and no window matches.
+func headsOnly(r *rand.Rand, pats []string, n int) []byte {
+	var out []byte
+	for i := 0; i < n; i++ {
+		p := pats[r.Intn(len(pats))]
+		switch p[0] {
+		case 'h':
+			out = append(out, p[:3]...)
+		case 'a':
+			out = append(out, "abcd"...)
+		case 'k':
+			out = append(out, "lmn"...) // its literals are the tails
+		}
+		out = append(out, " efg efg efg efg efg efg efg efg\n"...)
+	}
+	return out
+}
+
+// TestSettledRulesTakeNoWindows: once a rule verified per rule has
+// matched, its later hits are not walked — in one-shot scans and in
+// streams, until Reset — and the verdicts stay the reference DFAs'.
+func TestSettledRulesTakeNoWindows(t *testing.T) {
+	r := rand.New(rand.NewSource(13))
+	patterns := gapSet(r, 20)
+	a := compileArmSet(t, patterns, gapOptions(1))
+	if lazyWindowShards(t, "fixture", a.set) == 0 {
+		t.Fatal("no lazy window shard planned")
+	}
+	hits := headsOnly(r, patterns, 2000)
+	early := append(everyRule(patterns), hits...)
+	if ones(a.want(hits)) != 0 || ones(a.want(early)) != len(patterns) {
+		t.Fatalf("fixture: the hits match %x, the early input %x", a.want(hits), a.want(early))
+	}
+	windows := func() (n int64) {
+		for _, sh := range a.set.Shards() {
+			if sh.Lazy {
+				n += sh.CandWindows
+			}
+		}
+		return n
+	}
+	dst := make([]uint64, a.set.Words())
+	scan := func(in []byte) int64 {
+		before := windows()
+		if m, want := a.set.Scan(in, 1, dst), a.want(in); !slices.Equal(m, want) {
+			t.Fatalf("Scan: mask %x, want %x", m, want)
+		}
+		return windows() - before
+	}
+	open, settled := scan(hits), scan(early)
+	if open < 1000 || settled > 2*int64(len(patterns)) {
+		t.Fatalf("one-shot: %d windows over the hits alone, %d with every rule settled first; want ≥ 1000 and ≤ 2 per rule", open, settled)
+	}
+	if again := scan(hits); again != open {
+		t.Fatalf("a scan after the settled one verified %d windows, want %d: settled rules leaked through the scan context", again, open)
+	}
+	st := a.set.NewStream()
+	got := make([]uint64, a.set.Words())
+	for _, reset := range []bool{false, true} {
+		st.Write(everyRule(patterns))
+		before := windows()
+		streamIn(st, hits, []int{4096, 100, 1})
+		if n := windows() - before; n != 0 {
+			t.Fatalf("reset=%v: %d windows verified after every rule settled, want 0", reset, n)
+		}
+		if m, want := st.Mask(got), a.want(early); ones(m) != len(patterns) || !slices.Equal(m, want) {
+			t.Fatalf("reset=%v: stream mask %x, want %x", reset, m, want)
+		}
+		// Folding in a stream of unsettled hits walks no junction and keeps
+		// no window either.
+		right := a.set.NewStream()
+		streamIn(right, hits[:500], []int{64})
+		before = windows()
+		if err := st.Compose(right); err != nil {
+			t.Fatal(err)
+		}
+		checkSettled(t, "composed", st)
+		if n := windows() - before; n != 0 {
+			t.Fatalf("reset=%v: Compose verified %d junction windows of settled rules, want 0", reset, n)
+		}
+		st.Reset()
+		before = windows()
+		streamIn(st, hits, []int{4096})
+		if n := windows() - before; n < 1000 {
+			t.Fatalf("reset=%v: %d windows verified after Reset, want ≥ 1000: settled rules survived Reset", reset, n)
+		}
+		if m := st.Mask(got); ones(m) != 0 {
+			t.Fatalf("reset=%v: stream mask %x after Reset, want none", reset, m)
+		}
+		st.Reset()
+	}
+}
+
+// TestWindowExtentsAtTheLiteral pins two head literals' windows end to
+// end: a lone q00 hit of the lazy workload's q00.{0,8}z00 opens exactly
+// [p, p+14), and a lone "Host: " hit of ids16's r009, in an eager window
+// shard, opens 48 bytes (MaxLen's windows were 25 and 90 bytes).
+func TestWindowExtentsAtTheLiteral(t *testing.T) {
+	cases := []struct {
+		name     string
+		patterns []string
+		o        Options
+		lit      string
+		lazy     bool
+		back     int32
+		fwd      int32
+	}{
+		{"gap head", []string{`q00.{0,8}z00`, `q01.{0,9}z07`, `q02.{0,10}z0e`}, gapOptions(1), "q00", true, 0, 14},
+		{"ids16 r009", []string{`Host\x3a [a-z0-9\.-]{4,40}\x0d\x0a`, `SeCrEt`}, Options{Threads: 1}, "Host: ", false, 0, 48},
+	}
+	for _, c := range cases {
+		a := compileArmSet(t, c.patterns, c.o)
+		a.set.ForceArm(armSchedules["cascade"])
+		p := a.set.pre
+		id := slices.Index(p.m.Lits(), c.lit)
+		if id < 0 || len(p.targets[id]) != 1 {
+			t.Fatalf("%s: literal %q targets %v", c.name, c.lit, p.targets)
+		}
+		tg := p.targets[id][0]
+		if tg.back != c.back || tg.fwd != c.fwd || (tg.rule >= 0) != c.lazy || a.set.Shards()[tg.shard].Prefilter != "window" {
+			t.Fatalf("%s: target %+v, want a window shard with back %d, fwd %d (per rule: %v)", c.name, tg, c.back, c.fwd, c.lazy)
+		}
+		in := append(bytes.Repeat([]byte("z"), 100), c.lit...)
+		in = append(in, bytes.Repeat([]byte("z"), 100)...)
+		before := p.candBytes.Load()
+		if m := a.set.Scan(in, 1, make([]uint64, a.set.Words())); ones(m) != 0 {
+			t.Fatalf("%s: a lone hit matched %x", c.name, m)
+		}
+		if walked := p.candBytes.Load() - before; walked != int64(c.back+c.fwd) {
+			t.Fatalf("%s: a lone hit walked %d bytes, want %d", c.name, walked, c.back+c.fwd)
+		}
+	}
 }

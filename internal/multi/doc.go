@@ -59,11 +59,19 @@
 // extents, the cascade keeps one open window per rule, and each window is
 // one walk of that rule's own DFA from its start state
 // ([engine.LazyMultiSFA.OrRule]). That is the window contract at k = 1 —
-// an occurrence of rule r contains one of r's literals and lies within
-// MaxLen_r of it, and r's search-bracketed DFA accepts exactly the
+// an occurrence of rule r contains one of r's literals and lies inside
+// that literal's window, and r's search-bracketed DFA accepts exactly the
 // windows that contain an occurrence — so verdicts are unchanged, and
 // such a shard never builds a combined automaton. Sets with one stay on
-// the cascade arm.
+// the cascade arm. Once rule r has matched in a scan or stream, its bit
+// cannot change until Reset, so r takes no more windows there: its hits
+// are dropped, its open window is discarded, and Compose skips its
+// junction.
+//
+// A window is as narrow as the literal's place in its rule allows:
+// [p−back, p+fwd) for a hit at p, with the rule's extents for that
+// literal (prefilter.Rule.Extent) — back = 0 for a literal that heads its
+// rule — never wider than the MaxLen bound [p+l−MaxLen, p+MaxLen].
 //
 // # Lazy shards
 //

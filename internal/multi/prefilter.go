@@ -27,12 +27,17 @@ import (
 //	         always scanned in full, exactly as without the prefilter.
 //
 // Soundness rests on the extraction contract (a rule's match always
-// contains one of its literals) and the window bound (an occurrence
-// containing a length-l hit at position p lies within
-// [p+l−MaxLen, p+MaxLen]); completeness of window and prefix modes
-// additionally needs search-bracketed automata, whose verdicts are
-// monotone under extension — which is why whole-input sets only ever
-// gate.
+// contains one of its literals) and the window contract: every match
+// holds an occurrence that lies inside the window [p−back, p+fwd) of a
+// hit at p of one of the rule's literals. back and fwd are the rule's
+// extents for that literal (prefilter.Rule.Extent): MaxLen's window
+// [p+l−MaxLen, p+MaxLen] for a length-l literal, narrowed to where the
+// literal sits in the rule — nothing before a literal that heads its
+// rule can matter, so its back is 0. A shard verified whole takes, per
+// literal, the widest extents of its rules. Completeness of window and
+// prefix modes additionally needs search-bracketed automata, whose
+// verdicts are monotone under extension — which is why whole-input sets
+// only ever gate.
 //
 // Window shards consume their input block by block (setPre.block): a
 // one-shot scan cuts the input into scanBlock pieces, a stream takes
@@ -57,8 +62,8 @@ import (
 // A window shard whose engine is lazy is verified per rule, which is the
 // window contract instantiated for one rule at a time (k = 1). An
 // occurrence of rule r contains one of r's own literals, at some position
-// p with length l, and lies inside [p+l−MaxLen_r, p+MaxLen_r]; r's DFA is
-// search-bracketed, so it accepts any window that contains the occurrence
+// p, and lies inside that literal's window under r's own extents; r's DFA
+// is search-bracketed, so it accepts any window that contains the occurrence
 // and accepts no window unless an occurrence of r is really in it. So the
 // literal that opens a window already names the rule the window can
 // witness, and the window always starts at the automaton's start state:
@@ -74,6 +79,18 @@ import (
 // whole arm is never taken by a set with such a shard (lazyWin): one
 // window for every rule is exactly the walk the lazy tuple exists for,
 // and what a window shard exists to avoid.
+//
+// Settled rules take no windows. Under search semantics a rule's verdict
+// bit, once set in a scan's or stream's accumulated mask, stays set until
+// Reset, so no later window of that rule can change a verdict: in a shard
+// verified per rule, addSpans drops the hits of a rule whose bit is set,
+// closeRules drops its open window unwalked, and Compose neither walks
+// its junction nor keeps its windows once either side has it. The
+// matcher still sweeps every byte — gate shards need its hits — and a
+// shard verified whole keeps walking its windows: its blocks would
+// otherwise time as nearly free and mislead the arm choice. Settled bits
+// live in the scan context or stream, so nothing crosses scans, the
+// contexts of a block-parallel Scan, or a Reset.
 
 type shardMode uint8
 
@@ -97,8 +114,8 @@ type span struct{ lo, hi int }
 type litTarget struct {
 	shard int32
 	rule  int32 // shard-local rule the window is verified for; −1: the whole shard
-	back  int32 // window lo = pos − back  (back = maxLen − len(lit))
-	fwd   int32 // window hi = pos + fwd   (fwd = maxLen)
+	back  int32 // window lo = pos − back  (prefilter.Rule.Extent)
+	fwd   int32 // window hi = pos + fwd
 }
 
 type shardPre struct {
@@ -117,7 +134,6 @@ type setPre struct {
 	m       *prefilter.Matcher
 	targets [][]litTarget // by global literal id
 	shards  []shardPre
-	infos   []prefilter.Rule
 	win     []int // window-mode shard indices
 	// eagerWin is the part of win verified a shard at a time — all of it
 	// but the lazy shards, which are verified per rule (shardPre.rules).
@@ -159,7 +175,7 @@ func (s *Set) armPrefilter(infos []prefilter.Rule) {
 	if len(infos) != s.rules {
 		return
 	}
-	pre := &setPre{shards: make([]shardPre, len(s.shards)), infos: infos}
+	pre := &setPre{shards: make([]shardPre, len(s.shards))}
 	s.carry = s.carry[:0] // window and prefix shards leave the carried-mapping protocol
 	for _, inf := range infos {
 		if inf.Covered() || inf.Prefix {
@@ -238,7 +254,8 @@ func (s *Set) armPrefilter(infos []prefilter.Rule) {
 					lits = append(lits, l)
 					pre.targets = append(pre.targets, nil)
 				}
-				pre.addTarget(id, si, rule, sp.mode, infos[ri].MaxLen, len(l))
+				back, fwd := infos[ri].Extent(l)
+				pre.addTarget(id, si, rule, sp.mode, back, fwd)
 			}
 		}
 	}
@@ -254,33 +271,22 @@ func (s *Set) armPrefilter(infos []prefilter.Rule) {
 }
 
 // addTarget records that literal id witnesses some rule of shard si —
-// rule ≥ 0: that shard-local rule, in a shard verified per rule —
-// widening the window extents if a target for the pair already exists.
-func (p *setPre) addTarget(id, si, rule int, mode shardMode, maxLen, litLen int) {
-	back, fwd := int32(-1), int32(-1)
-	if mode == preWindow {
-		back, fwd = int32(maxLen-litLen), int32(maxLen)
-		if back < 0 {
-			// A literal longer than the shrunk occurrence bound: some
-			// shorter required literal covers the minimal occurrence, so
-			// this hit's window is merely extra — keep it anchored.
-			back = 0
-		}
+// rule ≥ 0: that shard-local rule, in a shard verified per rule — whose
+// window around a hit is [pos−back, pos+fwd) (the rule's Extent for the
+// literal), widening the extents if a target for the pair already exists.
+func (p *setPre) addTarget(id, si, rule int, mode shardMode, back, fwd int) {
+	if mode != preWindow {
+		back, fwd = -1, -1
 	}
 	for i := range p.targets[id] {
 		t := &p.targets[id][i]
 		if int(t.shard) != si || int(t.rule) != rule {
 			continue
 		}
-		if t.back < back {
-			t.back = back
-		}
-		if t.fwd < fwd {
-			t.fwd = fwd
-		}
+		t.back, t.fwd = max(t.back, int32(back)), max(t.fwd, int32(fwd))
 		return
 	}
-	p.targets[id] = append(p.targets[id], litTarget{shard: int32(si), rule: int32(rule), back: back, fwd: fwd})
+	p.targets[id] = append(p.targets[id], litTarget{shard: int32(si), rule: int32(rule), back: int32(back), fwd: int32(fwd)})
 }
 
 // active reports whether scans actually consult a matcher.
@@ -444,10 +450,20 @@ func (w *winState) reset(p *setPre) {
 	}
 }
 
+// settled reports whether rule r of shard i, verified per rule, has
+// matched already. In search mode its verdict bit is sticky until Reset,
+// so no window of r can change a verdict any more.
+//
+//sfa:noalloc
+func (w *winState) settled(i, r int32) bool {
+	return w.acc[i][r>>6]&(1<<(r&63)) != 0
+}
+
 // addSpans turns the block's literal hits (w.hits, buffer-relative) into
 // candidate windows of the window shards they can witness: a hit at pos
 // opens [pos−back, pos+fwd) on each target — appended to the shard's
-// spans, or handed to the target's rule (ruleWindow).
+// spans, or handed to the target's rule (ruleWindow) unless that rule has
+// settled.
 //
 //sfa:noalloc
 func (p *setPre) addSpans(w *winState, tail, cur []byte, ahead int) {
@@ -455,6 +471,9 @@ func (p *setPre) addSpans(w *winState, tail, cur []byte, ahead int) {
 		for _, t := range p.targets[h.Lit] {
 			switch {
 			case t.rule >= 0:
+				if w.settled(t.shard, t.rule) {
+					continue
+				}
 				p.ruleWindow(w, tail, cur, t, span{h.Pos - int(t.back), min(h.Pos+int(t.fwd), len(cur)+ahead)})
 			case t.fwd >= 0:
 				w.newsp[t.shard] = append(w.newsp[t.shard], span{h.Pos - int(t.back), h.Pos + int(t.fwd)})
@@ -514,7 +533,9 @@ func (p *setPre) verify(w *winState, tail, cur []byte, i, r int, sp span) {
 // inside it must show in Mask now — and one that awaits input stays open
 // for the next block, relative to its buffer. Only an occurrence that
 // ends past len(cur) is still owed, and it begins less than the rule's
-// MaxLen before that.
+// MaxLen before that. A rule that settled — earlier in the block, or by
+// this verification — keeps no window, and one settled before it is not
+// walked.
 //
 //sfa:noalloc
 func (p *setPre) closeRules(w *winState, tail, cur []byte, i int) {
@@ -524,8 +545,10 @@ func (p *setPre) closeRules(w *winState, tail, cur []byte, i int) {
 		if o.lo == o.hi {
 			continue
 		}
-		p.verify(w, tail, cur, i, r, *o)
-		if o.hi > len(cur) {
+		if !w.settled(int32(i), int32(r)) {
+			p.verify(w, tail, cur, i, r, *o)
+		}
+		if o.hi > len(cur) && !w.settled(int32(i), int32(r)) {
 			*o = span{max(o.lo-len(cur), -sh.ruleMax[r]), o.hi - len(cur)}
 		} else {
 			*o = span{}

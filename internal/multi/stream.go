@@ -284,10 +284,11 @@ func (st *SetStream) Compose(t *SetStream) error {
 // st.tail ++ t.head (each side holds min(segment, tailCap) ≥
 // min(segment, maxLen) bytes) — one lock-step walk of the junction
 // closes the verdicts of every window shard verified whole, one walk of
-// each rule's DFA those of a shard verified per rule. Windows still
-// awaiting input after the new end come from st's pending (shifted), t's
-// pending (already end-relative), and literals straddling the seam
-// itself.
+// each rule's DFA those of a shard verified per rule, skipping the rules
+// either stream has settled. Windows still awaiting input after the new
+// end come from st's pending (shifted), t's pending (already
+// end-relative), and literals straddling the seam itself — none for a
+// settled rule.
 func (st *SetStream) composeWindows(t *SetStream) {
 	p, w := st.set.pre, &st.win
 	if len(p.win) == 0 {
@@ -329,16 +330,26 @@ func (st *SetStream) composeWindows(t *SetStream) {
 		if sh.rules == nil {
 			continue
 		}
+		// A rule either side settled needs no junction walk and keeps no
+		// window; nor does one the junction settles.
+		var k int64
 		for r := range w.open[i] {
-			if len(jbuf) > 0 {
-				sh.rules.OrRule(r, jbuf, w.acc[i])
-			}
 			o := w.open[i][r]
 			w.open[i][r] = span{}
+			if w.settled(int32(i), int32(r)) {
+				continue
+			}
+			if len(jbuf) > 0 {
+				sh.rules.OrRule(r, jbuf, w.acc[i])
+				k++
+				if w.settled(int32(i), int32(r)) {
+					continue
+				}
+			}
 			w.joinOpen(i, r, span{o.lo - shift, o.hi - shift}, st.tailCap)
 			w.joinOpen(i, r, t.win.open[i][r], st.tailCap)
 		}
-		if k := int64(len(w.open[i])); len(jbuf) > 0 {
+		if k > 0 {
 			p.candBytes.Add(k * int64(len(jbuf)))
 			sh.rules.ChargeWindows(k, k*int64(len(jbuf)))
 		}
@@ -347,7 +358,9 @@ func (st *SetStream) composeWindows(t *SetStream) {
 		for _, tg := range p.targets[h.Lit] {
 			sp := span{h.Pos - int(tg.back), h.Pos + int(tg.fwd)}
 			if tg.rule >= 0 {
-				w.joinOpen(int(tg.shard), int(tg.rule), sp, st.tailCap)
+				if !w.settled(tg.shard, tg.rule) {
+					w.joinOpen(int(tg.shard), int(tg.rule), sp, st.tailCap)
+				}
 			} else if tg.fwd >= 0 {
 				w.newsp[tg.shard] = append(w.newsp[tg.shard], sp)
 			}

@@ -12,11 +12,14 @@
 // # Key types
 //
 // [Extract] walks one rule's syntax tree and returns a [Rule]: the
-// required literal set, a classification ([Rule.Class] — window,
-// prefix, gate, or uncovered), and a shrink-aware match bound (an
+// required literal set, a classification (its Window and Prefix flags —
+// window, prefix, gate, or uncovered), a shrink-aware match bound (an
 // unbounded repetition at an unanchored pattern edge shrinks to its
 // minimum count, because a contiguous slice of the repeated run is
-// itself an occurrence). [NewMatcher] builds the multi-literal searcher
+// itself an occurrence), and per literal the candidate window a hit
+// opens ([Rule.Extent]): that bound narrowed to where the literal sits
+// in the rule, so nothing before a literal that heads its rule is
+// walked. [NewMatcher] builds the multi-literal searcher
 // for a set's census: a position-mask filter over the literals' first
 // bytes (at most four), whose per-byte lookups are independent of each
 // other, followed by a comparison of the few literals the masks leave.
@@ -30,6 +33,7 @@
 // degrades the rule's class, never narrows the literal set below
 // "required". The matcher reports exactly the literal occurrences in
 // the bytes it is given, ascending by position; callers treat hits as
-// candidates to verify with the automaton, never as verdicts. internal/multi segregates the classes into separate shards
-// and drives the cascade at scan and stream time.
+// candidates to verify with the automaton, never as verdicts.
+// internal/multi segregates the classes into separate shards and drives
+// the cascade at scan and stream time.
 package prefilter

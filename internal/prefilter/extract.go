@@ -36,8 +36,13 @@ type Rule struct {
 	// to its minimum count — a prefix or suffix of the repeated run is
 	// itself a contiguous occurrence), and that occurrence, containing
 	// a length-l literal hit at position p, lies inside
-	// [p+l-MaxLen, p+MaxLen].
+	// [p+l-MaxLen, p+MaxLen]. Extent narrows that per literal.
 	MaxLen int
+	// pre and fwd are the required set's window extents (see Extent): the
+	// most bytes such an occurrence holds before the start of the literal
+	// hit that witnesses it, and from that start on. fwd == 0: not derived
+	// (the rule is not windowable), and Extent falls back to MaxLen alone.
+	pre, fwd int
 	// Window reports that candidate-window scanning is sound and
 	// bounded for this rule under search semantics: covered, unanchored
 	// on both sides, and MaxLen finite.
@@ -54,6 +59,23 @@ type Rule struct {
 // Covered reports whether the rule has a required-literal set.
 func (r Rule) Covered() bool { return r.Lits != nil }
 
+// Extent returns the candidate window a hit of literal lit (a member of
+// Lits) at position p opens: [p−back, p+fwd). It is MaxLen's window,
+// [p+len(lit)−MaxLen, p+MaxLen], narrowed to where the literal sits in
+// the rule — a literal that heads the rule has nothing before it, so its
+// back is 0. Both bounds hold for one occurrence and one hit in it, so
+// the narrower of each pair holds too, and no window is ever wider than
+// MaxLen's. A literal longer than MaxLen gets back = 0: some shorter
+// member covers the minimal occurrence, so its hit's window is merely
+// extra.
+func (r Rule) Extent(lit string) (back, fwd int) {
+	back, fwd = max(r.MaxLen-len(lit), 0), r.MaxLen
+	if r.fwd > 0 {
+		back, fwd = min(back, r.pre), min(fwd, r.fwd)
+	}
+	return back, fwd
+}
+
 // Extract analyzes one parsed rule. node is the rule as parsed —
 // before any search bracketing (the implicit .* brackets would make
 // every required set empty). search selects substring-search
@@ -65,15 +87,26 @@ func Extract(node *syntax.Node, search bool) Rule {
 	if walk.NumPositions() <= expandCap {
 		walk = syntax.ExpandRepeats(walk)
 	}
-	v := analyze(walk)
 	// Edge shrinking is sound exactly where no anchor pins the
 	// occurrence: a begin anchor forbids dropping leading repetitions
 	// (the occurrence must keep starting at byte 0), an end anchor
 	// forbids dropping trailing ones.
+	v := analyze(walk, !begin, !end)
 	r := Rule{Lits: requiredSet(v), MaxLen: matchMaxLen(stripped, !begin, !end)}
 	bounded := r.MaxLen >= 0 && r.MaxLen <= maxWindow
 	r.Window = search && r.Lits != nil && !begin && !end && bounded
 	r.Prefix = search && begin && !end && bounded
+	// The extents bound occurrences shrunk on walk, MaxLen those shrunk on
+	// stripped. The two differ where ExpandRepeats moved a repetition off
+	// an edge — a leading x{n,} becomes x…x·x*, whose star is no longer
+	// first and cannot shrink — or onto one (the first or last copy of an
+	// edge x{n,m}). Where walk's bound is no wider than MaxLen, its shrunk
+	// occurrence meets both bounds for the same hit, and every length on
+	// the path that supplied the set is finite and unsaturated, so pre and
+	// fwd are exact sums; elsewhere Extent keeps MaxLen's window.
+	if walkMax := matchMaxLen(walk, !begin, !end); r.Window && walkMax >= 0 && walkMax <= r.MaxLen {
+		r.pre, r.fwd = v.pre, v.fwd
+	}
 	return r
 }
 
@@ -82,9 +115,17 @@ func Extract(node *syntax.Node, search bool) Rule {
 // completely (so it can be cross-multiplied with a neighbor); inexact
 // means lits is merely a required set — every word of the language
 // contains some member. lits == nil is ⊤: nothing is known.
+//
+// pre and fwd are the set's extents over the words the subtree can take
+// in an occurrence shrunk as matchMaxLen shrinks it: each such word
+// holds a member starting at most pre bytes into it and at most fwd bytes
+// before its end. An exact value's member is the whole word (pre 0, fwd
+// the longest word). They are meaningful only where every length on the
+// way down is finite, which Extract checks at the root.
 type lang struct {
-	lits  []string
-	exact bool
+	lits     []string
+	exact    bool
+	pre, fwd int
 }
 
 func top() lang { return lang{} }
@@ -96,10 +137,13 @@ func asRequired(v lang) lang {
 	if v.lits == nil || slices.Contains(v.lits, "") {
 		return top()
 	}
-	return lang{lits: v.lits}
+	return lang{lits: v.lits, pre: v.pre, fwd: v.fwd}
 }
 
-func analyze(n *syntax.Node) lang {
+// analyze computes n's value; lead and trail are matchMaxLen's edge
+// flags, passed down the same way, so the extents measure the same
+// shrunk occurrence MaxLen does.
+func analyze(n *syntax.Node, lead, trail bool) lang {
 	switch n.Op {
 	case syntax.OpEmpty, syntax.OpAnchor:
 		return lang{exact: true, lits: []string{""}}
@@ -112,24 +156,32 @@ func analyze(n *syntax.Node) lang {
 		for i, b := range bs {
 			lits[i] = string([]byte{b})
 		}
-		return lang{exact: true, lits: lits}
+		return lang{exact: true, lits: lits, fwd: 1}
 	case syntax.OpConcat:
-		return analyzeConcat(n.Sub)
+		return analyzeConcat(n.Sub, lead, trail)
 	case syntax.OpAlt:
-		return analyzeAlt(n.Sub)
+		return analyzeAlt(n.Sub, lead, trail)
 	case syntax.OpQuest:
-		v := analyze(n.Sub[0])
+		v := analyze(n.Sub[0], lead, trail)
 		if v.exact && len(v.lits) < maxLits {
-			return lang{exact: true, lits: append(v.lits[:len(v.lits):len(v.lits)], "")}
+			return lang{exact: true, lits: append(v.lits[:len(v.lits):len(v.lits)], ""), fwd: v.fwd}
 		}
 		return top()
 	case syntax.OpPlus:
-		return asRequired(analyze(n.Sub[0]))
+		// At an edge the run shrinks to one copy, which holds a member
+		// where a copy does; elsewhere the run is unbounded, and so is
+		// the pattern.
+		return asRequired(analyze(n.Sub[0], lead, trail))
 	case syntax.OpRepeat:
 		// Usually gone after ExpandRepeats; kept for trees too large to
-		// expand. x{min≥1,…} inherits x's required set.
+		// expand. x{min≥1,…} inherits x's required set, with the member
+		// taken in the first copy and the other copies after it.
 		if n.Min >= 1 {
-			return asRequired(analyze(n.Sub[0]))
+			v := asRequired(analyze(n.Sub[0], false, false))
+			if v.lits != nil {
+				v.fwd += matchMaxLen(n, lead, trail) - matchMaxLen(n.Sub[0], false, false)
+			}
+			return v
 		}
 		return top()
 	}
@@ -142,17 +194,25 @@ func analyze(n *syntax.Node) lang {
 // run, turning it into a required-set candidate (a run covers a
 // contiguous factor segment, so every word of the concat contains one
 // of its strings). The best candidate — or, when no factor broke
-// exactness, the whole exact product — wins.
-func analyzeConcat(subs []*syntax.Node) lang {
-	var best []string
-	run := []string{""}
-	wholeExact := true
-	closeRun := func() {
-		best = better(best, run)
-		run = []string{""}
+// exactness, the whole exact product — wins. A candidate's extents are
+// its factor's, widened by the most bytes the factors before and after
+// it hold; a run's member starts where its first factor does.
+func analyzeConcat(subs []*syntax.Node, lead, trail bool) lang {
+	// off[i]: the most bytes factors before i hold; off[len(subs)]: all.
+	off := make([]int, len(subs)+1)
+	for i, sub := range subs {
+		off[i+1] = off[i] + matchMaxLen(sub, lead && i == 0, trail && i == len(subs)-1)
 	}
-	for _, sub := range subs {
-		v := analyze(sub)
+	total := off[len(subs)]
+	var best lang
+	run, runAt := []string{""}, 0
+	wholeExact := true
+	closeRun := func(next int) {
+		best = better(best, lang{lits: run, pre: off[runAt], fwd: total - off[runAt]})
+		run, runAt = []string{""}, next
+	}
+	for i, sub := range subs {
+		v := analyze(sub, lead && i == 0, trail && i == len(subs)-1)
 		if v.exact {
 			if cross, ok := crossCapped(run, v.lits); ok {
 				run = cross
@@ -160,39 +220,42 @@ func analyzeConcat(subs []*syntax.Node) lang {
 			}
 			// Product too large to track exactly: bank the run so far
 			// and restart from this factor alone.
-			closeRun()
+			closeRun(i)
 			wholeExact = false
 			run = v.lits
 			continue
 		}
-		closeRun()
+		closeRun(i + 1)
 		wholeExact = false
 		if v.lits != nil {
-			best = better(best, v.lits)
+			best = better(best, lang{lits: v.lits, pre: off[i] + v.pre, fwd: v.fwd + total - off[i+1]})
 		}
 	}
 	if wholeExact {
-		return lang{exact: true, lits: run}
+		return lang{exact: true, lits: run, fwd: total}
 	}
-	closeRun()
-	return lang{lits: best}
+	closeRun(len(subs))
+	return lang{lits: best.lits, pre: best.pre, fwd: best.fwd}
 }
 
 // analyzeAlt unions branch requirements: a word of the alternation is a
 // word of some branch, so the union of per-branch required sets is
 // required — provided every branch contributed one. Over-cap unions
 // are truncated member-wise (a prefix of a required string is still
-// required) before giving up.
-func analyzeAlt(subs []*syntax.Node) lang {
+// required, and starts where the string did) before giving up. The
+// extents are the widest branch's.
+func analyzeAlt(subs []*syntax.Node, lead, trail bool) lang {
 	allExact := true
 	var merged []string
+	pre, fwd := 0, 0
 	for _, sub := range subs {
-		v := analyze(sub)
+		v := analyze(sub, lead, trail)
 		if v.lits == nil {
 			return top()
 		}
 		merged = append(merged, v.lits...)
 		allExact = allExact && v.exact
+		pre, fwd = max(pre, v.pre), max(fwd, v.fwd)
 	}
 	if len(dedup(merged)) > maxLits {
 		merged = shrinkToCap(merged)
@@ -201,7 +264,7 @@ func analyzeAlt(subs []*syntax.Node) lang {
 	if merged == nil {
 		return top()
 	}
-	return lang{lits: merged, exact: allExact}
+	return lang{lits: merged, exact: allExact, pre: pre, fwd: fwd}
 }
 
 // crossCapped concatenates every pair, refusing (ok=false) when the
@@ -255,10 +318,11 @@ func shrinkToCap(lits []string) []string {
 
 // better picks the more selective required-set candidate: longer
 // minimum member first, then fewer members. Sets containing "" (or
-// empty/nil sets) require nothing and always lose.
-func better(a, b []string) []string {
-	sa, oka := score(a)
-	sb, okb := score(b)
+// empty/nil sets) require nothing and always lose. The winner keeps its
+// extents.
+func better(a, b lang) lang {
+	sa, oka := score(a.lits)
+	sb, okb := score(b.lits)
 	switch {
 	case !okb:
 		return a

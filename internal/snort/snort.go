@@ -3,8 +3,8 @@
 // The paper measured 20 312 pcre patterns extracted from the SNORT
 // ruleset snapshot snortrules-snapshot-2940 (03 Feb 2013). That snapshot
 // is a registration-gated download and is not redistributable, so this
-// package substitutes a synthetic corpus with the same structural mix
-// (see DESIGN.md §5): anchored URI paths, literal payload fragments with
+// package substitutes a synthetic corpus with the same structural mix:
+// anchored URI paths, literal payload fragments with
 // hex escapes, protocol keyword alternations, character-class runs with
 // bounded counters, and a small admixture of `.*`-chained patterns — the
 // family the paper singles out as the only source of over-cubic D-SFA

@@ -31,7 +31,10 @@ const (
 	DotAll
 )
 
-// Parse parses a pattern into a simplified AST.
+// Parse parses a pattern into a simplified AST. Anchors are accepted only
+// where StripAnchors removes them soundly: a ^ that begins every
+// alternative of the whole pattern and a $ that ends every one. Any other
+// anchor is an error naming it and its offset.
 func Parse(pattern string, flags Flags) (*Node, error) {
 	p := &parser{src: pattern, flags: flags}
 	n, err := p.parseAlt()
@@ -41,7 +44,70 @@ func Parse(pattern string, flags Flags) (*Node, error) {
 	if p.pos != len(p.src) {
 		return nil, p.errorf("unexpected %q", p.src[p.pos])
 	}
-	return Simplify(n), nil
+	n = Simplify(n)
+	if err := p.checkAnchors(n); err != nil {
+		return nil, err
+	}
+	return n, nil
+}
+
+// checkAnchors rejects every anchor of the tree that is not an edge of
+// the whole pattern. The automata have no position assertions: an anchor
+// is a text edge only when StripAnchors reports it — a ^ first in every
+// alternative, a $ last in every one — and treating any other as ε would
+// match where the anchor cannot (x|^abc on "zabc", a(^b) on "ab").
+func (p *parser) checkAnchors(root *Node) error {
+	if len(p.anchors) == 0 {
+		return nil
+	}
+	edge := map[*Node]bool{}
+	if leadingAnchor(root, AnchorBegin) {
+		markEdgeAnchors(root, false, edge)
+	}
+	if trailingAnchor(root, AnchorEnd) {
+		markEdgeAnchors(root, true, edge)
+	}
+	live := map[*Node]bool{}
+	collectAnchors(root, live)
+	for _, a := range p.anchors {
+		if !live[a.n] || edge[a.n] {
+			continue // simplified away, or a text edge
+		}
+		msg := "anchor ^ does not begin every alternative of the pattern"
+		if a.n.Anchor == AnchorEnd {
+			msg = "anchor $ does not end every alternative of the pattern"
+		}
+		return &ParseError{Pattern: p.src, Pos: a.pos, Msg: msg}
+	}
+	return nil
+}
+
+// markEdgeAnchors marks the anchors leadingAnchor (last: trailingAnchor)
+// reached — the first (last) item of every alternative.
+func markEdgeAnchors(n *Node, last bool, edge map[*Node]bool) {
+	switch n.Op {
+	case OpAnchor:
+		edge[n] = true
+	case OpConcat:
+		if last {
+			markEdgeAnchors(n.Sub[len(n.Sub)-1], last, edge)
+		} else {
+			markEdgeAnchors(n.Sub[0], last, edge)
+		}
+	case OpAlt:
+		for _, s := range n.Sub {
+			markEdgeAnchors(s, last, edge)
+		}
+	}
+}
+
+func collectAnchors(n *Node, live map[*Node]bool) {
+	if n.Op == OpAnchor {
+		live[n] = true
+	}
+	for _, s := range n.Sub {
+		collectAnchors(s, live)
+	}
 }
 
 // MustParse is Parse for tests and tables of known-good patterns.
@@ -88,10 +154,17 @@ func ParsePCRE(delimited string) (*Node, Flags, error) {
 }
 
 type parser struct {
-	src   string
-	pos   int
-	flags Flags
-	depth int
+	src     string
+	pos     int
+	flags   Flags
+	depth   int
+	anchors []anchorAt // every anchor parsed, in source order
+}
+
+// anchorAt is an anchor node and its byte offset in the pattern.
+type anchorAt struct {
+	n   *Node
+	pos int
 }
 
 func (p *parser) errorf(format string, args ...any) error {
@@ -257,12 +330,14 @@ func (p *parser) parseAtom() (*Node, error) {
 		return &Node{Op: OpClass, Set: set}, nil
 	case '\\':
 		return p.parseEscape()
-	case '^':
+	case '^', '$':
+		n := &Node{Op: OpAnchor, Anchor: AnchorBegin}
+		if b == '$' {
+			n.Anchor = AnchorEnd
+		}
+		p.anchors = append(p.anchors, anchorAt{n, p.pos})
 		p.pos++
-		return &Node{Op: OpAnchor, Anchor: AnchorBegin}, nil
-	case '$':
-		p.pos++
-		return &Node{Op: OpAnchor, Anchor: AnchorEnd}, nil
+		return n, nil
 	case '.':
 		p.pos++
 		if p.flags&DotAll != 0 {

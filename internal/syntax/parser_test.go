@@ -1,6 +1,7 @@
 package syntax
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -223,6 +224,52 @@ func TestStripAnchors(t *testing.T) {
 	_, begin, _ = StripAnchors(MustParse("(^a)|(^b)", 0))
 	if !begin {
 		t.Error("alternation of anchored branches should report begin")
+	}
+}
+
+// TestAnchorsOnlyAtEdges pins which anchors Parse accepts: those
+// StripAnchors removes soundly (a ^ beginning every alternative, a $
+// ending every one). Every rejected pattern here is one the ε treatment
+// got wrong — x|^abc and ^abc|xyz matched "zabc", abc$|xyz and
+// (abc$|xyz) matched "abcz", a(^b) matched "ab" — and the error names
+// the offending anchor and its offset.
+func TestAnchorsOnlyAtEdges(t *testing.T) {
+	rejected := []struct {
+		pattern string
+		anchor  string
+		pos     int
+	}{
+		{`x|^abc`, "^", 2},
+		{`^abc|xyz`, "^", 0},
+		{`abc$|xyz`, "$", 3},
+		{`(abc$|xyz)`, "$", 4},
+		{`a(^b)`, "^", 2},
+		{`abc^`, "^", 3},
+		{`$abc`, "$", 0},
+		{`^a^b`, "^", 2},
+		{`(^a)?b`, "^", 1},
+	}
+	for _, c := range rejected {
+		_, err := Parse(c.pattern, 0)
+		var pe *ParseError
+		if !errors.As(err, &pe) {
+			t.Errorf("Parse(%q) = %v, want a ParseError", c.pattern, err)
+			continue
+		}
+		if pe.Pos != c.pos || !strings.Contains(pe.Msg, "anchor "+c.anchor) {
+			t.Errorf("Parse(%q): %v, want anchor %s at offset %d", c.pattern, err, c.anchor, c.pos)
+		}
+	}
+	for _, pat := range []string{`^abc`, `abc$`, `^abc$`, `(^a)|(^b)`, `(a$|b$)`, `^(ab|cd)$`, `^`, `^$`, `(?i)^abc`} {
+		n, err := Parse(pat, 0)
+		if err != nil {
+			t.Errorf("Parse(%q): %v", pat, err)
+			continue
+		}
+		stripped, _, _ := StripAnchors(n)
+		if strings.ContainsAny(stripped.String(), "^$") {
+			t.Errorf("StripAnchors(%q) left an anchor: %s", pat, stripped)
+		}
 	}
 }
 

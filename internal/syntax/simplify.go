@@ -193,9 +193,10 @@ func BracketForSearch(node *Node) *Node {
 // StripAnchors removes ^ and $ assertions, returning the stripped tree and
 // whether the pattern was anchored at its beginning and end. For the
 // whole-input acceptance semantics used throughout the paper's experiments
-// a leading ^ and a trailing $ are no-ops; an anchor in any other position
-// could only match the empty text boundary, and this matcher treats it as ε
-// (the common treatment in DFA-table matchers without multiline mode).
+// a leading ^ and a trailing $ are no-ops. An anchor in any other position
+// would be an assertion the automata cannot express; Parse rejects it, so
+// a parsed tree carries none (a tree built by hand that does has it
+// treated as ε).
 func StripAnchors(n *Node) (stripped *Node, begin, end bool) {
 	begin = leadingAnchor(n, AnchorBegin)
 	end = trailingAnchor(n, AnchorEnd)

@@ -337,7 +337,8 @@ func TestLazyPerRuleVerificationAgrees(t *testing.T) {
 // TestLazyHotPathsZeroAlloc: steady-state MatchMask and RuleStream.Write
 // over a lazily compiled set allocate nothing — behind the prefilter,
 // where lazy shards are verified per rule, and without it, where the
-// tuple D-SFA walks every byte and has stopped filling.
+// tuple D-SFA walks every byte and has stopped filling. Each pass resets
+// the stream, so the rules it settled take windows again.
 func TestLazyHotPathsZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
@@ -357,6 +358,7 @@ func TestLazyHotPathsZeroAlloc(t *testing.T) {
 		dst := make([]uint64, rs.MaskWords())
 		pass := func() {
 			rs.MatchMask(data, dst)
+			st.Reset()
 			st.Write(data[:64<<10])
 			st.Write(data[64<<10 : 64<<10+512])
 			st.Write(data[64<<10+512 : 64<<10+513])
