@@ -11,10 +11,10 @@
 # warm-restart sfaserve over a state dir, shard-cache reuse) + a short
 # benchmark smoke run proving the hot paths still report 0 allocs/op.
 # `make bench-json` captures the benchmark trajectory snapshot
-# (BENCH_9.json) that CI uploads as an artifact and gates on;
-# RuleSet_ColdBuild_{Tuple,Vector} tracks the tuple-interned
-# construction speedup, RuleSet_LazyColdStart the lazy compile+scan
-# cost over a corpus the eager builder rejects, and the
+# (BENCH_9.json) that CI uploads as an artifact and gates on; the
+# RuleSet_ColdBuild_Tuple / RuleSet_SnapshotWarmLoad pair tracks a cold
+# build against a snapshot load, RuleSet_LazyColdStart the lazy
+# compile+scan cost over a corpus the eager builder rejects, and the
 # StreamHotpath_{Instrumented,FlightRecorded} twins prove the
 # observability layer — scan stats plus the flight-recorder ring —
 # adds no allocations to the streaming hot path. `make bench-check`
@@ -121,8 +121,9 @@ bench-check:
 	bash bench/run.sh -workload build -seconds 1
 
 # Benchmark-trajectory snapshot: hot path + layouts + the multi-pattern
-# RuleSet engines + the streaming writes + the cold-vs-warm rule-set
-# load pair, emitted as name → {ns/op, MB/s, allocs/op}. benchjson
+# RuleSet engines + the streaming writes + the cold build vs snapshot
+# load pair (ColdBuild_Tuple, SnapshotWarmLoad), emitted as name →
+# {ns/op, MB/s, allocs/op}. benchjson
 # doubles as the allocation gate: the pooled match hot path and the
 # streaming chunk hot path must stay at 0 allocs/op, each armed by its
 # own pattern.

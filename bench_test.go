@@ -494,7 +494,7 @@ func BenchmarkRuleSet_NoPrefilterSparse_p1(b *testing.B) {
 	benchRuleSet(b, rulesetSparseFixture(b, "nopre", sfa.WithoutPrefilter()))
 }
 
-// The cold-vs-warm pair quantifies the snapshot subsystem: ColdBuild_*
+// The cold-vs-warm pair quantifies the snapshot subsystem: ColdBuild_Tuple
 // is the full compile of the curated snort sample (parse → product DFA →
 // mask-aware minimization → D-SFA, per shard); WarmLoad replaces all of
 // it with a decode+validate pass over the snapshot bytes. BENCH_5.json
@@ -508,30 +508,17 @@ func snapshotBenchDefs() []sfa.RuleDef {
 	return defs
 }
 
-// The ColdBuild pair A/Bs the two combined-construction strategies on
-// the identical rule set: Tuple is the default tuple-interned builder
-// (intern k-tuples of component D-SFA states, materialize each mapping
-// vector once per state), Vector the legacy path (hash a full |D|-long
-// vector per candidate state). Verdicts are byte-identical by contract
-// (oracle-gated in internal/multi); the ns/op ratio is the construction
-// speedup BENCH_5.json tracks. ColdBuild_Tuple is the successor of
-// BENCH_4's RuleSet_SnapshotColdBuild (same defs, same options, default
-// path) — compare against WarmLoad below for the snapshot win.
+// BenchmarkRuleSet_ColdBuild_Tuple is the cold compile of the curated
+// snort sample through the tuple-interned construction (intern k-tuples
+// of component D-SFA states, materialize each mapping vector once per
+// state). It is the successor of BENCH_4's RuleSet_SnapshotColdBuild
+// (same defs, same options) — compare against WarmLoad below for the
+// snapshot win.
 func BenchmarkRuleSet_ColdBuild_Tuple(b *testing.B) {
 	defs := snapshotBenchDefs()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := sfa.NewRuleSetFromDefs(defs, sfa.WithSearch(), sfa.WithThreads(1)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkRuleSet_ColdBuild_Vector(b *testing.B) {
-	defs := snapshotBenchDefs()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := sfa.NewRuleSetFromDefs(defs, sfa.WithSearch(), sfa.WithThreads(1), sfa.WithVectorInterning()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 // Command docscheck keeps the prose honest. It runs three gates over the
 // repo's hand-written markdown (README.md, ROADMAP.md, docs/, and the
-// per-package READMEs), and one over the Go source's comments:
+// per-package READMEs), one over the Go source's comments, and one over
+// the public API:
 //
 //  1. link check — every relative markdown link target must exist on
 //     disk (external http(s) links are not fetched);
@@ -15,7 +16,11 @@
 //  4. citation check — every *.md file a Go comment names must exist,
 //     beside the citing file or from the repo root, so source comments
 //     cannot send a reader to a document that was never written or has
-//     since gone.
+//     since gone;
+//  5. front-door check — the reverse of 2: every option package sfa
+//     exports (a top-level With... function in sfa/) must be listed in
+//     README.md's option table (the table headed "| option | effect |"),
+//     so a new option cannot reach users without being documented.
 //
 // Run from the repo root (make docs-check does): docscheck [-root dir].
 // Exits 1 listing every violation.
@@ -26,9 +31,11 @@ import (
 	"fmt"
 	"go/scanner"
 	"go/token"
+	"maps"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 )
 
@@ -75,9 +82,12 @@ func main() {
 	fmt.Println("docscheck: ok")
 }
 
+// optionTableHeader heads the README table that lists every public option.
+const optionTableHeader = "| option | effect |"
+
 // check runs every gate over the tree at root and returns the violations.
 func check(root string) ([]string, error) {
-	declared, annotations, problems, err := scanSource(root)
+	src, problems, err := scanSource(root)
 	if err != nil {
 		return nil, err
 	}
@@ -107,18 +117,47 @@ func check(root string) ([]string, error) {
 		}
 
 		for _, opt := range optionRe.FindAllString(text, -1) {
-			if !declared[opt] {
+			if !src.decls[opt] {
 				problems = append(problems, fmt.Sprintf("%s: documents option %s, which no Go source declares", rel, opt))
 			}
 		}
 
 		for _, ann := range directiveRe.FindAllString(text, -1) {
-			if !annotations[ann] {
+			if !src.annotations[ann] {
 				problems = append(problems, fmt.Sprintf("%s: documents annotation %s, which no Go source uses", rel, ann))
 			}
 		}
 	}
+	if readme, err := os.ReadFile(filepath.Join(root, "README.md")); err == nil {
+		listed := optionTable(string(readme))
+		for _, opt := range slices.Sorted(maps.Keys(src.frontDoor)) {
+			if !listed[opt] {
+				problems = append(problems, fmt.Sprintf("README.md: the option table does not list %s, which package sfa exports", opt))
+			}
+		}
+	}
 	return problems, nil
+}
+
+// optionTable returns the option names the rows of the README's option
+// table mention.
+func optionTable(readme string) map[string]bool {
+	listed := map[string]bool{}
+	in := false
+	for _, line := range strings.Split(readme, "\n") {
+		line = strings.TrimSpace(line)
+		switch {
+		case line == optionTableHeader:
+			in = true
+		case in && strings.HasPrefix(line, "|"):
+			for _, opt := range optionRe.FindAllString(line, -1) {
+				listed[opt] = true
+			}
+		default:
+			in = false
+		}
+	}
+	return listed
 }
 
 // collectDocs expands docFiles: plain files as-is, directories
@@ -146,16 +185,24 @@ func collectDocs(root string) []string {
 	return out
 }
 
+// source is what the gates need to know of the Go tree.
+type source struct {
+	decls       map[string]bool // With* constructors declared in any package
+	frontDoor   map[string]bool // those package sfa declares: the public options
+	annotations map[string]bool // //sfa: annotations used anywhere
+}
+
 // scanSource scans the Go tree for (a) top-level With* constructors in
 // non-test files, in any package — docs legitimately reference both
-// sfa.With* and engine.With* options — (b) //sfa: analyzer annotations
-// anywhere, analyzer fixtures included (the fixtures are the
-// specification of each annotation's behaviour, so an annotation that
-// exists only there is still real), and (c) comments citing a markdown
-// file that does not exist, returned as problems. Hidden directories
-// (.git, build output) are skipped.
-func scanSource(root string) (decls, annotations map[string]bool, problems []string, err error) {
-	decls, annotations = map[string]bool{}, map[string]bool{}
+// sfa.With* and engine.With* options — noting those of package sfa, (b)
+// //sfa: analyzer annotations anywhere, analyzer fixtures included (the
+// fixtures are the specification of each annotation's behaviour, so an
+// annotation that exists only there is still real), and (c) comments
+// citing a markdown file that does not exist, returned as problems.
+// Hidden directories (.git, build output) are skipped.
+func scanSource(root string) (src source, problems []string, err error) {
+	src = source{decls: map[string]bool{}, frontDoor: map[string]bool{}, annotations: map[string]bool{}}
+	sfaDir := filepath.Join(root, "sfa")
 	err = filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -175,18 +222,21 @@ func scanSource(root string) (decls, annotations map[string]bool, problems []str
 		}
 		text := string(data)
 		for _, ann := range directiveRe.FindAllString(text, -1) {
-			annotations[ann] = true
+			src.annotations[ann] = true
 		}
 		problems = append(problems, deadCitations(root, path, data)...)
 		if strings.HasSuffix(path, "_test.go") {
 			return nil
 		}
 		for _, m := range declRe.FindAllStringSubmatch(text, -1) {
-			decls[m[1]] = true
+			src.decls[m[1]] = true
+			if filepath.Dir(path) == sfaDir {
+				src.frontDoor[m[1]] = true
+			}
 		}
 		return nil
 	})
-	return decls, annotations, problems, err
+	return src, problems, err
 }
 
 // deadCitations reports every markdown file a comment of the Go file at

@@ -178,6 +178,7 @@ func (s *DSFA) finalize() {
 // are unaffected, and StateOf resolves to the first id holding the
 // vector. The accept vector and dead-mapping id are derived here; the
 // StateOf index is built lazily on first use.
+//
 //sfa:borrowed nextC maps
 //sfa:adopts
 func NewDSFAFromParts(d *dfa.DFA, start int32, nextC []int32, maps []int16) (*DSFA, error) {
@@ -302,15 +303,24 @@ func (s *DSFA) Table256() []int32 {
 // (reverse composition f ⊙ g = g ∘ f) restricted to D-SFA mappings; the
 // parallel reduction of Algorithm 5 folds chunk results with it.
 // h must not alias f or g.
+//
 //sfa:borrowed f g
 func ComposeVec(h, f, g []int16) {
-	for q := range h {
+	// Four independent lookups per iteration, with f's bounds checked once:
+	// a carried-mapping fold per stream write runs this over all of |D|.
+	f = f[:len(h)]
+	q := 0
+	for ; q+4 <= len(h); q += 4 {
+		h[q], h[q+1], h[q+2], h[q+3] = g[f[q]], g[f[q+1]], g[f[q+2]], g[f[q+3]]
+	}
+	for ; q < len(h); q++ {
 		h[q] = g[f[q]]
 	}
 }
 
 // ApplyVec returns f(q): the single-state application used by the O(p)
 // sequential reduction of Algorithm 5.
+//
 //sfa:borrowed f
 func ApplyVec(f []int16, q int32) int32 { return int32(f[q]) }
 

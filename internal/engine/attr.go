@@ -11,19 +11,58 @@ import "repro/internal/obs"
 // answers "which shard costs" across the set's whole lifetime. All
 // fields are obs striped counters: recording is wait-free and
 // allocation-free, safe on the pooled hot paths.
+//
+// The engines never book it themselves — their walks read no clock, so
+// a single pattern pays nothing for an account nobody reads. The callers
+// that own shards do, through Charge: Lockstep for the passes it runs
+// (shared walks and the single-engine calls it falls back to), the rule
+// set for its direct calls and its candidate windows.
 type attribution struct {
-	composeNs obs.Counter // ns spent scanning + ⊙-folding (one-shot runs and stream chunks)
+	composeNs obs.Counter // ns spent scanning + ⊙-folding (one-shot runs, stream chunks, window walks)
 	chunks    obs.Counter // one-shot runs + stream chunks that reached the automaton
 	bytes     obs.Counter // input bytes this engine walked (chunks + candidate windows)
-	windows   obs.Counter // prefilter candidate windows verified via OrMask
+	windows   obs.Counter // prefilter candidate windows verified
 }
 
-// fill copies the account into an Info. (Candidate windows are counted
-// but not timed: a window is a short slice, and two clock reads per
-// window would cost more than the walk it measures.)
+// Cost is a unit of work a caller did with an engine, as booked by
+// Charge: walk time, one-shot runs and stream chunks, bytes walked, and
+// candidate windows verified.
+type Cost struct {
+	Ns, Chunks, Bytes, Windows int64
+}
+
+// charge adds c to the account; zero terms touch no counter.
+//
+//sfa:noalloc
+func (a *attribution) charge(c Cost) {
+	if c.Ns != 0 {
+		a.composeNs.Add(c.Ns)
+	}
+	if c.Chunks != 0 {
+		a.chunks.Add(c.Chunks)
+	}
+	if c.Bytes != 0 {
+		a.bytes.Add(c.Bytes)
+	}
+	if c.Windows != 0 {
+		a.windows.Add(c.Windows)
+	}
+}
+
+// fill copies the account into an Info.
 func (a *attribution) fill(inf *Info) {
 	inf.ComposeNs = a.composeNs.Load()
 	inf.ScanChunks = a.chunks.Load()
 	inf.ScanBytes = a.bytes.Load()
 	inf.CandWindows = a.windows.Load()
 }
+
+// Charge books work done with the engine to its cost account.
+//
+//sfa:noalloc
+func (m *MultiSFA) Charge(c Cost) { m.attr.charge(c) }
+
+// Charge books work done with the engine to its cost account.
+//
+//sfa:noalloc
+func (m *LazyMultiSFA) Charge(c Cost) { m.attr.charge(c) }

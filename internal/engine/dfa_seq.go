@@ -55,8 +55,11 @@ func NewNFASim(root *syntax.Node) (*NFASim, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &NFASim{sim: nfa.NewSimulator(a)}, nil
+	return NewNFASimFrom(a), nil
 }
+
+// NewNFASimFrom wraps a simulator over an already-built NFA.
+func NewNFASimFrom(a *nfa.NFA) *NFASim { return &NFASim{sim: nfa.NewSimulator(a)} }
 
 // Match implements Matcher.
 func (m *NFASim) Match(text []byte) bool { return m.sim.Match(text) }

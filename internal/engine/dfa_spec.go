@@ -13,7 +13,7 @@ import (
 // per-byte cost is therefore Θ(|D|), which is exactly the overhead SFA
 // construction moves to compile time; Figs. 6–8 are the comparison.
 //
-// Like SFAParallel it defaults to the persistent worker pool with pooled
+// Like MultiSFA it defaults to the persistent worker pool with pooled
 // per-match scratch (the p chunk mappings and the reduction buffers);
 // WithSpawn restores per-call goroutine creation.
 type DFASpeculative struct {

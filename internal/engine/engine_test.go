@@ -9,6 +9,7 @@ import (
 	"repro/internal/dfa"
 	"repro/internal/nfa"
 	"repro/internal/syntax"
+	"repro/internal/textgen"
 )
 
 // allEngines builds one of every engine family for the pattern, at the
@@ -240,5 +241,45 @@ func TestEngineNames(t *testing.T) {
 			t.Errorf("duplicate engine name %q", name)
 		}
 		seen[name] = true
+	}
+}
+
+// BenchmarkOneRuleMatch64 and BenchmarkOneRuleComposeChunk1B measure the
+// single-pattern engine's fixed costs at p = 1 — a 64-byte Match and a
+// 1-byte ComposeChunk over a search-bracketed pattern — the calls whose
+// per-call overhead a single pattern pays on every small input.
+func oneRuleBenchEngine(b *testing.B) *MultiSFA {
+	d, err := dfa.CompilePattern(`.*(`+lockstepPatterns[0]+`).*`, syntax.DotAll, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := core.BuildDSFA(d, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return NewSFAParallel(s, 1, ReduceSequential)
+}
+
+var sinkOneRule bool
+
+func BenchmarkOneRuleMatch64(b *testing.B) {
+	m := oneRuleBenchEngine(b)
+	traffic, _ := textgen.Traffic{}.Generate(4096, 1)
+	text := traffic[:64]
+	b.SetBytes(int64(len(text)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkOneRule = m.Match(text)
+	}
+}
+
+func BenchmarkOneRuleComposeChunk1B(b *testing.B) {
+	m := oneRuleBenchEngine(b)
+	cur, tmp := make([]int16, m.MappingLen()), make([]int16, m.MappingLen())
+	m.InitMapping(cur)
+	one := []byte("H")
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cur, tmp = m.ComposeChunk(cur, tmp, one)
 	}
 }

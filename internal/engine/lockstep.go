@@ -97,23 +97,14 @@ func lockstepRun(ms []*MultiSFA, text []byte, out []int32, stride int) {
 }
 
 // ShardEngine is what a Lockstep pass needs of each engine it is given:
-// the single-engine calls a pass falls back to, plus the cost account.
-// MultiSFA and LazyMultiSFA implement it.
+// the single-engine calls a pass falls back to, plus the cost account
+// the pass books them to. MultiSFA and LazyMultiSFA implement it.
 type ShardEngine interface {
 	MatchMask(text []byte, dst []uint64) []uint64
 	OrMask(text []byte, dst []uint64)
 	ComposeChunk(cur, tmp []int16, chunk []byte) ([]int16, []int16)
-	// ChargeWalk adds window-walk time measured by the caller to the
-	// engine's compose-time account (OrMask counts windows and bytes but
-	// reads no clock; see attribution).
-	ChargeWalk(ns int64)
+	Charge(c Cost)
 }
-
-// ChargeWalk implements ShardEngine.
-func (m *MultiSFA) ChargeWalk(ns int64) { m.attr.composeNs.Add(ns) }
-
-// ChargeWalk implements ShardEngine.
-func (m *LazyMultiSFA) ChargeWalk(ns int64) { m.attr.composeNs.Add(ns) }
 
 // Lockstep runs the engines of one rule set over the same bytes in one
 // pass. Engines are addressed by their index in the slice NewLockstep
@@ -124,6 +115,12 @@ func (m *LazyMultiSFA) ChargeWalk(ns int64) { m.attr.composeNs.Add(ns) }
 // p sub-chunks exactly as a single engine would cut it, each sub-chunk
 // runs on the worker pool, and the lock-step loop runs inside each
 // task. Safe for concurrent use; steady-state calls allocate nothing.
+//
+// MatchMasks and ComposeChunks book what they run to the engines' cost
+// accounts — a shared walk split evenly over the engines that took part,
+// a fallback call timed on its own; OrMasks, the candidate-window form,
+// books nothing, because its caller times and counts the block's windows
+// for every engine at once.
 type Lockstep struct {
 	engines []ShardEngine
 	eager   []*MultiSFA // eager[i] != nil iff engine i can join a lock-step walk
@@ -253,17 +250,19 @@ func (c *lockCtx) picked(j *int, i int) bool {
 func (g *Lockstep) charge(c *lockCtx, start time.Time, n int) {
 	share := time.Since(start).Nanoseconds() / int64(len(c.idx))
 	for _, i := range c.idx {
-		a := &g.eager[i].attr
-		a.composeNs.Add(share)
-		a.chunks.Inc()
-		a.bytes.Add(int64(n))
+		g.eager[i].Charge(Cost{Ns: share, Chunks: 1, Bytes: int64(n)})
 	}
+}
+
+// chargeOne books a fallback call on engine i, started at start: one
+// chunk of n bytes and the elapsed time.
+func (g *Lockstep) chargeOne(i int, start time.Time, n int) {
+	g.engines[i].Charge(Cost{Ns: time.Since(start).Nanoseconds(), Chunks: 1, Bytes: int64(n)})
 }
 
 // MatchMasks is engines[i].MatchMask(text, dsts[i]) for every i in sel:
 // afterwards dsts[i][:Words()] holds engine i's accept bitmask of the
-// whole text. The walking engines share the pass's wall time evenly in
-// their cost accounts.
+// whole text.
 //
 //sfa:noalloc
 func (g *Lockstep) MatchMasks(sel []int, text []byte, dsts [][]uint64) {
@@ -276,15 +275,16 @@ func (g *Lockstep) MatchMasks(sel []int, text []byte, dsts [][]uint64) {
 		g.walk(c, text)
 		for j, i := range c.idx {
 			m := g.eager[i]
-			q := int(m.finalState(c.localsOf(j)))
-			copy(dsts[i][:m.words], m.masks[q*m.words:(q+1)*m.words])
+			copy(dsts[i][:m.words], m.row(m.finalState(c.localsOf(j))))
 		}
 		g.charge(c, start, len(text))
 	}
 	j := 0
 	for _, i := range sel {
 		if !c.picked(&j, i) {
+			start := time.Now()
 			g.engines[i].MatchMask(text, dsts[i])
+			g.chargeOne(i, start, len(text))
 		}
 	}
 	g.put(c)
@@ -292,8 +292,8 @@ func (g *Lockstep) MatchMasks(sel []int, text []byte, dsts [][]uint64) {
 
 // OrMasks is engines[i].OrMask(text, dsts[i]) for every i in sel: the
 // candidate-window primitive, for a window every selected engine must
-// verify. Like OrMask it counts windows and bytes but reads no clock —
-// the caller times the block (ChargeWalk).
+// verify. Like OrMask it books nothing: the caller times and counts the
+// block's windows.
 //
 //sfa:noalloc
 func (g *Lockstep) OrMasks(sel []int, text []byte, dsts [][]uint64) {
@@ -302,13 +302,10 @@ func (g *Lockstep) OrMasks(sel []int, text []byte, dsts [][]uint64) {
 		g.walk(c, text)
 		for j, i := range c.idx {
 			m := g.eager[i]
-			q := int(m.finalState(c.localsOf(j)))
 			dst := dsts[i]
-			for w, bits := range m.masks[q*m.words : (q+1)*m.words] {
+			for w, bits := range m.row(m.finalState(c.localsOf(j))) {
 				dst[w] |= bits
 			}
-			m.attr.windows.Inc()
-			m.attr.bytes.Add(int64(len(text)))
 		}
 	}
 	j := 0
@@ -336,7 +333,7 @@ func (g *Lockstep) ComposeChunks(sel []int, curs, tmps [][]int16, chunk []byte) 
 		for j, i := range c.idx {
 			m := g.eager[i]
 			curs[i], tmps[i] = composeLocals(m.s, curs[i], tmps[i], c.localsOf(j))
-			if m.stats != nil {
+			if m.boundary != nil {
 				m.boundary.Record(int32(curs[i][m.s.D.Start]))
 			}
 		}
@@ -345,7 +342,9 @@ func (g *Lockstep) ComposeChunks(sel []int, curs, tmps [][]int16, chunk []byte) 
 	j := 0
 	for _, i := range sel {
 		if !c.picked(&j, i) {
+			start := time.Now()
 			curs[i], tmps[i] = g.engines[i].ComposeChunk(curs[i], tmps[i], chunk)
+			g.chargeOne(i, start, len(chunk))
 		}
 	}
 	g.put(c)

@@ -148,23 +148,40 @@ func checkLockstep(t *testing.T, g *Lockstep, ms []*MultiSFA, sel []int, in []by
 	}
 }
 
-// TestLockstepAccounts pins the cost account of a shared walk: every
-// engine that took part books the chunk, the bytes and an even share of
-// the time; OrMasks books a window and bytes and no time.
+// TestLockstepAccounts pins who books what. The engines read no clock;
+// a pass books every engine it ran: the engines of a shared walk the
+// chunk, the bytes and an even share of the time, an engine that fell
+// back to its own call (the class-table one, or the only eligible engine
+// of a selection) the same for its own timed call. OrMasks books nothing
+// — the caller counts and times its windows — and neither do direct
+// engine calls.
 func TestLockstepAccounts(t *testing.T) {
-	ms := []*MultiSFA{lockstepEngine(t, lockstepPatterns[0], 1), lockstepEngine(t, lockstepPatterns[1], 1), lockstepEngine(t, lockstepPatterns[2], 1)}
-	g := NewLockstep([]ShardEngine{ms[0], ms[1], ms[2]})
+	ms := []*MultiSFA{
+		lockstepEngine(t, lockstepPatterns[0], 1, WithLayout(LayoutU16)),
+		lockstepEngine(t, lockstepPatterns[1], 1, WithLayout(LayoutU16)),
+		lockstepEngine(t, lockstepPatterns[2], 1, WithLayout(LayoutU16)),
+		lockstepEngine(t, lockstepPatterns[3], 1, WithClassTable()),
+	}
+	g := NewLockstep([]ShardEngine{ms[0], ms[1], ms[2], ms[3]})
 	text, _ := textgen.Traffic{}.Generate(64<<10, 1)
-	bufs := [][]uint64{make([]uint64, 1), make([]uint64, 1), make([]uint64, 1)}
-	g.MatchMasks([]int{0, 2}, text, bufs)
-	g.OrMasks([]int{0, 1, 2}, text[:100], bufs)
+	bufs := [][]uint64{make([]uint64, 1), make([]uint64, 1), make([]uint64, 1), make([]uint64, 1)}
+	curs, tmps := make([][]int16, len(ms)), make([][]int16, len(ms))
+	for i, m := range ms {
+		curs[i], tmps[i] = make([]int16, m.MappingLen()), make([]int16, m.MappingLen())
+		m.InitMapping(curs[i])
+		m.MatchMask(text, bufs[i])
+		m.OrMask(text, bufs[i])
+		curs[i], tmps[i] = m.ComposeChunk(curs[i], tmps[i], text)
+		if inf := m.Info(); inf.ComposeNs != 0 || inf.ScanChunks != 0 || inf.ScanBytes != 0 || inf.CandWindows != 0 {
+			t.Fatalf("engine %d booked its own direct calls: %+v", i, inf)
+		}
+	}
+	g.MatchMasks([]int{0, 2, 3}, text, bufs)    // 0 and 2 walk together, 3 falls back
+	g.ComposeChunks([]int{1}, curs, tmps, text) // 1 alone: its own call
+	g.OrMasks([]int{0, 1, 2, 3}, text[:100], bufs)
 	for i, m := range ms {
 		inf := m.Info()
-		wantChunks, wantBytes := int64(1), int64(len(text)+100)
-		if i == 1 {
-			wantChunks, wantBytes = 0, 100
-		}
-		if inf.ScanChunks != wantChunks || inf.ScanBytes != wantBytes || inf.CandWindows != 1 || (inf.ComposeNs > 0) != (i != 1) {
+		if inf.ScanChunks != 1 || inf.ScanBytes != int64(len(text)) || inf.CandWindows != 0 || inf.ComposeNs <= 0 {
 			t.Fatalf("engine %d: account %+v", i, inf)
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -48,7 +47,7 @@ type LazyMultiSFA struct {
 	ctxs    sync.Pool // of *lazyMultiCtx
 
 	// attr is the always-on per-shard cost account (compose ns, chunks,
-	// bytes, candidate windows); see attribution.
+	// bytes, candidate windows), booked by callers; see attribution.
 	attr attribution
 }
 
@@ -131,7 +130,6 @@ func (m *LazyMultiSFA) runToVec(c *lazyMultiCtx, text []byte) []int16 {
 // iff rule r matches the whole input — into dst, which must have
 // Words() capacity. It returns dst[:Words()].
 func (m *LazyMultiSFA) MatchMask(text []byte, dst []uint64) []uint64 {
-	start := time.Now()
 	dst = dst[:m.words]
 	for i := range dst {
 		dst[i] = 0
@@ -139,17 +137,14 @@ func (m *LazyMultiSFA) MatchMask(text []byte, dst []uint64) []uint64 {
 	c := m.ctxs.Get().(*lazyMultiCtx)
 	m.t.OrAccept(m.runToVec(c, text), dst)
 	m.ctxs.Put(c)
-	m.attr.composeNs.Add(time.Since(start).Nanoseconds())
-	m.attr.chunks.Inc()
-	m.attr.bytes.Add(int64(len(text)))
 	return dst
 }
 
 // OrRule walks rule's own DFA over window from its start state and sets
 // bit rule of dst if it accepts: the verdict OrMask would give that bit,
 // for the price of one small table walk — no context, no lock, no budget
-// traffic, no fill. It keeps no account of its own; the caller books a
-// block's windows and bytes at once (ChargeWindows).
+// traffic, no fill. Like every walk of the engine it keeps no account of
+// its own; the caller books a block's windows at once (Charge).
 //
 //sfa:noalloc
 func (m *LazyMultiSFA) OrRule(rule int, window []byte, dst []uint64) {
@@ -158,23 +153,12 @@ func (m *LazyMultiSFA) OrRule(rule int, window []byte, dst []uint64) {
 	}
 }
 
-// ChargeWindows books candidate windows verified by OrRule, and the bytes
-// they covered, to the engine's cost account.
-//
-//sfa:noalloc
-func (m *LazyMultiSFA) ChargeWindows(windows, bytes int64) {
-	m.attr.windows.Add(windows)
-	m.attr.bytes.Add(bytes)
-}
-
 // OrMask scans text sequentially on the calling goroutine and ORs the
 // accept bitmask of every rule into dst — the candidate-window primitive
 // of the literal prefilter, same contract as MultiSFA.OrMask. It walks
 // the combined automaton; OrRule is the cheaper call when the rule is
 // known.
 func (m *LazyMultiSFA) OrMask(text []byte, dst []uint64) {
-	m.attr.windows.Inc()
-	m.attr.bytes.Add(int64(len(text)))
 	c := m.ctxs.Get().(*lazyMultiCtx)
 	m.t.RunToVec(text, c.vecs[0])
 	m.t.OrAccept(c.vecs[0], dst)
@@ -223,13 +207,9 @@ func (m *LazyMultiSFA) ComposeChunk(cur, tmp []int16, chunk []byte) ([]int16, []
 	if len(chunk) == 0 {
 		return cur, tmp
 	}
-	start := time.Now()
 	c := m.ctxs.Get().(*lazyMultiCtx)
 	m.t.Compose(tmp, cur, m.runToVec(c, chunk))
 	m.ctxs.Put(c)
-	m.attr.composeNs.Add(time.Since(start).Nanoseconds())
-	m.attr.chunks.Inc()
-	m.attr.bytes.Add(int64(len(chunk)))
 	return tmp, cur
 }
 

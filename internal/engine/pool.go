@@ -21,9 +21,9 @@ import (
 // steady-state Match performs zero goroutine creation: submission is a
 // plain channel send of a small by-value request.
 //
-// Deadlock freedom under nesting (Batch over a parallel matcher runs
-// Match *on* pool workers, which then submit their own chunks to the same
-// pool) is guaranteed by two rules:
+// Deadlock freedom under nesting (a block-parallel rule-set Scan runs
+// Pool.Map tasks whose lock-step passes and engine calls submit their own
+// chunks to the same pool) is guaranteed by two rules:
 //
 //  1. submission never blocks — when the queue is full the submitter runs
 //     the chunk inline instead of waiting for a worker;
@@ -192,6 +192,7 @@ func (p *Pool) Map(n int, f func(int)) {
 // caller would otherwise just block); chunks the queue cannot absorb run
 // inline as well. While waiting for stragglers the caller helps drain the
 // queue, which keeps nested Run calls live (see the type comment).
+//
 //sfa:noalloc
 func (p *Pool) Run(t chunkTask, j *jobState, n int) {
 	if n <= 1 {

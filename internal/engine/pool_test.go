@@ -45,11 +45,12 @@ func TestPoolReusedAcrossRuns(t *testing.T) {
 	}
 }
 
-// TestPoolNestedBatchNoDeadlock saturates a tiny pool with Batch tasks
+// TestPoolNestedMapNoDeadlock saturates a tiny pool with Pool.Map tasks
 // that each run a pooled parallel matcher on the same pool — the nesting
-// pattern that deadlocks a naive fixed-worker design. The helping waiter
-// protocol must keep it live.
-func TestPoolNestedBatchNoDeadlock(t *testing.T) {
+// a block-parallel rule-set Scan (workers ≠ 1) runs, and the pattern that
+// deadlocks a naive fixed-worker design. The helping waiter protocol must
+// keep it live.
+func TestPoolNestedMapNoDeadlock(t *testing.T) {
 	pool := NewPool(2) // fewer workers than outstanding jobs
 	d := dfa.MustCompilePattern("(ab)*")
 	s, err := core.BuildDSFA(d, 0)
@@ -57,23 +58,31 @@ func TestPoolNestedBatchNoDeadlock(t *testing.T) {
 		t.Fatal(err)
 	}
 	inner := NewSFAParallel(s, 8, ReduceTree, WithPool(pool))
-	b := NewBatch(inner, 16, WithPool(pool))
 
 	inputs := make([][]byte, 300)
 	for i := range inputs {
 		inputs[i] = bytes.Repeat([]byte("ab"), i)
 	}
-	done := make(chan []bool, 1)
-	go func() { done <- b.MatchAll(inputs) }()
+	got := make([]bool, len(inputs))
+	done := make(chan struct{})
+	go func() {
+		var next atomic.Int64
+		pool.Map(16, func(int) {
+			for i := int(next.Add(1)) - 1; i < len(inputs); i = int(next.Add(1)) - 1 {
+				got[i] = inner.Match(inputs[i])
+			}
+		})
+		close(done)
+	}()
 	select {
-	case got := <-done:
+	case <-done:
 		for i, ok := range got {
 			if !ok {
 				t.Fatalf("input %d rejected", i)
 			}
 		}
 	case <-time.After(30 * time.Second):
-		t.Fatal("nested batch over shared pool deadlocked")
+		t.Fatal("nested Map over shared pool deadlocked")
 	}
 }
 

@@ -3,7 +3,6 @@ package engine
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/core"
 )
@@ -16,8 +15,7 @@ import (
 // set, and Lemma 1's associative ⊙ folds it into a carried mapping of
 // fixed size |D| no matter how much input has gone before. The carried
 // mapping IS the stream state; extracting a verdict is one vector index
-// (the DFA state the whole prefix reaches) plus an accept-bit or
-// bitmask-row read.
+// (the DFA state the whole prefix reaches) plus a bitmask-row read.
 //
 // ComposeChunk is the per-chunk hot path. It reuses the engine's pooled
 // match context — the chunk is split across the engine's p threads, each
@@ -37,6 +35,7 @@ var buildSeq atomic.Uint64
 // composeLocals folds p chunk-final SFA states into the carried mapping:
 // cur ← cur ⊙ f₁ ⊙ … ⊙ fp, ping-ponging between cur and tmp. Returns the
 // slices in (current, scratch) order.
+//
 //sfa:noalloc
 //sfa:borrowed locals
 func composeLocals(s *core.DSFA, cur, tmp []int16, locals []int32) ([]int16, []int16) {
@@ -73,15 +72,19 @@ func dispatchChunks(t chunkTask, j *jobState, pool *Pool, spawn bool, p int) {
 	pool.Run(t, j, p)
 }
 
-// --- SFAParallel -----------------------------------------------------------
+// BuildID returns the engine's process-unique construction id. Hot-reload
+// keeps shards whose rule membership is unchanged; the id is how callers
+// (and the serve tests) observe that an automaton really was carried over
+// rather than rebuilt.
+func (m *MultiSFA) BuildID() uint64 { return m.id }
 
 // MappingLen returns the length of a carried mapping vector: the number
 // of states of the underlying DFA.
-func (m *SFAParallel) MappingLen() int { return m.s.D.NumStates }
+func (m *MultiSFA) MappingLen() int { return m.s.D.NumStates }
 
 // InitMapping writes the identity mapping (the empty input's
 // transformation) into cur, which must have MappingLen() length.
-func (m *SFAParallel) InitMapping(cur []int16) {
+func (m *MultiSFA) InitMapping(cur []int16) {
 	copy(cur, m.s.Map(m.s.Start))
 }
 
@@ -92,71 +95,12 @@ func (m *SFAParallel) InitMapping(cur []int16) {
 // tmp are the caller's ping-pong pair (both MappingLen() long); the
 // updated pair is returned in (current, scratch) order. Zero heap
 // allocations in steady state.
-//sfa:noalloc
-func (m *SFAParallel) ComposeChunk(cur, tmp []int16, chunk []byte) ([]int16, []int16) {
-	if len(chunk) == 0 {
-		return cur, tmp
-	}
-	var start time.Time
-	if m.stats != nil {
-		start = time.Now()
-	}
-	p := m.threads
-	if p < 2 || len(chunk) < streamSequentialMax {
-		f := m.runChunk(chunk)
-		core.ComposeVec(tmp, cur, m.s.Map(f))
-		cur, tmp = tmp, cur
-	} else {
-		c := m.ctxs.Get().(*sfaCtx)
-		c.text = chunk
-		dispatchChunks(c, &c.job, m.pool, m.spawn, p)
-		cur, tmp = composeLocals(m.s, cur, tmp, c.locals)
-		c.text = nil
-		m.ctxs.Put(c)
-	}
-	if m.stats != nil {
-		m.stats.RecordChunk(len(chunk), time.Since(start).Nanoseconds())
-		m.boundary.Record(int32(cur[m.s.D.Start]))
-	}
-	return cur, tmp
-}
-
-// AcceptedFrom reports whether the input a carried mapping summarizes is
-// accepted: cur[D.Start] is the DFA state the whole prefix reaches.
-//sfa:borrowed cur
-func (m *SFAParallel) AcceptedFrom(cur []int16) bool {
-	return m.s.D.Accept[cur[m.s.D.Start]]
-}
-
-// --- MultiSFA --------------------------------------------------------------
-
-// BuildID returns the engine's process-unique construction id. Hot-reload
-// keeps shards whose rule membership is unchanged; the id is how callers
-// (and the serve tests) observe that an automaton really was carried over
-// rather than rebuilt.
-func (m *MultiSFA) BuildID() uint64 { return m.id }
-
-// MappingLen returns the length of a carried mapping vector: the number
-// of states of the combined DFA.
-func (m *MultiSFA) MappingLen() int { return m.s.D.NumStates }
-
-// InitMapping writes the identity mapping into cur, which must have
-// MappingLen() length.
-func (m *MultiSFA) InitMapping(cur []int16) {
-	copy(cur, m.s.Map(m.s.Start))
-}
-
-// ComposeChunk advances a carried mapping by one chunk of input, exactly
-// as SFAParallel.ComposeChunk does for the single-pattern engine: pooled
-// parallel scan from the identity, ⊙-fold into the caller's ping-pong
-// pair, zero steady-state allocations. The returned pair is in
-// (current, scratch) order.
+//
 //sfa:noalloc
 func (m *MultiSFA) ComposeChunk(cur, tmp []int16, chunk []byte) ([]int16, []int16) {
 	if len(chunk) == 0 {
 		return cur, tmp
 	}
-	start := time.Now()
 	p := m.threads
 	if p < 2 || len(chunk) < streamSequentialMax {
 		f := m.runChunk(chunk)
@@ -170,34 +114,40 @@ func (m *MultiSFA) ComposeChunk(cur, tmp []int16, chunk []byte) ([]int16, []int1
 		c.text = nil
 		m.ctxs.Put(c)
 	}
-	// Chunk latency/size aggregates are the caller's job (multi's
-	// SetStream records once per Write); the engine contributes what it
-	// alone can see — the boundary-state frequency table (opt-in) and
-	// its own always-on per-shard cost account.
-	m.attr.composeNs.Add(time.Since(start).Nanoseconds())
-	m.attr.chunks.Inc()
-	m.attr.bytes.Add(int64(len(chunk)))
-	if m.stats != nil {
+	// Chunk latency/size aggregates and the cost account are the caller's
+	// job (multi's SetStream records once per Write); the engine records
+	// what it alone can see — the boundary-state frequency table (opt-in).
+	if m.boundary != nil {
 		m.boundary.Record(int32(cur[m.s.D.Start]))
 	}
 	return cur, tmp
+}
+
+// AcceptedFrom reports whether any rule accepts the input a carried
+// mapping summarizes: cur[D.Start] is the DFA state the whole prefix
+// reaches.
+//
+//sfa:borrowed cur
+func (m *MultiSFA) AcceptedFrom(cur []int16) bool {
+	return m.s.D.Accept[cur[m.s.D.Start]]
 }
 
 // MatchMaskFrom writes the accept bitmask of a carried mapping — bit r
 // set iff rule r accepts the input the mapping summarizes — into dst,
 // which must have Words() capacity. It returns dst[:Words()]. Like
 // MatchMask, it allocates nothing with a caller-provided buffer.
+//
 //sfa:noalloc
 //sfa:borrowed cur
 func (m *MultiSFA) MatchMaskFrom(cur []int16, dst []uint64) []uint64 {
-	q := int(cur[m.s.D.Start])
-	return append(dst[:0], m.masks[q*m.words:(q+1)*m.words]...)
+	return append(dst[:0], m.row(int32(cur[m.s.D.Start]))...)
 }
 
 // ComposeMask merges two carried mappings of this engine as if their
 // inputs had been concatenated: h ← "f then g" (the ⊙ of Lemma 1). h must
 // not alias f or g. This is what lets out-of-order stream segments be
 // scanned independently and folded afterwards (RuleStream.Compose).
+//
 //sfa:borrowed f g
 func (m *MultiSFA) ComposeMask(h, f, g []int16) {
 	core.ComposeVec(h, f, g)

@@ -153,7 +153,7 @@ func TestComposeChunkZeroAllocSteadyState(t *testing.T) {
 		scur, stmp = e.ComposeChunk(scur, stmp, big)
 		e.AcceptedFrom(scur)
 	}); avg >= 0.5 {
-		t.Errorf("SFAParallel chunk: %.2f allocs/op in steady state", avg)
+		t.Errorf("one-rule chunk: %.2f allocs/op in steady state", avg)
 	}
 }
 

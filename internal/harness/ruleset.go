@@ -12,19 +12,15 @@ import (
 
 // Ruleset measures the multi-pattern architectures on the workload the
 // paper's introduction motivates: one SNORT-style rule set scanned over
-// heavy traffic. Three engines over identical rules and input:
+// heavy traffic. The architectures over identical rules and input:
 //
-//	combined     — one product D-SFA with per-rule accept masks (the
-//	               planner may shard on state-budget blow-up), built by
-//	               the default tuple-interned construction;
-//	combined-vec — the same set built by the legacy vector-interning
-//	               construction (hash a |D|-long mapping per candidate
-//	               state). Identical verdicts by contract; the pair's
-//	               "build s" column is the tuple-interning speedup and
-//	               the Σ|Sd| delta is tuple identity's state surplus;
-//	sharded-K    — the planner forced to K combined shards;
-//	isolated     — one independent engine per rule, N passes per input
-//	               (the pre-combined architecture, kept as oracle).
+//	combined       — one product D-SFA with per-rule accept masks (the
+//	                 planner may shard on state-budget blow-up), built by
+//	                 the tuple-interned construction;
+//	combined-nopre — the same without the literal prefilter;
+//	sharded-K      — the planner forced to K combined shards;
+//	isolated       — one independent engine per rule, N passes per input
+//	                 (the pre-combined architecture, kept as oracle).
 //
 // The reported MB/s is whole-input scan throughput: bytes of traffic
 // divided by the time to produce the full per-rule verdict. Combined
@@ -63,13 +59,9 @@ func (c Config) Ruleset() error {
 		opts []sfa.Option
 	}
 	base := []sfa.Option{sfa.WithSearch(), sfa.WithThreads(1)}
-	if c.Spawn {
-		base = append(base, sfa.WithSpawnPerMatch())
-	}
 	modes := []mode{
 		{"combined", base},
 		{"combined-nopre", append([]sfa.Option{sfa.WithoutPrefilter()}, base...)},
-		{"combined-vec", append([]sfa.Option{sfa.WithVectorInterning()}, base...)},
 		{"sharded-2", append([]sfa.Option{sfa.WithShards(2)}, base...)},
 		{"sharded-4", append([]sfa.Option{sfa.WithShards(4)}, base...)},
 		{"isolated", append([]sfa.Option{sfa.WithIsolatedRules()}, base...)},

@@ -4,7 +4,7 @@
 // enclosing function is explicitly marked as a spawner.
 //
 // The pool exists so that steady-state matching performs zero goroutine
-// creation and so that nested dispatch (Batch over a parallel matcher)
+// creation and so that nested dispatch (Pool.Map tasks running a parallel matcher)
 // cannot deadlock; a stray `go` reintroduces per-call spawn cost at
 // best and, at worst, work that the pool's helping protocol does not
 // know about. The allowlist is explicit in the source:

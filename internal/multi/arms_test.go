@@ -379,7 +379,13 @@ func TestSmallWritesNeverSwitchArm(t *testing.T) {
 
 // TestWindowShardAttribution: a stream write that walks window shards
 // leaves compose time on each of them — on the cascade arm, split by
-// the bytes each walked, and on the whole arm, evenly.
+// the bytes each walked, and on the whole arm, evenly. And every kind of
+// shard keeps an account although no engine books its own: after a Scan,
+// and after stream Writes and a Mask, each shard of a set that walked
+// anything has time, bytes, and chunks (carried and prefix shards) or
+// candidate windows (window shards) — lock-step u16 shards, a lone u16
+// shard, u8 shards, prefix shards, eager and lazy window shards, and a
+// lazy gate shard.
 func TestWindowShardAttribution(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	in := armTraffic(r, 128<<10, scanBlock)
@@ -409,6 +415,70 @@ func TestWindowShardAttribution(t *testing.T) {
 		}
 		if ss := st.Stats(); ss.PrefilterNs <= 0 || ss.PrefilterNs > ss.ComposeNs {
 			t.Fatalf("whole=%v: stream stats %+v", whole, ss)
+		}
+	}
+
+	gaps := append(gapSet(r, 6), `abcd.{0,8}x1.*zz`, `SeCrEt`)
+	fixtures := []struct {
+		name    string
+		compile func() *Set
+		in      []byte
+	}{
+		// Window, prefix, gate (the lone u16 shard of its walk) and full (u8).
+		{"prefiltered", func() *Set { return compileArmSet(t, armPool, Options{Threads: 1}).set }, in},
+		// Every shard carried: the u16 shards walk lock-step.
+		{"unfiltered", func() *Set {
+			a := compileArmSet(t, armPool, Options{Threads: 1})
+			s, err := Compile(a.nodes, Options{Threads: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}, in},
+		// A lazy window shard verified per rule, a lazy gate shard, an
+		// eager u8 window shard.
+		{"lazy", func() *Set { return compileArmSet(t, gaps, gapOptions(1)).set }, gapTraffic(r, gaps, 128<<10, scanBlock)},
+	}
+	kinds := map[string]bool{}
+	for _, f := range fixtures {
+		for _, via := range []string{"Scan", "stream"} {
+			s := f.compile()
+			if via == "Scan" {
+				s.Scan(f.in, 1, make([]uint64, s.Words()))
+			} else {
+				st := s.NewStream()
+				streamIn(st, f.in, []int{64 << 10})
+				st.Mask(make([]uint64, s.Words()))
+			}
+			carriedU16 := 0
+			for _, sh := range s.Shards() {
+				if sh.Layout == "u16" && (sh.Prefilter == "off" || sh.Prefilter == "gate" || sh.Prefilter == "full") {
+					carriedU16++
+				}
+			}
+			for i, sh := range s.Shards() {
+				kind := sh.Prefilter + "/" + sh.Layout
+				switch {
+				case sh.Layout == "u16" && sh.Prefilter != "window" && carriedU16 > 1:
+					kind = "lock-step u16"
+				case sh.Layout == "u16" && sh.Prefilter != "window":
+					kind = "lone u16"
+				}
+				kinds[kind] = true
+				what := fmt.Sprintf("%s via %s: %s shard %d", f.name, via, kind, i)
+				if sh.ComposeNs <= 0 || sh.ScanBytes <= 0 {
+					t.Fatalf("%s booked no walk: %+v", what, sh)
+				}
+				if window := sh.Prefilter == "window"; window && (sh.CandWindows == 0 || sh.ScanChunks != 0) ||
+					!window && (sh.ScanChunks == 0 || sh.CandWindows != 0) {
+					t.Fatalf("%s: chunks %d, windows %d", what, sh.ScanChunks, sh.CandWindows)
+				}
+			}
+		}
+	}
+	for _, k := range []string{"lock-step u16", "lone u16", "full/u8", "prefix/u8", "window/u16", "window/u8", "window/lazy-rules", "gate/lazy"} {
+		if !kinds[k] {
+			t.Errorf("no fixture has a %s shard (have %v)", k, kinds)
 		}
 	}
 }

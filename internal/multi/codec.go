@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"repro/internal/binio"
@@ -80,30 +81,19 @@ func ShardKey(keys []string) string {
 }
 
 // shardCacheKey addresses a shard blob in the content-addressed cache:
-// rule membership (ShardKey) plus both build budgets plus the interning
-// mode. The budgets are part of the address — not of the blob — because
-// a cache directory is shareable between processes: under a
-// membership-only key a process with a small SFABudget/DFABudget would
-// happily adopt a shard built under a larger budget and silently
-// violate its own memory bound (budget-failure tombstones always keyed
-// on budgets; shard blobs were the gap). The interning mode is included
-// for the same reason failCacheKey's is: both paths' shards are
-// verdict-identical, but a VectorIntern build that silently adopts
-// tuple-built blobs from a shared directory would defeat the knob's A/B
-// purpose (and carry the tuple path's state surplus). The blob format
-// itself is unchanged, so whole-set snapshots (which pin their build's
-// results by construction) still embed and decode the same bytes.
+// rule membership (ShardKey) plus both build budgets. The budgets are
+// part of the address — not of the blob — because a cache directory is
+// shareable between processes: under a membership-only key a process
+// with a small SFABudget/DFABudget would happily adopt a shard built
+// under a larger budget and silently violate its own memory bound. The
+// "t" names the tuple-interned construction; it stays in the address,
+// where a second construction mode once had a "v", so directories
+// written since keep hitting. The blob format itself is unchanged, so
+// whole-set snapshots (which pin their build's results by construction)
+// still embed and decode the same bytes.
 func shardCacheKey(shardKey string, o Options) string {
-	h := sha256.Sum256([]byte(fmt.Sprintf("shard\x00%d\x00%d\x00%s\x00%s", o.DFABudget, o.SFABudget, internMode(o), shardKey)))
+	h := sha256.Sum256([]byte(fmt.Sprintf("shard\x00%d\x00%d\x00t\x00%s", o.DFABudget, o.SFABudget, shardKey)))
 	return fmt.Sprintf("%x", h[:])
-}
-
-// internMode names the construction strategy for cache addressing.
-func internMode(o Options) string {
-	if o.VectorIntern {
-		return "v"
-	}
-	return "t"
 }
 
 // StableBuildID derives the persisted construction id from a shard's
@@ -171,9 +161,9 @@ type DecodedShard struct {
 // DecodeShard reads a shard blob written by encodeShard, verifying the
 // CRC before any automaton or table is materialized and validating every
 // structural invariant (state counts, transition targets, mask widths,
-// stray mask bits) so a corrupt blob errors instead of reaching the
-// zero-allocation match path. Matching options (Threads, Layout, Pool,
-// Spawn) come from o; the persisted BuildID is adopted.
+// stray mask bits, accept bits against masks) so a corrupt blob errors
+// instead of reaching the zero-allocation match path. Matching options
+// (Threads, Pool, Stats) come from o; the persisted BuildID is adopted.
 func DecodeShard(r io.Reader, o Options) (*DecodedShard, error) {
 	o = o.withDefaults()
 	cr := binio.NewCRCReader(r)
@@ -245,6 +235,13 @@ func DecodeShard(r io.Reader, o Options) (*DecodedShard, error) {
 	masks, err := core.ReadMaskTable(bytes.NewReader(maskBytes), s.D.NumStates, words, nrules)
 	if err != nil {
 		return nil, err
+	}
+	// The engine's Match reads the DFA's accept bit as "some rule
+	// accepts", so it must mark exactly the states whose row has a bit.
+	for q, acc := range s.D.Accept {
+		if acc != slices.ContainsFunc(masks[q*words:(q+1)*words], func(w uint64) bool { return w != 0 }) {
+			return nil, fmt.Errorf("multi: DFA state %d accept bit disagrees with its rule mask", q)
+		}
 	}
 	eopts := append(o.engineOpts(), engine.WithBuildID(buildID))
 	m := engine.NewMultiSFA(s, masks, words, o.Threads, eopts...)
@@ -488,12 +485,10 @@ func storeCachedEst(ruleKey string, est, states int, fits bool, o Options) {
 
 const failMagic = "SFA\x01NOP\x01"
 
-// failCacheKey addresses a budget-failure tombstone. The interning mode
-// is part of the key: tuple interning's state count is an upper bound on
-// vector interning's, so a tuple-mode failure must not short-circuit a
-// vector-mode (A/B) attempt that could still fit.
+// failCacheKey addresses a budget-failure tombstone, keyed like
+// shardCacheKey (the "t" included).
 func failCacheKey(shardKey string, o Options) string {
-	h := sha256.Sum256([]byte(fmt.Sprintf("fail\x00%d\x00%d\x00%s\x00%s", o.DFABudget, o.SFABudget, internMode(o), shardKey)))
+	h := sha256.Sum256([]byte(fmt.Sprintf("fail\x00%d\x00%d\x00t\x00%s", o.DFABudget, o.SFABudget, shardKey)))
 	return fmt.Sprintf("%x", h[:])
 }
 

@@ -126,12 +126,11 @@ func tupleDSFA(comps []*core.DSFA, d *dfa.DFA, cap int) (*core.DSFA, error) {
 }
 
 // shardDSFA dispatches a shard's combined D-SFA construction: tuple
-// interning by default, the vector-interning core.BuildDSFA for
-// single-rule shards (there is no product to exploit) and under the
-// Options.VectorIntern A/B knob. comps() is pulled lazily so the vector
-// path never constructs component D-SFAs it does not need.
-func shardDSFA(bin []planRule, d *dfa.DFA, cap int, o Options) (*core.DSFA, error) {
-	if o.VectorIntern || len(bin) == 1 {
+// interning, or the vector-interning core.BuildDSFA for a single-rule
+// shard (there is no product to exploit, and no component D-SFA needs
+// building).
+func shardDSFA(bin []planRule, d *dfa.DFA, cap int) (*core.DSFA, error) {
+	if len(bin) == 1 {
 		return core.BuildDSFA(d, cap)
 	}
 	comps := make([]*core.DSFA, len(bin))

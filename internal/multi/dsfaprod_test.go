@@ -2,80 +2,93 @@ package multi
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/dfa"
+	"repro/internal/engine"
 	"repro/internal/regen"
 	"repro/internal/syntax"
 )
 
 // The tuple-interned construction's correctness contract: byte-identical
-// MatchMask and streaming verdicts versus the vector-interned path, for
-// every shard topology. State counts are deliberately NOT compared —
-// tuple identity over-approximates vector identity, so the tuple
-// automaton may be larger; only verdicts are gated.
-
-// buildBoth compiles the same nodes through both construction paths.
-func buildBoth(t *testing.T, nodes []*syntax.Node, o Options) (tuple, vector *Set) {
-	t.Helper()
-	o.VectorIntern = false
-	tu, err := Compile(nodes, o)
-	if err != nil {
-		t.Fatalf("tuple compile: %v", err)
-	}
-	o.VectorIntern = true
-	ve, err := Compile(nodes, o)
-	if err != nil {
-		t.Fatalf("vector compile: %v", err)
-	}
-	return tu, ve
-}
+// MatchMask and streaming verdicts versus core.BuildDSFA's vector-
+// interned construction over the same product DFA. State counts are
+// deliberately NOT compared — tuple identity over-approximates vector
+// identity, so the tuple automaton may be larger; only verdicts are
+// gated.
 
 // checkMaskAgreement scans every input through both sets and demands
 // word-identical global masks, plus chunked-stream agreement with the
 // one-shot verdict on both.
-func checkMaskAgreement(t *testing.T, tuple, vector *Set, inputs [][]byte, r *rand.Rand) {
+func checkMaskAgreement(t *testing.T, a, b *Set, inputs [][]byte, r *rand.Rand) {
 	t.Helper()
-	dt := make([]uint64, tuple.Words())
-	dv := make([]uint64, vector.Words())
-	st, sv := tuple.NewStream(), vector.NewStream()
-	mt := make([]uint64, tuple.Words())
-	mv := make([]uint64, vector.Words())
+	da := make([]uint64, a.Words())
+	db := make([]uint64, b.Words())
+	sa, sb := a.NewStream(), b.NewStream()
+	ma := make([]uint64, a.Words())
+	mb := make([]uint64, b.Words())
 	for _, in := range inputs {
-		gt := tuple.Scan(in, 0, dt)
-		gv := vector.Scan(in, 0, dv)
-		for w := range gt {
-			if gt[w] != gv[w] {
-				t.Fatalf("input %q: tuple mask %x != vector mask %x (shards %d vs %d)",
-					in, gt, gv, tuple.NumShards(), vector.NumShards())
-			}
+		ga := a.Scan(in, 0, da)
+		gb := b.Scan(in, 0, db)
+		if !slices.Equal(ga, gb) {
+			t.Fatalf("input %q: mask %x != %x (shards %d vs %d)",
+				in, ga, gb, a.NumShards(), b.NumShards())
 		}
 		// Streaming: the same input in random chunks must reproduce the
-		// one-shot mask on both paths.
-		st.Reset()
-		sv.Reset()
+		// one-shot mask on both sets.
+		sa.Reset()
+		sb.Reset()
 		for lo := 0; lo < len(in); {
 			hi := lo + 1 + r.Intn(len(in)-lo)
-			st.Write(in[lo:hi])
-			sv.Write(in[lo:hi])
+			sa.Write(in[lo:hi])
+			sb.Write(in[lo:hi])
 			lo = hi
 		}
-		smt, smv := st.Mask(mt), sv.Mask(mv)
-		for w := range gt {
-			if smt[w] != gt[w] || smv[w] != gv[w] {
-				t.Fatalf("input %q: stream masks %x/%x != one-shot %x", in, smt, smv, gt)
-			}
+		if sma, smb := sa.Mask(ma), sb.Mask(mb); !slices.Equal(sma, ga) || !slices.Equal(smb, ga) {
+			t.Fatalf("input %q: stream masks %x/%x != one-shot %x", in, sma, smb, ga)
 		}
 	}
 }
 
+// bothEngines builds the minimized product DFA of ds and its combined
+// D-SFA both ways — tuple-interned over the rules' own D-SFAs, and
+// vector-interned by core.BuildDSFA — as two engines over one mask table.
+func bothEngines(t *testing.T, ds []*dfa.DFA) (tuple, vector *engine.MultiSFA) {
+	t.Helper()
+	comps := make([]*core.DSFA, len(ds))
+	for i, d := range ds {
+		s, err := core.BuildDSFA(d, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		comps[i] = s
+	}
+	d, masks, err := productDFA(ds, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	words := maskWords(len(ds))
+	d, masks = minimizeMasked(d, masks, words)
+	ts, err := tupleDSFA(comps, d, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vs, err := core.BuildDSFA(d, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return engine.NewMultiSFA(ts, masks, words, 1), engine.NewMultiSFA(vs, masks, words, 1)
+}
+
 // TestTupleVsVectorOracle is the randomized construction oracle:
-// generated rule sets × {combined, forced shards, isolated-per-rule} ×
-// {whole-input, search-bracketed}, all asserting byte-identical verdicts
-// between the two interning strategies. The merge pass runs on the
-// force=0 builds whenever the plan over-shards, so merged shards are
-// covered by the same assertions.
+// generated rule sets × {whole-input, search-bracketed}, asserting that
+// the two constructions over the same product DFA give byte-identical
+// one-shot and streamed masks, and that the sets built of every shard
+// topology — combined, forced shards, one shard per rule — agree with
+// each other. The merge pass runs on the force=0 builds whenever the
+// plan over-shards, so merged shards are covered too.
 func TestTupleVsVectorOracle(t *testing.T) {
 	gen := regen.New(regen.Config{Alphabet: "abc", AllowClasses: true, AllowCounts: true}, 41)
 	r := rand.New(rand.NewSource(42))
@@ -96,34 +109,71 @@ func TestTupleVsVectorOracle(t *testing.T) {
 		}
 		for _, search := range []bool{false, true} {
 			nodes := make([]*syntax.Node, nrules)
+			ds := make([]*dfa.DFA, nrules)
 			for i, p := range patterns {
 				nodes[i] = syntax.MustParse(p, 0)
 				if search {
 					nodes[i] = syntax.BracketForSearch(nodes[i])
 				}
+				d, err := dfa.Compile(nodes[i], 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ds[i] = d
 			}
-			for _, force := range []int{0, 2, nrules} {
-				tuple, vector := buildBoth(t, nodes, Options{ForceShards: force, Threads: 1})
-				checkMaskAgreement(t, tuple, vector, inputs, r)
+			tuple, vector := bothEngines(t, ds)
+			for _, in := range inputs {
+				want := vector.MatchMask(in, make([]uint64, vector.Words()))
+				if got := tuple.MatchMask(in, make([]uint64, tuple.Words())); !slices.Equal(got, want) {
+					t.Fatalf("%q search=%v input %q: tuple mask %x != vector mask %x", patterns, search, in, got, want)
+				}
+				cur, tmp := make([]int16, tuple.MappingLen()), make([]int16, tuple.MappingLen())
+				tuple.InitMapping(cur)
+				for lo := 0; lo < len(in); {
+					hi := lo + 1 + r.Intn(len(in)-lo)
+					cur, tmp = tuple.ComposeChunk(cur, tmp, in[lo:hi])
+					lo = hi
+				}
+				if got := tuple.MatchMaskFrom(cur, make([]uint64, tuple.Words())); !slices.Equal(got, want) {
+					t.Fatalf("%q search=%v input %q: streamed tuple mask %x != vector mask %x", patterns, search, in, got, want)
+				}
+			}
+			perRule, err := Compile(nodes, Options{ForceShards: nrules, Threads: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, force := range []int{0, 2} {
+				s, err := Compile(nodes, Options{ForceShards: force, Threads: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkMaskAgreement(t, s, perRule, inputs, r)
 			}
 		}
 	}
 }
 
-// TestTupleTinyBudgetSplits drives both paths through the blow-up
-// split-and-retry loop with a tiny budget and demands agreement — the
-// budget errors the tuple path returns must be exactly what the split
-// loop expects, or one side would fail outright.
+// TestTupleTinyBudgetSplits drives the tuple path through the blow-up
+// split-and-retry loop with a tiny budget and demands agreement with the
+// unsplit set — the budget errors the tuple path returns must be exactly
+// what the split loop expects, or the build would fail outright.
 func TestTupleTinyBudgetSplits(t *testing.T) {
 	nodes := parseAll(t, testPatterns)
 	ds := oracleDFAs(t, testPatterns)
-	tuple, vector := buildBoth(t, nodes, Options{SFABudget: 12, Threads: 1})
-	if tuple.NumShards() < 2 {
-		t.Fatalf("budget 12 produced %d tuple shards; expected a split", tuple.NumShards())
+	split, err := Compile(nodes, Options{SFABudget: 12, Threads: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if split.NumShards() < 2 {
+		t.Fatalf("budget 12 produced %d tuple shards; expected a split", split.NumShards())
+	}
+	whole, err := Compile(nodes, Options{ForceShards: 1, Threads: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
 	inputs := testInputs()
-	checkMaskAgreement(t, tuple, vector, inputs, rand.New(rand.NewSource(3)))
-	checkAgainstOracle(t, tuple, ds, inputs)
+	checkMaskAgreement(t, split, whole, inputs, rand.New(rand.NewSource(3)))
+	checkAgainstOracle(t, split, ds, inputs)
 }
 
 // TestTupleDSFABudgetError calls the tuple walker directly and checks an
@@ -249,20 +299,34 @@ func TestShardCacheBudgetIsolation(t *testing.T) {
 	}
 	checkAgainstOracle(t, sSmall, oracleDFAs(t, patterns), testInputs())
 
-	// And directly: the cache address must depend on both budgets and
-	// the interning mode (a VectorIntern A/B run must not silently adopt
-	// tuple-built blobs).
+	// And directly: the cache address must depend on both budgets.
 	ks := []string{
 		shardCacheKey("m", Options{DFABudget: 1000, SFABudget: 100}),
 		shardCacheKey("m", Options{DFABudget: 1000, SFABudget: 200}),
 		shardCacheKey("m", Options{DFABudget: 2000, SFABudget: 100}),
-		shardCacheKey("m", Options{DFABudget: 1000, SFABudget: 100, VectorIntern: true}),
 	}
 	for i := range ks {
 		for j := i + 1; j < len(ks); j++ {
 			if ks[i] == ks[j] {
 				t.Fatalf("shardCacheKey collision between option sets %d and %d: %s", i, j, ks[i])
 			}
+		}
+	}
+}
+
+// TestCacheKeysPinned pins the shard-cache and failure-tombstone
+// addresses of a fixed membership under the default budgets to the
+// strings builds have used since the tuple construction became the
+// default, so a cache directory written by an older build still hits.
+func TestCacheKeysPinned(t *testing.T) {
+	o := Options{}.withDefaults()
+	for _, c := range []struct{ name, got, want string }{
+		{"ShardKey", ShardKey([]string{"b", "a"}), "cf6ab613e3942391f88ed698557e1680f160bd10e88c6b668c50360c10930e2b"},
+		{"shardCacheKey", shardCacheKey("abc", o), "01d63430bc9cbf691ebfa27898c22ff006d12ae3501826d3c51686ce2339f6b0"},
+		{"failCacheKey", failCacheKey("abc", o), "8988ad938ce93596b1535e7b04d6e28810996368b2bfdda6fd2d7b667b36c241"},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %s, want %s", c.name, c.got, c.want)
 		}
 	}
 }

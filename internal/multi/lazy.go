@@ -36,7 +36,7 @@ const (
 // and the merge pass — which need eager tables — works against the
 // interface.
 type shardEngine interface {
-	engine.ShardEngine // MatchMask, OrMask, ComposeChunk, ChargeWalk: what a lock-step pass falls back to
+	engine.ShardEngine // MatchMask, OrMask, ComposeChunk, Charge: what a lock-step pass falls back to, and the account it books
 	Match(text []byte) bool
 	Words() int
 

@@ -44,27 +44,8 @@ type Options struct {
 	// Threads is the chunk parallelism of each shard's pass
 	// (0 = GOMAXPROCS).
 	Threads int
-	// Layout selects the transition-table layout (default LayoutAuto).
-	Layout engine.TableLayout
 	// Pool overrides the engine's process-wide worker pool.
 	Pool *engine.Pool
-	// Spawn restores spawn-per-match goroutine creation (Fig. 10
-	// semantics) instead of the persistent pool.
-	Spawn bool
-	// VectorIntern restores the vector-interning combined D-SFA
-	// construction (core.BuildDSFA over the minimized product DFA: every
-	// candidate state hashes a full |D|-long mapping vector) instead of
-	// the default tuple-interned builder, which closes the shard's D-SFA
-	// over k-tuples of component D-SFA states and materializes each
-	// mapping vector once per interned state. The two paths produce
-	// byte-identical MatchMask verdicts; tuple interning is an upper
-	// bound on vector interning's state count (distinct tuples can agree
-	// on every reachable product state), trading a usually-small state
-	// surplus for construction that no longer hashes |D|-long vectors.
-	// Single-rule shards always use the vector path — there is no
-	// product to exploit. Kept for A/B measurement (sfabench ruleset,
-	// BenchmarkRuleSet_ColdBuild_*).
-	VectorIntern bool
 	// Keys are opaque per-rule identity strings — Keys[i] identifies
 	// nodes[i] by pattern source plus every semantics-affecting flag,
 	// the same contract Recompile's reuse matches on. They enable the
@@ -73,12 +54,10 @@ type Options struct {
 	// Cache is the content-addressed shard store consulted before each
 	// shard build and filled after it (internal/snapshot.Store on disk).
 	// Requires Keys. Shard entries are keyed by rule membership AND the
-	// build budgets (DFABudget, SFABudget) AND the interning mode, so a
-	// cache directory shared between differently-configured processes
-	// can never serve a shard built under a larger budget into a
-	// process with a smaller one, nor a tuple-built shard into a
-	// VectorIntern A/B run. Layout is deliberately not part of the key:
-	// decoding re-materializes match tables under the loading process's
+	// build budgets (DFABudget, SFABudget), so a cache directory shared
+	// between differently-configured processes can never serve a shard
+	// built under a larger budget into a process with a smaller one.
+	// Decoding re-materializes match tables under the loading process's
 	// options. nil disables caching.
 	Cache ShardCache
 	// Lazy enables the lazy shard mode: rules whose estimated combined
@@ -155,14 +134,8 @@ func (o Options) budget() *core.TableBudget {
 // engineOpts translates the engine-facing knobs.
 func (o Options) engineOpts() []engine.Option {
 	var opts []engine.Option
-	if o.Layout != engine.LayoutAuto {
-		opts = append(opts, engine.WithLayout(o.Layout))
-	}
 	if o.Pool != nil {
 		opts = append(opts, engine.WithPool(o.Pool))
-	}
-	if o.Spawn {
-		opts = append(opts, engine.WithSpawn())
 	}
 	if o.Stats != nil {
 		opts = append(opts, engine.WithScanStats(o.Stats))

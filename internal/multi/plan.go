@@ -582,7 +582,7 @@ func storeShard(key string, sh *shard, bin []planRule, o Options) {
 
 // buildShard runs the combined pipeline — product DFA, mask-aware
 // minimization, tuple-interned D-SFA (vector-interned for single-rule
-// bins or under Options.VectorIntern) — for one bin, after probing the
+// bins) — for one bin, after probing the
 // shard cache: a content hit skips construction entirely and adopts the
 // persisted automaton (and its stable BuildID). capped=false lifts the
 // budgets to the construction's hard limits (the single-rule fallback);
@@ -641,7 +641,7 @@ func buildShard(bin []planRule, o Options, capped, probe bool) (*shard, error) {
 	if capped {
 		sfaCap = sfaCapFor(o.SFABudget, d.NumStates)
 	}
-	s, err := shardDSFA(bin, d, sfaCap, o)
+	s, err := shardDSFA(bin, d, sfaCap)
 	if err != nil {
 		return nil, markBudgetErr(err)
 	}

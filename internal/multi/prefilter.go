@@ -419,8 +419,8 @@ type winState struct {
 	// (lo == hi: none) — within a block the window later hits may still
 	// extend, between blocks the window that awaits input.
 	open    [][]span
-	walked  []int64 // bytes each shard walked in the block (attribution split)
-	windows []int64 // windows each per-rule shard verified in the block
+	walked  []int64 // bytes each shard walked in the block
+	windows []int64 // windows each shard verified in the block
 	hits    []prefilter.Hit
 	wbuf    []byte // junction materialization (streams)
 }
@@ -554,9 +554,6 @@ func (p *setPre) closeRules(w *winState, tail, cur []byte, i int) {
 			*o = span{}
 		}
 	}
-	if w.windows[i] > 0 {
-		sh.rules.ChargeWindows(w.windows[i], w.walked[i])
-	}
 }
 
 // block advances the window shards over one block, cur[blo:bhi], of a
@@ -567,8 +564,10 @@ func (p *setPre) closeRules(w *winState, tail, cur []byte, i int) {
 // far past len(cur) a window may wait for input — 0 in a one-shot scan,
 // where the part walked now is all there will ever be, the stream's
 // tail capacity otherwise — and the waiting remainder is left in
-// w.pending (w.open for shards verified per rule). It returns how many
-// window shards had candidate work and how many had none.
+// w.pending (w.open for shards verified per rule). Each window shard's
+// cost account is charged the windows and bytes it walked and, for a
+// timed block, its share of the walk time. It returns how many window
+// shards had candidate work and how many had none.
 //
 //sfa:noalloc
 func (p *setPre) block(s *Set, w *winState, gate []bool, tail, cur []byte, blo, bhi, ahead int) (scanned, skipped int64) {
@@ -636,15 +635,15 @@ func (p *setPre) block(s *Set, w *winState, gate []bool, tail, cur []byte, blo, 
 	p.candBytes.Add(total)
 	p.chunksScanned.Add(scanned)
 	p.chunksSkipped.Add(skipped)
+	var walkNs int64
 	if timed {
 		end := time.Now()
 		p.arms.record(whole, n, end.Sub(t0).Nanoseconds())
-		if walkNs := end.Sub(walk0).Nanoseconds(); total > 0 {
-			for _, i := range p.win {
-				if w.walked[i] > 0 {
-					s.shards[i].m.ChargeWalk(walkNs * w.walked[i] / total)
-				}
-			}
+		walkNs = end.Sub(walk0).Nanoseconds()
+	}
+	for _, i := range p.win {
+		if w.windows[i] > 0 {
+			s.shards[i].m.Charge(engine.Cost{Ns: walkNs * w.walked[i] / total, Bytes: w.walked[i], Windows: w.windows[i]})
 		}
 	}
 	return scanned, skipped
@@ -728,6 +727,7 @@ func (p *setPre) walk(s *Set, w *winState, tail, cur []byte, ahead, i int, sel [
 			}
 			for _, j := range sel {
 				w.walked[j] += int64(len(piece))
+				w.windows[j]++
 			}
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"math/bits"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/engine"
 	"repro/internal/obs"
@@ -162,7 +163,9 @@ func (s *Set) Scan(data []byte, workers int, dst []uint64) []uint64 {
 			k := min(p.shards[i].maxLen, len(data))
 			p.totalBytes.Add(int64(len(data)))
 			p.candBytes.Add(int64(k))
+			start := time.Now()
 			sh.m.MatchMask(data[:k], c.win.acc[i])
+			sh.charge(start, k)
 		}
 		sh.merge(dst, c.win.acc[i])
 	}
@@ -259,11 +262,21 @@ func (sh *shard) merge(dst, local []uint64) {
 // with an early exit (each shard's pass is still chunk-parallel).
 func (s *Set) Any(data []byte) bool {
 	for _, sh := range s.shards {
-		if sh.m.Match(data) {
+		start := time.Now()
+		ok := sh.m.Match(data)
+		sh.charge(start, len(data))
+		if ok {
 			return true
 		}
 	}
 	return false
+}
+
+// charge books one direct walk of n bytes by the shard's engine, begun at
+// start, to its cost account — engines read no clock of their own, so
+// the caller that walks one outside a lock-step pass times it.
+func (sh *shard) charge(start time.Time, n int) {
+	sh.m.Charge(engine.Cost{Ns: time.Since(start).Nanoseconds(), Chunks: 1, Bytes: int64(n)})
 }
 
 // ShardInfo describes one shard for stats reporting.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/prefilter"
 )
 
@@ -218,7 +219,9 @@ func (st *SetStream) Mask(dst []uint64) []uint64 {
 			// Begin-anchored shard: the verdict is decided by the first
 			// maxLen stream bytes, all held in the head buffer.
 			k := min(st.set.pre.shards[i].maxLen, len(st.head))
+			start := time.Now()
 			sh.merge(dst, sh.m.MatchMask(st.head[:k], st.local))
+			sh.charge(start, k)
 		default:
 			sh.merge(dst, sh.m.MatchMaskFrom(st.cur[i], st.local))
 		}
@@ -313,6 +316,9 @@ func (st *SetStream) composeWindows(t *SetStream) {
 	if len(jbuf) > 0 {
 		p.candBytes.Add(int64(len(jbuf) * len(p.eagerWin)))
 		st.set.lock.OrMasks(p.eagerWin, jbuf, w.acc)
+		for _, i := range p.eagerWin {
+			st.set.shards[i].m.Charge(engine.Cost{Bytes: int64(len(jbuf)), Windows: 1})
+		}
 	}
 	// Rebuild pending relative to the new end of stream: whatever still
 	// reaches past it. Per rule that is at most one window — every window
@@ -351,7 +357,7 @@ func (st *SetStream) composeWindows(t *SetStream) {
 		}
 		if k > 0 {
 			p.candBytes.Add(k * int64(len(jbuf)))
-			sh.rules.ChargeWindows(k, k*int64(len(jbuf)))
+			sh.rules.Charge(engine.Cost{Bytes: k * int64(len(jbuf)), Windows: k})
 		}
 	}
 	for _, h := range w.hits {

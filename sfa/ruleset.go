@@ -199,8 +199,6 @@ func buildRuleSet(defs []RuleDef, opts []Option, prev *RuleSet) (*RuleSet, multi
 		ForceShards:   cfg.shards,
 		PerRuleDFACap: cfg.dfaCap,
 		Threads:       cfg.threads,
-		Spawn:         cfg.spawn,
-		VectorIntern:  cfg.vectorIntern,
 		Lazy:          cfg.lazyCompile,
 		Budget:        cfg.tableBudget.inner(),
 		Stats:         cfg.scanStats,

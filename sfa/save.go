@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"runtime"
 
 	"repro/internal/core"
 	"repro/internal/engine"
@@ -51,26 +50,12 @@ func Load(r io.Reader, opts ...Option) (*Regexp, error) {
 		return nil, err
 	}
 
-	cfg := config{}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	if cfg.threads <= 0 {
-		cfg.threads = runtime.GOMAXPROCS(0)
-	}
-	red := engine.ReduceSequential
-	if cfg.tree {
-		red = engine.ReduceTree
-	}
-	var eopts []engine.Option
-	if cfg.spawn {
-		eopts = append(eopts, engine.WithSpawn())
-	}
+	cfg := buildConfig(opts)
 	return &Regexp{
 		pattern: string(pat),
 		cfg:     cfg,
 		dfa:     s.D,
 		dsfa:    s,
-		matcher: engine.NewSFAParallel(s, cfg.threads, red, eopts...),
+		matcher: engine.NewSFAParallel(s, cfg.threads, cfg.reduction()),
 	}, nil
 }

@@ -85,7 +85,6 @@ type config struct {
 	eng     Engine
 	tree    bool
 	search  bool
-	spawn   bool
 	dfaCap  int
 	sfaCap  int
 	lazyMax int
@@ -95,11 +94,18 @@ type config struct {
 	shards        int
 	shardBudget   int
 	cacheDir      string
-	vectorIntern  bool
 	noPrefilter   bool
 	lazyCompile   bool
 	tableBudget   *TableBudget
 	scanStats     *ScanStats
+}
+
+// reduction is the engines' chunk-result reduction (WithTreeReduction).
+func (c config) reduction() engine.Reduction {
+	if c.tree {
+		return engine.ReduceTree
+	}
+	return engine.ReduceSequential
 }
 
 // buildConfig folds the options and resolves defaults.
@@ -145,12 +151,6 @@ func WithDFACap(n int) Option { return func(c *config) { c.dfaCap = n } }
 // EngineDFA. 0 means unbounded.
 func WithSFACap(n int) Option { return func(c *config) { c.sfaCap = n } }
 
-// WithSpawnPerMatch makes the parallel engines create fresh goroutines on
-// every Match instead of running on the persistent worker pool — the
-// paper's thread-creation semantics (Fig. 10). The pooled default is
-// faster and allocation-free in steady state.
-func WithSpawnPerMatch() Option { return func(c *config) { c.spawn = true } }
-
 // WithIsolatedRules makes NewRuleSet compile one independent engine per
 // rule and scan with N full passes per input — the pre-combined
 // architecture, kept as the oracle the combined automaton is
@@ -178,22 +178,9 @@ func WithShardStateBudget(n int) Option { return func(c *config) { c.shardBudget
 // earlier same-configuration build already produced. The directory is
 // safe to share between differently-configured processes: budgets are
 // part of the key, so a build can never adopt a shard constructed
-// under a larger memory bound, and a WithVectorInterning A/B run never
-// adopts tuple-built shards. Compile and isolated-mode rule sets
+// under a larger memory bound. Compile and isolated-mode rule sets
 // ignore this option.
 func WithShardCache(dir string) Option { return func(c *config) { c.cacheDir = dir } }
-
-// WithVectorInterning restores the vector-interning combined D-SFA
-// construction (hash a full |D|-long mapping vector per candidate
-// state) instead of the default tuple-interned builder, which interns
-// k-tuples of component D-SFA states and materializes each mapping
-// vector once per state. Verdicts are byte-identical either way; the
-// tuple path can intern somewhat more states (tuple identity over-
-// approximates vector identity) in exchange for much cheaper cold
-// construction. Kept for A/B measurement (sfabench ruleset,
-// BenchmarkRuleSet_ColdBuild_*). Compile and isolated-mode rule sets
-// ignore this option.
-func WithVectorInterning() Option { return func(c *config) { c.vectorIntern = true } }
 
 // WithLazyCompile lets NewRuleSet accept rules whose combined D-SFA the
 // eager builder cannot afford: instead of failing with a too-many-states
@@ -281,7 +268,7 @@ func Compile(pattern string, opts ...Option) (*Regexp, error) {
 		return nil, err
 	}
 	if cfg.eng == EngineNFA {
-		re.matcher = engineNFA(re.nfa)
+		re.matcher = engine.NewNFASimFrom(re.nfa)
 		return re, nil
 	}
 
@@ -291,23 +278,15 @@ func Compile(pattern string, opts ...Option) (*Regexp, error) {
 	}
 	re.dfa = dfa.Minimize(d)
 
-	red := engine.ReduceSequential
-	if cfg.tree {
-		red = engine.ReduceTree
-	}
-	var eopts []engine.Option
-	if cfg.spawn {
-		eopts = append(eopts, engine.WithSpawn())
-	}
 	switch cfg.eng {
 	case EngineSFA:
 		re.dsfa, err = core.BuildDSFA(re.dfa, cfg.sfaCap)
 		if err != nil {
 			return nil, err
 		}
-		re.matcher = engine.NewSFAParallel(re.dsfa, cfg.threads, red, eopts...)
+		re.matcher = engine.NewSFAParallel(re.dsfa, cfg.threads, cfg.reduction())
 	case EngineLazySFA:
-		m, err := engine.NewSFALazy(re.dfa, cfg.threads, cfg.lazyMax, eopts...)
+		m, err := engine.NewSFALazy(re.dfa, cfg.threads, cfg.lazyMax)
 		if err != nil {
 			return nil, err
 		}
@@ -315,20 +294,12 @@ func Compile(pattern string, opts ...Option) (*Regexp, error) {
 	case EngineDFA:
 		re.matcher = engine.NewDFASequential(re.dfa)
 	case EngineSpecDFA:
-		re.matcher = engine.NewDFASpeculative(re.dfa, cfg.threads, red, eopts...)
+		re.matcher = engine.NewDFASpeculative(re.dfa, cfg.threads, cfg.reduction())
 	default:
 		return nil, fmt.Errorf("sfa: unknown engine %v", cfg.eng)
 	}
 	return re, nil
 }
-
-// engineNFA adapts the NFA simulator; kept tiny so Compile reads linearly.
-func engineNFA(a *nfa.NFA) engine.Matcher { return nfaSim{nfa.NewSimulator(a)} }
-
-type nfaSim struct{ s *nfa.Simulator }
-
-func (m nfaSim) Match(text []byte) bool { return m.s.Match(text) }
-func (m nfaSim) Name() string           { return "nfa-sim" }
 
 // MustCompile is Compile that panics on error, for initialization of
 // package-level patterns.

@@ -28,8 +28,8 @@ import (
 //
 // Pattern semantics (flags, search bracketing) are baked into the saved
 // automata, so LoadRuleSet restores them from the file; matching options
-// supplied to LoadRuleSet (threads, spawn, shard cache for future
-// Rebuilds) apply, pattern-affecting ones are overridden.
+// supplied to LoadRuleSet (threads, shard cache for future Rebuilds)
+// apply, pattern-affecting ones are overridden.
 
 const ruleSetMagic = "SFA\x01RST\x01"
 
@@ -99,9 +99,9 @@ func (rs *RuleSet) Save(w io.Writer) error {
 // automaton and mask table is decoded and validated (state counts,
 // transition targets, mask widths, CRCs) and the engines are assembled
 // warm — no parsing, planning, or D-SFA construction. Matching options
-// may be supplied (WithThreads, WithSpawnPerMatch, WithShardCache —
-// which also arms future Rebuilds of the loaded set); pattern-affecting
-// options are baked into the snapshot and override anything passed.
+// may be supplied (WithThreads, WithShardCache — which also arms future
+// Rebuilds of the loaded set); pattern-affecting options are baked into
+// the snapshot and override anything passed.
 //
 // A corrupt or truncated snapshot returns an error, never a silently
 // different matcher: callers should fall back to compiling from rule
@@ -181,10 +181,7 @@ func LoadRuleSet(r io.Reader, opts ...Option) (*RuleSet, error) {
 		rs.keys[i] = ruleKey(cfg.flags, cfg.search, d)
 	}
 
-	mo := multi.Options{
-		Threads: cfg.threads,
-		Spawn:   cfg.spawn,
-	}
+	mo := multi.Options{Threads: cfg.threads}
 	// Snapshots carry automata, not syntax trees, so the literal
 	// prefilter is re-extracted from the rule sources — cheap (a parse
 	// per rule, no construction) next to the table decode it fronts. A

@@ -24,7 +24,7 @@ import (
 // (Regexp.NewStream is cheap).
 type Stream struct {
 	re    *Regexp
-	eng   *engine.SFAParallel
+	eng   *engine.MultiSFA
 	cur   []int16 // running transformation (starts at identity)
 	tmp   []int16
 	bytes int64
@@ -36,7 +36,7 @@ func (re *Regexp) NewStream() (*Stream, error) {
 	if re.dsfa == nil {
 		return nil, fmt.Errorf("sfa: streaming needs EngineSFA, have %s", re.EngineName())
 	}
-	eng := re.matcher.(*engine.SFAParallel) // invariant: dsfa != nil ⇒ SFA engine
+	eng := re.matcher.(*engine.MultiSFA) // invariant: dsfa != nil ⇒ SFA engine
 	n := eng.MappingLen()
 	s := &Stream{re: re, eng: eng, cur: make([]int16, n), tmp: make([]int16, n)}
 	eng.InitMapping(s.cur)
