@@ -8,16 +8,13 @@
 # sfaserve serving smoke (server boot, rule load, hot reload under
 # concurrent streamed scans, Prometheus /metrics scrape + exposition
 # checks) + the snapshot smoke (save → reload → verify verdicts,
-# warm-restart sfaserve over a state dir, shard-cache reuse) + a short
-# benchmark smoke run proving the hot paths still report 0 allocs/op.
-# `make bench-json` captures the benchmark trajectory snapshot
-# (BENCH_9.json) that CI uploads as an artifact and gates on; the
-# RuleSet_ColdBuild_Tuple / RuleSet_SnapshotWarmLoad pair tracks a cold
-# build against a snapshot load, RuleSet_LazyColdStart the lazy
-# compile+scan cost over a corpus the eager builder rejects, and the
-# StreamHotpath_{Instrumented,FlightRecorded} twins prove the
-# observability layer — scan stats plus the flight-recorder ring —
-# adds no allocations to the streaming hot path. `make bench-check`
+# warm-restart sfaserve over a state dir, shard-cache reuse). The
+# zero-allocation hot paths — pooled Match, RuleSet.MatchMask and
+# RuleStream.Write on both block-driver arms, the single-pattern stream,
+# and the instrumented, flight-recorded stream — are gated by
+# testing.AllocsPerRun tests, which skip under -race, so `make ci` runs
+# `make test` as well as `make race`.
+# `make bench-check`
 # keeps the repo's benchmark (bench/, its own module, which tier-1 does
 # not build) compiling, its unit tests and input pins green, and one
 # short real window each of scan_dense (the eager path), scan_sparse
@@ -30,9 +27,8 @@
 # wrong table, fails here, not in the pipeline that runs it.
 
 GO ?= go
-BENCH_JSON ?= BENCH_9.json
 
-.PHONY: build vet lint test race docs-check fuzz-smoke serve-smoke snapshot-smoke bench-smoke bench-check bench-json ci
+.PHONY: build vet lint test race docs-check fuzz-smoke serve-smoke snapshot-smoke bench-check ci
 
 build:
 	$(GO) build ./...
@@ -101,11 +97,6 @@ serve-smoke:
 snapshot-smoke:
 	$(GO) test -race -run 'TestRuleSetSnapshotRoundTrip|TestLoadRuleSetRejectsCorruption|TestShardCacheWarmsRepeatedBuilds|TestWarmRestartSmoke|TestStatePersistAndWarmRestore|TestStoreConcurrent|TestStoreEviction' ./sfa ./cmd/sfaserve ./internal/serve ./internal/snapshot
 
-# Keep the smoke run small: 1 MiB inputs, 2 iterations per benchmark.
-# 'Hotpath' also selects the StreamHotpath carried-mapping writes.
-bench-smoke:
-	SFA_BENCH_MB=1 $(GO) test -run '^$$' -bench 'Hotpath|Layout_' -benchtime 2x .
-
 # The benchmark BENCHMARK.json names: its own tests (-short skips the
 # full-length runs), then one 1-second window each of the two eager scan
 # workloads, the lazy one and build (cold build, Save, snapshot loads
@@ -120,18 +111,4 @@ bench-check:
 	bash bench/run.sh -workload scan_lazy -seconds 1
 	bash bench/run.sh -workload build -seconds 1
 
-# Benchmark-trajectory snapshot: hot path + layouts + the multi-pattern
-# RuleSet engines + the streaming writes + the cold build vs snapshot
-# load pair (ColdBuild_Tuple, SnapshotWarmLoad), emitted as name →
-# {ns/op, MB/s, allocs/op}. benchjson
-# doubles as the allocation gate: the pooled match hot path and the
-# streaming chunk hot path must stay at 0 allocs/op, each armed by its
-# own pattern.
-bench-json:
-	SFA_BENCH_MB=1 $(GO) test -run '^$$' -bench 'Hotpath|Layout_|RuleSet_' -benchtime 2x -benchmem . > bench.out
-	@cat bench.out
-	$(GO) run ./cmd/benchjson -in bench.out -out $(BENCH_JSON) \
-		-zero-alloc 'Hotpath.*Pooled' -zero-alloc 'StreamHotpath' \
-		-zero-alloc 'Instrumented' -zero-alloc 'FlightRecorded'
-
-ci: vet lint build docs-check race fuzz-smoke serve-smoke snapshot-smoke bench-smoke bench-check
+ci: vet lint build docs-check test race fuzz-smoke serve-smoke snapshot-smoke bench-check

@@ -11,6 +11,7 @@ package repro
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"sync"
@@ -497,8 +498,8 @@ func BenchmarkRuleSet_NoPrefilterSparse_p1(b *testing.B) {
 // The cold-vs-warm pair quantifies the snapshot subsystem: ColdBuild_Tuple
 // is the full compile of the curated snort sample (parse → product DFA →
 // mask-aware minimization → D-SFA, per shard); WarmLoad replaces all of
-// it with a decode+validate pass over the snapshot bytes. BENCH_5.json
-// records them, so the warm-restart win is tracked release over release.
+// it with a decode+validate pass over the snapshot bytes, and Save is the
+// encode half.
 func snapshotBenchDefs() []sfa.RuleDef {
 	rules := snort.ScanSample(12)
 	defs := make([]sfa.RuleDef, len(rules))
@@ -511,9 +512,7 @@ func snapshotBenchDefs() []sfa.RuleDef {
 // BenchmarkRuleSet_ColdBuild_Tuple is the cold compile of the curated
 // snort sample through the tuple-interned construction (intern k-tuples
 // of component D-SFA states, materialize each mapping vector once per
-// state). It is the successor of BENCH_4's RuleSet_SnapshotColdBuild
-// (same defs, same options) — compare against WarmLoad below for the
-// snapshot win.
+// state) — compare against WarmLoad below for the snapshot win.
 func BenchmarkRuleSet_ColdBuild_Tuple(b *testing.B) {
 	defs := snapshotBenchDefs()
 	b.ReportAllocs()
@@ -529,7 +528,7 @@ func BenchmarkRuleSet_ColdBuild_Tuple(b *testing.B) {
 // outright (the hard SFA cap fails every split) is compiled with
 // WithLazyCompile under a 16 MiB table budget and scanned once. Per
 // iteration this is build + first scan: the cold-start latency of a
-// tenant the eager builder cannot host at all (BENCH_7.json). Since the
+// tenant the eager builder cannot host at all. Since the
 // rules are windowable, the scan verifies candidate windows on single
 // rules' DFAs and fills no product state; the lazy tuple's own cold
 // start is what the same set costs compiled WithoutPrefilter.
@@ -580,6 +579,28 @@ func BenchmarkRuleSet_SnapshotWarmLoad(b *testing.B) {
 	}
 }
 
+// BenchmarkRuleSet_Save is the encode half of the snapshot pair: the
+// same set as SnapshotWarmLoad saved to io.Discard, so only the codec's
+// own work and allocations count.
+func BenchmarkRuleSet_Save(b *testing.B) {
+	rs, err := sfa.NewRuleSetFromDefs(snapshotBenchDefs(), sfa.WithSearch(), sfa.WithThreads(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := rs.Save(&buf); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(buf.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := rs.Save(io.Discard); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkAblation_Chunking compares p chunks on p goroutines against
 // 4p chunks on p goroutines' worth of parallelism (more, smaller chunks
 // raise reduction cost without helping balanced inputs).
@@ -598,8 +619,8 @@ func BenchmarkAblation_Chunking_p16(b *testing.B) {
 // The serving subsystem's per-chunk cost: RuleStream.Write advances one
 // |D|-sized mapping per shard (pooled parallel scan + ⊙-fold) and Mask
 // extracts the verdict into a caller buffer. Both must stay at
-// 0 allocs/op — benchjson gates the StreamHotpath benchmarks exactly
-// like the pooled Match hot path.
+// 0 allocs/op — TestRuleSetHotPathsZeroAllocPerArm gates the same
+// calls with testing.AllocsPerRun.
 
 func BenchmarkStreamHotpath_RuleSetWrite64KB_p1(b *testing.B) {
 	f := rulesetFixture(b, "combined")
@@ -644,8 +665,8 @@ func BenchmarkStreamHotpath_RuleSetWrite64KB_p4(b *testing.B) {
 // every Write records chunk bytes, compose latency, and chunk-size
 // histogram buckets. The obs primitives are striped atomics and
 // fixed-size arrays precisely so this benchmark reports the same
-// 0 allocs/op as the uninstrumented twin — benchjson gates on
-// "Instrumented" to keep it that way.
+// 0 allocs/op as the uninstrumented twin —
+// TestInstrumentedStreamZeroAlloc gates it.
 // instrumentedScanStats is package-level because the ruleset fixture is
 // cached across benchmark invocations: the rule set built on the first
 // call keeps recording into this one aggregate for every b.N round.
@@ -680,8 +701,8 @@ func BenchmarkStreamHotpath_InstrumentedWrite64KB_p1(b *testing.B) {
 // streamed Write + Mask and then records one ScanRecord into the ring,
 // exactly what the serve scan handler does per request. The ring's
 // record path is all-atomic stores into a preallocated slot, so this
-// must report the same 0 allocs/op as its twins — benchjson gates on
-// "FlightRecorded".
+// must report the same 0 allocs/op as its twins —
+// TestInstrumentedStreamZeroAlloc gates the same calls.
 func BenchmarkStreamHotpath_FlightRecordedWrite64KB_p1(b *testing.B) {
 	f := rulesetFixture(b, "combined-instrumented", sfa.WithScanStats(instrumentedScanStats))
 	st, err := f.rs.NewStream()

@@ -10,7 +10,7 @@
 //	                through sync/atomic anywhere must be accessed
 //	                through sync/atomic everywhere.
 //	hotpathalloc  — the zero-allocation contract of the streaming scan
-//	                path (benchjson's -zero-alloc gate, made lexical):
+//	                path (the AllocsPerRun tests, made lexical):
 //	                //sfa:noalloc functions must not contain
 //	                allocation-inducing constructs.
 //	pooldispatch  — the ROADMAP standing caveat: scan-path packages

@@ -40,7 +40,7 @@ type DSFA struct {
 
 	// ids is the vector-lookup index behind StateOf. BuildDSFA fills it
 	// as a side effect of interning; automata assembled from already-
-	// final tables (ReadDSFA, NewDSFAFromParts) leave it nil and build
+	// final tables (DecodeDSFA, NewDSFAFromParts) leave it nil and build
 	// it on first StateOf call — matching never consults it, so warm
 	// snapshot loads skip the full-table hashing scan entirely.
 	ids     map[uint64][]int32
@@ -281,21 +281,6 @@ func (s *DSFA) Run(from int32, text []byte) int32 {
 // L(SFA) = L(DFA)).
 func (s *DSFA) Accepts(text []byte) bool {
 	return s.Accept[s.Run(s.Start, text)]
-}
-
-// Table256 materializes the flat 256-wide transition table (1 KB per SFA
-// state, the layout whose cache behaviour Fig. 8 studies).
-func (s *DSFA) Table256() []int32 {
-	nc := s.D.BC.Count
-	t := make([]int32, s.NumStates*256)
-	for q := 0; q < s.NumStates; q++ {
-		row := t[q*256 : (q+1)*256]
-		base := q * nc
-		for b := 0; b < 256; b++ {
-			row[b] = s.NextC[base+int(s.D.BC.Of[b])]
-		}
-	}
-	return t
 }
 
 // ComposeVec writes into h the composition "f then g" of two

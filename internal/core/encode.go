@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -16,124 +15,125 @@ import (
 
 const dsfaMagic = "SFA\x01SFA\x01"
 
-// WriteTo serializes the D-SFA (including its underlying DFA).
-func (s *DSFA) WriteTo(w io.Writer) (int64, error) {
-	n, err := s.D.WriteTo(w)
-	if err != nil {
-		return n, err
-	}
-	bw := bufio.NewWriter(w)
-	count := func(k int, err error) error {
-		n += int64(k)
-		return err
-	}
-	if err := count(bw.WriteString(dsfaMagic)); err != nil {
-		return n, err
-	}
-	var hdr [12]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(s.NumStates))
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(s.Start))
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(s.EmptyID))
-	if err := count(bw.Write(hdr[:])); err != nil {
-		return n, err
-	}
-	accept := make([]byte, (s.NumStates+7)/8)
-	for q, a := range s.Accept {
-		if a {
-			accept[q>>3] |= 1 << (q & 7)
-		}
-	}
-	if err := count(bw.Write(accept)); err != nil {
-		return n, err
-	}
-	buf := make([]byte, 4*len(s.NextC))
-	for i, to := range s.NextC {
-		binary.LittleEndian.PutUint32(buf[i*4:], uint32(to))
-	}
-	if err := count(bw.Write(buf)); err != nil {
-		return n, err
-	}
-	mbuf := make([]byte, 2*len(s.maps))
-	for i, x := range s.maps {
-		binary.LittleEndian.PutUint16(mbuf[i*2:], uint16(x))
-	}
-	if err := count(bw.Write(mbuf)); err != nil {
-		return n, err
-	}
-	return n, bw.Flush()
+// sfaHeaderLen is the fixed front of the D-SFA section: the magic and
+// three u32 fields (states, start, empty id).
+const sfaHeaderLen = len(dsfaMagic) + 12
+
+// EncodedLen is the size of s's encoding, its DFA's included.
+func (s *DSFA) EncodedLen() int {
+	return s.D.EncodedLen() + sfaHeaderLen + (s.NumStates+7)/8 + 4*len(s.NextC) + 2*len(s.maps)
 }
 
-// ReadDSFA deserializes a D-SFA written by WriteTo and validates the
-// result. The StateOf vector-lookup index is NOT rebuilt here: matching
-// never consults it, so a warm snapshot load skips hashing every mapping
+// WriteTo serializes the D-SFA (including its underlying DFA).
+func (s *DSFA) WriteTo(w io.Writer) (int64, error) {
+	bw := binio.NewWriter(w)
+	start := bw.Count()
+	s.Encode(bw)
+	err := bw.Flush()
+	return bw.Count() - start, err
+}
+
+// Encode writes s's encoding, its DFA's first, to w.
+func (s *DSFA) Encode(w *binio.Writer) {
+	s.D.Encode(w)
+	w.WriteString(dsfaMagic)
+	w.Uint32(uint32(s.NumStates))
+	w.Uint32(uint32(s.Start))
+	w.Uint32(uint32(s.EmptyID))
+	w.Bits(s.Accept)
+	w.Int32s(s.NextC)
+	w.Int16s(s.maps)
+}
+
+// DecodeDSFA parses a D-SFA encoding that fills b exactly. It is the
+// format's one parser — ReadDSFA only frames a stream for it — and
+// validates state counts, transition targets and mapping values. The
+// StateOf vector-lookup index is NOT rebuilt here: matching never
+// consults it, so a warm snapshot load skips hashing every mapping
 // vector and the index materializes lazily on the first StateOf call.
+func DecodeDSFA(b []byte) (*DSFA, error) {
+	d, n, err := dfa.Decode(b)
+	if err != nil {
+		return nil, err
+	}
+	return decodeSection(d, b[n:])
+}
+
+// sectionLen validates the D-SFA header at the front of b, over DFA d,
+// and returns the size of the section it announces.
+func sectionLen(d *dfa.DFA, b []byte) (int, error) {
+	if len(b) < sfaHeaderLen {
+		return 0, fmt.Errorf("core: reading header: %w", io.ErrUnexpectedEOF)
+	}
+	if string(b[:len(dsfaMagic)]) != dsfaMagic {
+		return 0, fmt.Errorf("core: bad magic %q", b[:len(dsfaMagic)])
+	}
+	ns := int(binary.LittleEndian.Uint32(b[len(dsfaMagic):]))
+	if ns <= 0 || ns > 1<<28 {
+		return 0, fmt.Errorf("core: implausible state count %d", ns)
+	}
+	return sfaHeaderLen + (ns+7)/8 + 4*ns*d.BC.Count + 2*ns*d.NumStates, nil
+}
+
+// decodeSection parses the D-SFA section over d that fills b exactly.
+func decodeSection(d *dfa.DFA, b []byte) (*DSFA, error) {
+	size, err := sectionLen(d, b)
+	if err != nil {
+		return nil, err
+	}
+	switch {
+	case len(b) < size:
+		return nil, fmt.Errorf("core: reading tables (%d of %d bytes): %w", len(b), size, io.ErrUnexpectedEOF)
+	case len(b) > size:
+		return nil, fmt.Errorf("core: %d trailing bytes after automaton", len(b)-size)
+	}
+	h := b[len(dsfaMagic):]
+	s := &DSFA{
+		D:         d,
+		NumStates: int(binary.LittleEndian.Uint32(h[0:])),
+		Start:     int32(binary.LittleEndian.Uint32(h[4:])),
+		EmptyID:   int32(binary.LittleEndian.Uint32(h[8:])),
+		n:         d.NumStates,
+	}
+	if uint32(s.Start) >= uint32(s.NumStates) {
+		return nil, fmt.Errorf("core: start %d out of range", s.Start)
+	}
+	b = b[sfaHeaderLen:]
+	na, nt := (s.NumStates+7)/8, 4*s.NumStates*d.BC.Count
+	s.Accept = make([]bool, s.NumStates)
+	binio.UnpackBits(s.Accept, b[:na])
+	s.NextC = make([]int32, s.NumStates*d.BC.Count)
+	if i := binio.DecodeInt32s(s.NextC, b[na:na+nt], uint32(s.NumStates)); i >= 0 {
+		return nil, fmt.Errorf("core: transition target %d out of range", int32(binary.LittleEndian.Uint32(b[na+4*i:])))
+	}
+	// A mapping value is a DFA state id; ids are int16, so the bound is
+	// also below 1<<15.
+	s.maps = make([]int16, s.NumStates*s.n)
+	if i := binio.DecodeInt16s(s.maps, b[na+nt:], uint16(min(d.NumStates, 1<<15))); i >= 0 {
+		return nil, fmt.Errorf("core: mapping value %d out of range", int16(binary.LittleEndian.Uint16(b[na+nt+2*i:])))
+	}
+	return s, nil
+}
+
+// ReadDSFA reads one D-SFA encoding from r — exactly its bytes — and
+// decodes it with DecodeDSFA's parser.
 func ReadDSFA(r io.Reader) (*DSFA, error) {
 	d, err := dfa.ReadDFA(r)
 	if err != nil {
 		return nil, err
 	}
-	br := r
-	magic := make([]byte, len(dsfaMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("core: reading magic: %w", err)
-	}
-	if string(magic) != dsfaMagic {
-		return nil, fmt.Errorf("core: bad magic %q", magic)
-	}
-	var hdr [12]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+	b, err := binio.ReadExact(r, sfaHeaderLen)
+	if err != nil {
 		return nil, fmt.Errorf("core: reading header: %w", err)
 	}
-	s := &DSFA{
-		D:         d,
-		NumStates: int(binary.LittleEndian.Uint32(hdr[0:])),
-		Start:     int32(binary.LittleEndian.Uint32(hdr[4:])),
-		EmptyID:   int32(binary.LittleEndian.Uint32(hdr[8:])),
-		n:         d.NumStates,
-	}
-	if s.NumStates <= 0 || s.NumStates > 1<<28 {
-		return nil, fmt.Errorf("core: implausible state count %d", s.NumStates)
-	}
-	if s.Start < 0 || int(s.Start) >= s.NumStates {
-		return nil, fmt.Errorf("core: start %d out of range", s.Start)
-	}
-	// Read every variable section before allocating the automaton's
-	// tables, so a lying header costs at most the bytes actually present
-	// (binio.ReadExact grows with the stream).
-	nc := d.BC.Count
-	accept, err := binio.ReadExact(br, (s.NumStates+7)/8)
+	size, err := sectionLen(d, b)
 	if err != nil {
-		return nil, fmt.Errorf("core: reading accept: %w", err)
+		return nil, err
 	}
-	buf, err := binio.ReadExact(br, 4*s.NumStates*nc)
-	if err != nil {
-		return nil, fmt.Errorf("core: reading transitions: %w", err)
+	if b, err = binio.Append(r, b, size-len(b)); err != nil {
+		return nil, fmt.Errorf("core: reading tables: %w", err)
 	}
-	mbuf, err := binio.ReadExact(br, 2*s.NumStates*s.n)
-	if err != nil {
-		return nil, fmt.Errorf("core: reading mappings: %w", err)
-	}
-	s.Accept = make([]bool, s.NumStates)
-	for q := 0; q < s.NumStates; q++ {
-		s.Accept[q] = accept[q>>3]&(1<<(q&7)) != 0
-	}
-	s.NextC = make([]int32, s.NumStates*nc)
-	for i := range s.NextC {
-		to := int32(binary.LittleEndian.Uint32(buf[i*4:]))
-		if to < 0 || int(to) >= s.NumStates {
-			return nil, fmt.Errorf("core: transition target %d out of range", to)
-		}
-		s.NextC[i] = to
-	}
-	s.maps = make([]int16, s.NumStates*s.n)
-	for i := range s.maps {
-		x := int16(binary.LittleEndian.Uint16(mbuf[i*2:]))
-		if x < 0 || int(x) >= d.NumStates {
-			return nil, fmt.Errorf("core: mapping value %d out of range", x)
-		}
-		s.maps[i] = x
-	}
-	return s, nil
+	return decodeSection(d, b)
 }
 
 // Per-state accept-bitmask tables (the multi-pattern engines' per-rule
@@ -141,53 +141,59 @@ func ReadDSFA(r io.Reader) (*DSFA, error) {
 // state). Serialized little-endian with a varint length prefix so the
 // rule-set codec in internal/multi can frame them.
 
-// WriteMaskTable serializes a mask table of stride `words`.
-func WriteMaskTable(w io.Writer, masks []uint64) error {
-	if err := binio.WriteUvarint(w, uint64(len(masks))); err != nil {
-		return err
-	}
-	buf := make([]byte, 8*len(masks))
-	for i, m := range masks {
-		binary.LittleEndian.PutUint64(buf[i*8:], m)
-	}
-	_, err := w.Write(buf)
-	return err
+// MaskTableLen is the size of a mask table's encoding.
+func MaskTableLen(masks []uint64) int {
+	return binio.UvarintLen(uint64(len(masks))) + 8*len(masks)
 }
 
-// ReadMaskTable reads a mask table written by WriteMaskTable and
-// validates its shape: exactly states×words entries, and in every row
-// no bit at or above ruleBits set (mask rows describe ruleBits rules;
-// stray high bits mean corruption).
-func ReadMaskTable(r io.Reader, states, words, ruleBits int) ([]uint64, error) {
-	n, err := binio.ReadCount(r, uint64(states)*uint64(words), "mask table")
+// EncodeMaskTable writes a mask table of any stride.
+func EncodeMaskTable(w *binio.Writer, masks []uint64) {
+	w.Uvarint(uint64(len(masks)))
+	w.Uint64s(masks)
+}
+
+// DecodeMaskTable parses a mask table that fills b exactly and validates
+// its shape: exactly states×words entries, and in every row no bit at or
+// above ruleBits set (mask rows describe ruleBits rules; stray high bits
+// mean corruption).
+func DecodeMaskTable(b []byte, states, words, ruleBits int) ([]uint64, error) {
+	if words <= 0 {
+		return nil, fmt.Errorf("core: mask table of %d words per state", words)
+	}
+	c := binio.NewCursor(b)
+	n, err := c.Count(uint64(states)*uint64(words), "mask table")
 	if err != nil {
 		return nil, err
 	}
 	if n != states*words {
 		return nil, fmt.Errorf("core: mask table %d entries, want %d states × %d words", n, states, words)
 	}
-	buf, err := binio.ReadExact(r, 8*n)
+	src, err := c.Next(8*n, "mask table")
 	if err != nil {
-		return nil, fmt.Errorf("core: reading mask table: %w", err)
+		return nil, err
+	}
+	if c.Len() != 0 {
+		return nil, fmt.Errorf("core: %d trailing bytes after mask table", c.Len())
+	}
+	allowed := make([]uint64, words)
+	for wi := range allowed {
+		lo := wi * 64
+		switch {
+		case ruleBits >= lo+64:
+			allowed[wi] = ^uint64(0)
+		case ruleBits > lo:
+			allowed[wi] = (uint64(1) << (ruleBits - lo)) - 1
+		}
 	}
 	masks := make([]uint64, n)
-	for i := range masks {
-		masks[i] = binary.LittleEndian.Uint64(buf[i*8:])
-	}
-	for q := 0; q < states; q++ {
-		row := masks[q*words : (q+1)*words]
-		for wi, m := range row {
-			lo := wi * 64
-			var allowed uint64
-			switch {
-			case ruleBits >= lo+64:
-				allowed = ^uint64(0)
-			case ruleBits > lo:
-				allowed = (uint64(1) << (ruleBits - lo)) - 1
+	for i := 0; i < n; i += words {
+		row, rsrc := masks[i:i+words], src[8*i:8*(i+words)]
+		for wi, a := range allowed {
+			m := binary.LittleEndian.Uint64(rsrc[8*wi:])
+			if m&^a != 0 {
+				return nil, fmt.Errorf("core: mask table state %d has bits beyond %d rules", i/words, ruleBits)
 			}
-			if m&^allowed != 0 {
-				return nil, fmt.Errorf("core: mask table state %d has bits beyond %d rules", q, ruleBits)
-			}
+			row[wi] = m
 		}
 	}
 	return masks, nil

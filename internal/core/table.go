@@ -18,15 +18,23 @@ func FitsU8(n int) bool { return n <= 1<<8 }
 // FitsU16 reports whether every id fits in a uint16 table entry.
 func FitsU16(n int) bool { return n <= 1<<16 }
 
-// buildTable256 drives a width-specialized table build from any successor
-// function over byte classes.
-func buildTable256(numStates, classes int, classOf *[256]uint8, nextC []int32, store func(i int, to int32)) {
+// table256 expands a class-indexed successor table into the flat
+// 256-wide layout with entries of type T. Each row is built by a typed
+// loop: a state's successors are narrowed once into a 256-entry array
+// indexed by class, then the row is filled through the class map.
+func table256[T uint8 | uint16 | int32](numStates, classes int, classOf *[256]uint8, nextC []int32) []T {
+	t := make([]T, numStates*256)
+	var succ [256]T
 	for q := 0; q < numStates; q++ {
-		base := q * classes
-		for b := 0; b < 256; b++ {
-			store(q*256+b, nextC[base+int(classOf[b])])
+		for c, to := range nextC[q*classes : (q+1)*classes] {
+			succ[uint8(c)] = T(to)
+		}
+		row := (*[256]T)(t[q*256:])
+		for b, c := range classOf {
+			row[b] = succ[c]
 		}
 	}
+	return t
 }
 
 // Table256U8 materializes the flat 256-wide table with uint8 entries
@@ -35,10 +43,7 @@ func (s *DSFA) Table256U8() []uint8 {
 	if !FitsU8(s.NumStates) {
 		panic("core: Table256U8 needs ≤ 256 states")
 	}
-	t := make([]uint8, s.NumStates*256)
-	buildTable256(s.NumStates, s.D.BC.Count, &s.D.BC.Of, s.NextC,
-		func(i int, to int32) { t[i] = uint8(to) })
-	return t
+	return table256[uint8](s.NumStates, s.D.BC.Count, &s.D.BC.Of, s.NextC)
 }
 
 // Table256U16 materializes the flat 256-wide table with uint16 entries
@@ -47,19 +52,18 @@ func (s *DSFA) Table256U16() []uint16 {
 	if !FitsU16(s.NumStates) {
 		panic("core: Table256U16 needs ≤ 65536 states")
 	}
-	t := make([]uint16, s.NumStates*256)
-	buildTable256(s.NumStates, s.D.BC.Count, &s.D.BC.Of, s.NextC,
-		func(i int, to int32) { t[i] = uint16(to) })
-	return t
+	return table256[uint16](s.NumStates, s.D.BC.Count, &s.D.BC.Of, s.NextC)
 }
 
-// Table256 materializes the N-SFA's flat 256-wide int32 table (the layout
-// the engine used to build by hand).
+// Table256 materializes the flat 256-wide int32 table (1 KB per SFA
+// state, the layout whose cache behaviour Fig. 8 studies).
+func (s *DSFA) Table256() []int32 {
+	return table256[int32](s.NumStates, s.D.BC.Count, &s.D.BC.Of, s.NextC)
+}
+
+// Table256 materializes the N-SFA's flat 256-wide int32 table.
 func (s *NSFA) Table256() []int32 {
-	t := make([]int32, s.NumStates*256)
-	buildTable256(s.NumStates, s.t.BC.Count, &s.t.BC.Of, s.NextC,
-		func(i int, to int32) { t[i] = to })
-	return t
+	return table256[int32](s.NumStates, s.t.BC.Count, &s.t.BC.Of, s.NextC)
 }
 
 // Table256U8 is the uint8-entry layout for N-SFAs with ≤ 256 states.
@@ -67,10 +71,7 @@ func (s *NSFA) Table256U8() []uint8 {
 	if !FitsU8(s.NumStates) {
 		panic("core: Table256U8 needs ≤ 256 states")
 	}
-	t := make([]uint8, s.NumStates*256)
-	buildTable256(s.NumStates, s.t.BC.Count, &s.t.BC.Of, s.NextC,
-		func(i int, to int32) { t[i] = uint8(to) })
-	return t
+	return table256[uint8](s.NumStates, s.t.BC.Count, &s.t.BC.Of, s.NextC)
 }
 
 // Table256U16 is the uint16-entry layout for N-SFAs with ≤ 65536 states.
@@ -78,8 +79,5 @@ func (s *NSFA) Table256U16() []uint16 {
 	if !FitsU16(s.NumStates) {
 		panic("core: Table256U16 needs ≤ 65536 states")
 	}
-	t := make([]uint16, s.NumStates*256)
-	buildTable256(s.NumStates, s.t.BC.Count, &s.t.BC.Of, s.NextC,
-		func(i int, to int32) { t[i] = uint16(to) })
-	return t
+	return table256[uint16](s.NumStates, s.t.BC.Count, &s.t.BC.Of, s.NextC)
 }

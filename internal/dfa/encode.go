@@ -1,7 +1,6 @@
 package dfa
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -18,81 +17,81 @@ import (
 
 const dfaMagic = "SFA\x01DFA\x01"
 
+// headerLen is the fixed front of an encoding: the magic, four u32
+// fields (states, start, dead, classes) and the 256-byte class map.
+const headerLen = len(dfaMagic) + 16 + 256
+
+// EncodedLen is the size of d's encoding.
+func (d *DFA) EncodedLen() int { return headerLen + (d.NumStates+7)/8 + 4*len(d.NextC) }
+
 // WriteTo serializes the DFA.
 func (d *DFA) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
-	n := int64(0)
-	count := func(k int, err error) error {
-		n += int64(k)
-		return err
-	}
-	if err := count(bw.WriteString(dfaMagic)); err != nil {
-		return n, err
-	}
-	var hdr [16]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(d.NumStates))
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(d.Start))
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(int32(d.Dead)))
-	binary.LittleEndian.PutUint32(hdr[12:], uint32(d.BC.Count))
-	if err := count(bw.Write(hdr[:])); err != nil {
-		return n, err
-	}
-	if err := count(bw.Write(d.BC.Of[:])); err != nil {
-		return n, err
-	}
-	accept := make([]byte, (d.NumStates+7)/8)
-	for q, a := range d.Accept {
-		if a {
-			accept[q>>3] |= 1 << (q & 7)
-		}
-	}
-	if err := count(bw.Write(accept)); err != nil {
-		return n, err
-	}
-	buf := make([]byte, 4*len(d.NextC))
-	for i, to := range d.NextC {
-		binary.LittleEndian.PutUint32(buf[i*4:], uint32(to))
-	}
-	if err := count(bw.Write(buf)); err != nil {
-		return n, err
-	}
-	return n, bw.Flush()
+	bw := binio.NewWriter(w)
+	start := bw.Count()
+	d.Encode(bw)
+	err := bw.Flush()
+	return bw.Count() - start, err
 }
 
-// ReadDFA deserializes a DFA written by WriteTo and validates it.
-// It reads exactly the encoded bytes (no readahead), so a D-SFA section
-// may follow in the same stream.
-func ReadDFA(r io.Reader) (*DFA, error) {
-	br := r
-	magic := make([]byte, len(dfaMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("dfa: reading magic: %w", err)
+// Encode writes d's encoding to w.
+func (d *DFA) Encode(w *binio.Writer) {
+	w.WriteString(dfaMagic)
+	w.Uint32(uint32(d.NumStates))
+	w.Uint32(uint32(d.Start))
+	w.Uint32(uint32(d.Dead))
+	w.Uint32(uint32(d.BC.Count))
+	w.Write(d.BC.Of[:])
+	w.Bits(d.Accept)
+	w.Int32s(d.NextC)
+}
+
+// encodedLen validates the fixed header at the front of b and returns the
+// size of the whole encoding it announces.
+func encodedLen(b []byte) (int, error) {
+	if len(b) < headerLen {
+		return 0, fmt.Errorf("dfa: reading header: %w", io.ErrUnexpectedEOF)
 	}
-	if string(magic) != dfaMagic {
-		return nil, fmt.Errorf("dfa: bad magic %q", magic)
+	if string(b[:len(dfaMagic)]) != dfaMagic {
+		return 0, fmt.Errorf("dfa: bad magic %q", b[:len(dfaMagic)])
 	}
-	var hdr [16]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("dfa: reading header: %w", err)
-	}
-	numStates := int(binary.LittleEndian.Uint32(hdr[0:]))
-	start := int32(binary.LittleEndian.Uint32(hdr[4:]))
-	dead := int32(binary.LittleEndian.Uint32(hdr[8:]))
-	classes := int(binary.LittleEndian.Uint32(hdr[12:]))
+	numStates := int(binary.LittleEndian.Uint32(b[len(dfaMagic):]))
+	classes := int(binary.LittleEndian.Uint32(b[len(dfaMagic)+12:]))
 	if numStates <= 0 || numStates > 1<<28 || classes <= 0 || classes > 256 {
-		return nil, fmt.Errorf("dfa: implausible header (states %d, classes %d)", numStates, classes)
+		return 0, fmt.Errorf("dfa: implausible header (states %d, classes %d)", numStates, classes)
+	}
+	return headerLen + (numStates+7)/8 + 4*numStates*classes, nil
+}
+
+// Decode parses the DFA encoded at the front of b and returns it with the
+// number of bytes it occupies. It is the format's one parser — ReadDFA
+// only frames a stream for it — and validates everything: the class map,
+// the start and dead states, and every transition target.
+func Decode(b []byte) (*DFA, int, error) {
+	size, err := encodedLen(b)
+	if err != nil {
+		return nil, 0, err
+	}
+	if len(b) < size {
+		return nil, 0, fmt.Errorf("dfa: reading tables (%d of %d bytes): %w", len(b), size, io.ErrUnexpectedEOF)
+	}
+	h := b[len(dfaMagic):]
+	numStates := int(binary.LittleEndian.Uint32(h[0:]))
+	start := binary.LittleEndian.Uint32(h[4:])
+	dead := int32(binary.LittleEndian.Uint32(h[8:]))
+	classes := int(binary.LittleEndian.Uint32(h[12:]))
+	if start >= uint32(numStates) {
+		return nil, 0, fmt.Errorf("dfa: start %d out of range", start)
+	}
+	if dead != NoDead && uint32(dead) >= uint32(numStates) {
+		return nil, 0, fmt.Errorf("dfa: dead %d out of range", dead)
 	}
 
-	bc := &nfa.ByteClasses{Count: classes}
-	if _, err := io.ReadFull(br, bc.Of[:]); err != nil {
-		return nil, fmt.Errorf("dfa: reading classes: %w", err)
-	}
-	bc.Rep = make([]byte, classes)
-	seen := make([]bool, classes)
-	for b := 0; b < 256; b++ {
-		c := int(bc.Of[b])
-		if c >= classes {
-			return nil, fmt.Errorf("dfa: class id %d out of range", c)
+	bc := &nfa.ByteClasses{Count: classes, Rep: make([]byte, classes)}
+	copy(bc.Of[:], h[16:])
+	var seen [256]bool
+	for b, c := range bc.Of {
+		if int(c) >= classes {
+			return nil, 0, fmt.Errorf("dfa: class id %d out of range", c)
 		}
 		if !seen[c] {
 			seen[c] = true
@@ -100,27 +99,35 @@ func ReadDFA(r io.Reader) (*DFA, error) {
 		}
 	}
 
-	// Read both variable sections before allocating the automaton, so a
-	// lying header costs at most the bytes actually present (binio).
-	accept, err := binio.ReadExact(br, (numStates+7)/8)
-	if err != nil {
-		return nil, fmt.Errorf("dfa: reading accept: %w", err)
-	}
-	buf, err := binio.ReadExact(br, 4*numStates*classes)
-	if err != nil {
-		return nil, fmt.Errorf("dfa: reading transitions: %w", err)
-	}
 	d := New(numStates, bc)
-	d.Start = start
+	d.Start = int32(start)
 	d.Dead = dead
-	for q := 0; q < numStates; q++ {
-		d.Accept[q] = accept[q>>3]&(1<<(q&7)) != 0
+	tables := b[headerLen:size]
+	na := (numStates + 7) / 8
+	binio.UnpackBits(d.Accept, tables[:na])
+	if i := binio.DecodeInt32s(d.NextC, tables[na:], uint32(numStates)); i >= 0 {
+		return nil, 0, fmt.Errorf("dfa: transition %d → %d out of range", i, int32(binary.LittleEndian.Uint32(tables[na+4*i:])))
 	}
-	for i := range d.NextC {
-		d.NextC[i] = int32(binary.LittleEndian.Uint32(buf[i*4:]))
+	if dead != NoDead && d.Accept[dead] {
+		return nil, 0, fmt.Errorf("dfa: dead state accepts")
 	}
-	if err := d.Validate(); err != nil {
+	return d, size, nil
+}
+
+// ReadDFA reads one DFA encoding from r — exactly its bytes, so a D-SFA
+// section may follow in the same stream — and decodes it with Decode.
+func ReadDFA(r io.Reader) (*DFA, error) {
+	b, err := binio.ReadExact(r, headerLen)
+	if err != nil {
+		return nil, fmt.Errorf("dfa: reading header: %w", err)
+	}
+	size, err := encodedLen(b)
+	if err != nil {
 		return nil, err
 	}
-	return d, nil
+	if b, err = binio.Append(r, b, size-headerLen); err != nil {
+		return nil, fmt.Errorf("dfa: reading tables: %w", err)
+	}
+	d, _, err := Decode(b)
+	return d, err
 }

@@ -136,8 +136,8 @@ func WithBuildID(id uint64) Option { return func(o *engineOpts) { o.buildID = id
 // SetStream), not here, so they count stream writes rather than
 // per-shard engine visits. Recording uses only lock-free obs
 // primitives, so the streaming hot path stays at 0 allocs/op with
-// stats enabled (benchjson-gated). Nil disables instrumentation (the
-// default).
+// stats enabled (TestInstrumentedStreamZeroAlloc gates it). Nil
+// disables instrumentation (the default).
 func WithScanStats(st *obs.ScanStats) Option {
 	return func(o *engineOpts) { o.stats = st }
 }

@@ -1,9 +1,10 @@
 // Package hotpathalloc statically guards the zero-allocation contract
 // of the streaming scan path. The runtime side of the contract is the
-// benchjson -zero-alloc gate (0 allocs/op on the hot-path benchmarks);
-// this analyzer is its compile-time twin: it flags the *constructs*
-// that produce allocations, so a regression is named at the line that
-// introduces it instead of showing up as a bare "1 allocs/op" in CI.
+// testing.AllocsPerRun tests (0 allocs per steady-state call of each
+// hot path); this analyzer is their compile-time twin: it flags the
+// *constructs* that produce allocations, so a regression is named at
+// the line that introduces it instead of showing up as a bare
+// "allocate 1.0/op" in CI.
 //
 // A function opts in with a doc-comment directive:
 //
@@ -30,8 +31,8 @@
 //     the heap).
 //
 // The check is intentionally not transitive: it reads one body at a
-// time, and the annotation marks exactly the frames the benchjson gate
-// measures. Helpers a hot path calls should carry their own
+// time, and the annotation marks exactly the frames the AllocsPerRun
+// tests measure. Helpers a hot path calls should carry their own
 // //sfa:noalloc. A construct the author can prove amortizes to zero
 // (or runs only on a cold branch) takes a same-line or preceding-line
 // waiver with a reason in the surrounding comment:

@@ -1,13 +1,11 @@
 package multi
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"slices"
 	"sort"
 
 	"repro/internal/binio"
@@ -107,45 +105,41 @@ func StableBuildID(shardKey string) uint64 {
 	return binary.LittleEndian.Uint64(h[:8]) | 1<<63
 }
 
-// encodeShard writes one shard blob: the engine's automaton and mask
+// shardLen is the size of the blob writeShard writes.
+func shardLen(m *engine.MultiSFA, localKeys []string) int {
+	n := len(shardMagic) + binio.UvarintLen(uint64(len(localKeys)))
+	for _, k := range localKeys {
+		n += binio.UvarintLen(uint64(len(k))) + len(k)
+	}
+	sfaLen := m.SFA().EncodedLen()
+	return n + binio.UvarintLen(uint64(m.Words())) + 8 +
+		binio.UvarintLen(uint64(sfaLen)) + sfaLen + core.MaskTableLen(m.Masks()) + 4
+}
+
+// writeShard writes one shard blob: the engine's automaton and mask
 // table plus the identity keys of its rules in local mask-bit order,
 // CRC-32C-guarded.
-func encodeShard(w io.Writer, m *engine.MultiSFA, localKeys []string) error {
-	h := binio.NewCRC32C()
-	cw := io.MultiWriter(w, h)
-	if _, err := io.WriteString(cw, shardMagic); err != nil {
-		return err
-	}
-	if err := binio.WriteUvarint(cw, uint64(len(localKeys))); err != nil {
-		return err
-	}
+func writeShard(w *binio.Writer, m *engine.MultiSFA, localKeys []string) {
+	w.BeginCRC()
+	w.WriteString(shardMagic)
+	w.Uvarint(uint64(len(localKeys)))
 	for _, k := range localKeys {
-		if err := binio.WriteString(cw, k); err != nil {
-			return err
-		}
+		w.String(k)
 	}
-	if err := binio.WriteUvarint(cw, uint64(m.Words())); err != nil {
-		return err
-	}
-	var id8 [8]byte
-	binary.LittleEndian.PutUint64(id8[:], StableBuildID(ShardKey(localKeys)))
-	if _, err := cw.Write(id8[:]); err != nil {
-		return err
-	}
-	var dsfa bytes.Buffer
-	if _, err := m.SFA().WriteTo(&dsfa); err != nil {
-		return err
-	}
-	if err := binio.WriteBytes(cw, dsfa.Bytes()); err != nil {
-		return err
-	}
-	if err := core.WriteMaskTable(cw, m.Masks()); err != nil {
-		return err
-	}
-	var crc4 [4]byte
-	binary.LittleEndian.PutUint32(crc4[:], h.Sum32())
-	_, err := w.Write(crc4[:])
-	return err
+	w.Uvarint(uint64(m.Words()))
+	w.Uint64(StableBuildID(ShardKey(localKeys)))
+	s := m.SFA()
+	w.Uvarint(uint64(s.EncodedLen()))
+	s.Encode(w)
+	core.EncodeMaskTable(w, m.Masks())
+	w.Uint32(w.EndCRC())
+}
+
+// encodeShard writes one shard blob to w: a shard-cache entry.
+func encodeShard(w io.Writer, m *engine.MultiSFA, localKeys []string) error {
+	bw := binio.NewWriter(w)
+	writeShard(bw, m, localKeys)
+	return bw.Flush()
 }
 
 // DecodedShard is one shard reconstructed from a blob: the live engine
@@ -158,40 +152,57 @@ type DecodedShard struct {
 	m       *engine.MultiSFA
 }
 
-// DecodeShard reads a shard blob written by encodeShard, verifying the
-// CRC before any automaton or table is materialized and validating every
-// structural invariant (state counts, transition targets, mask widths,
-// stray mask bits, accept bits against masks) so a corrupt blob errors
-// instead of reaching the zero-allocation match path. Matching options
-// (Threads, Pool, Stats) come from o; the persisted BuildID is adopted.
+// DecodeShard reads a whole shard blob from r — a shard-cache entry —
+// and decodes it like a shard frame of a set blob.
 func DecodeShard(r io.Reader, o Options) (*DecodedShard, error) {
+	b, err := binio.ReadAll(r, maxShardBlob)
+	if err != nil {
+		return nil, fmt.Errorf("multi: reading shard: %w", err)
+	}
+	return decodeShard(b, o)
+}
+
+// decodeShard decodes a shard blob that fills b exactly. The CRC is
+// verified over the frame before anything is parsed; then the frame is
+// parsed in place, validating every structural invariant (state counts,
+// transition targets, mask widths, stray mask bits, accept bits against
+// masks) so a corrupt blob errors instead of reaching the
+// zero-allocation match path. Nothing decoded aliases b. Matching
+// options (Threads, Pool, Stats) come from o; the persisted BuildID is
+// adopted.
+func decodeShard(b []byte, o Options) (*DecodedShard, error) {
 	o = o.withDefaults()
-	cr := binio.NewCRCReader(r)
-	magic := make([]byte, len(shardMagic))
-	if _, err := io.ReadFull(cr, magic); err != nil {
-		return nil, fmt.Errorf("multi: reading shard magic: %w", err)
+	if len(b) < 4 {
+		return nil, fmt.Errorf("multi: shard blob of %d bytes: %w", len(b), io.ErrUnexpectedEOF)
+	}
+	body := b[:len(b)-4]
+	if stored, sum := binary.LittleEndian.Uint32(b[len(body):]), binio.Checksum(body); stored != sum {
+		return nil, fmt.Errorf("multi: shard crc mismatch (stored %08x, computed %08x)", stored, sum)
+	}
+	c := binio.NewCursor(body)
+	magic, err := c.Next(len(shardMagic), "shard magic")
+	if err != nil {
+		return nil, err
 	}
 	if string(magic) != shardMagic {
 		return nil, fmt.Errorf("multi: bad shard magic %q", magic)
 	}
-	nrules, err := binio.ReadCount(cr, maxShardRules, "shard rule")
+	nrules, err := c.Count(maxShardRules, "shard rule")
 	if err != nil {
 		return nil, err
 	}
 	if nrules == 0 {
 		return nil, fmt.Errorf("multi: shard with no rules")
 	}
-	// Grow as keys actually decode; the claimed count must not buy a
-	// large allocation on its own (the binio rule).
 	keys := make([]string, 0, min(nrules, 4096))
-	for i := 0; i < nrules; i++ {
-		k, err := binio.ReadString(cr, maxKeyLen, "rule key")
+	for range nrules {
+		k, err := c.Bytes(maxKeyLen, "rule key")
 		if err != nil {
 			return nil, err
 		}
-		keys = append(keys, k)
+		keys = append(keys, string(k))
 	}
-	words, err := binio.ReadCount(cr, maxShardRules/64+1, "mask word")
+	words, err := c.Count(maxShardRules/64+1, "mask word")
 	if err != nil {
 		return nil, err
 	}
@@ -199,47 +210,35 @@ func DecodeShard(r io.Reader, o Options) (*DecodedShard, error) {
 		return nil, fmt.Errorf("multi: shard mask width %d words, want %d for %d rules",
 			words, maskWords(nrules), nrules)
 	}
-	var id8 [8]byte
-	if _, err := io.ReadFull(cr, id8[:]); err != nil {
-		return nil, fmt.Errorf("multi: reading build id: %w", err)
-	}
-	buildID := binary.LittleEndian.Uint64(id8[:])
-	dsfaBytes, err := binio.ReadBytes(cr, maxShardBlob, "automaton section")
+	id8, err := c.Next(8, "build id")
 	if err != nil {
 		return nil, err
 	}
-	maskBytes, err := readMaskSection(cr)
-	if err != nil {
-		return nil, err
-	}
-	var crc4 [4]byte
-	if _, err := io.ReadFull(r, crc4[:]); err != nil {
-		return nil, fmt.Errorf("multi: reading shard crc: %w", err)
-	}
-	if got := binary.LittleEndian.Uint32(crc4[:]); got != cr.Sum32() {
-		return nil, fmt.Errorf("multi: shard crc mismatch (stored %08x, computed %08x)", got, cr.Sum32())
-	}
-
-	// CRC holds; now pay for parsing and table materialization.
+	buildID := binary.LittleEndian.Uint64(id8)
 	if want := StableBuildID(ShardKey(keys)); buildID != want {
 		return nil, fmt.Errorf("multi: shard build id %016x does not match its rule membership", buildID)
 	}
-	dr := bytes.NewReader(dsfaBytes)
-	s, err := core.ReadDSFA(dr)
+	sfaBytes, err := c.Bytes(maxShardBlob, "automaton section")
 	if err != nil {
 		return nil, err
 	}
-	if dr.Len() != 0 {
-		return nil, fmt.Errorf("multi: %d trailing bytes after automaton", dr.Len())
+	s, err := core.DecodeDSFA(sfaBytes)
+	if err != nil {
+		return nil, err
 	}
-	masks, err := core.ReadMaskTable(bytes.NewReader(maskBytes), s.D.NumStates, words, nrules)
+	maskBytes, _ := c.Next(c.Len(), "mask table")
+	masks, err := core.DecodeMaskTable(maskBytes, s.D.NumStates, words, nrules)
 	if err != nil {
 		return nil, err
 	}
 	// The engine's Match reads the DFA's accept bit as "some rule
 	// accepts", so it must mark exactly the states whose row has a bit.
 	for q, acc := range s.D.Accept {
-		if acc != slices.ContainsFunc(masks[q*words:(q+1)*words], func(w uint64) bool { return w != 0 }) {
+		nonzero := false
+		for _, w := range masks[q*words : (q+1)*words] {
+			nonzero = nonzero || w != 0
+		}
+		if acc != nonzero {
 			return nil, fmt.Errorf("multi: DFA state %d accept bit disagrees with its rule mask", q)
 		}
 	}
@@ -248,66 +247,39 @@ func DecodeShard(r io.Reader, o Options) (*DecodedShard, error) {
 	return &DecodedShard{Keys: keys, BuildID: buildID, m: m}, nil
 }
 
-// readMaskSection buffers the mask-table bytes (varint count + payload)
-// so the CRC can be verified before core.ReadMaskTable parses them.
-func readMaskSection(r io.Reader) ([]byte, error) {
-	n, err := binio.ReadCount(r, maxShardBlob/8, "mask table")
-	if err != nil {
-		return nil, err
-	}
-	payload, err := binio.ReadExact(r, 8*n)
-	if err != nil {
-		return nil, fmt.Errorf("multi: reading mask table: %w", err)
-	}
-	var buf bytes.Buffer
-	if err := binio.WriteUvarint(&buf, uint64(n)); err != nil {
-		return nil, err
-	}
-	buf.Write(payload)
-	return buf.Bytes(), nil
-}
-
-// Encode serializes the whole set: plan metadata plus every shard blob.
-// keys[i] is rule i's identity key (the Recompile contract); the decoder
-// uses them to re-derive the local-bit → global-rule translation.
+// Encode serializes the whole set: plan metadata plus every shard blob,
+// each behind its length, through one buffered writer. keys[i] is rule
+// i's identity key (the Recompile contract); the decoder uses them to
+// re-derive the local-bit → global-rule translation. A set with a lazy
+// shard writes nothing.
 func (s *Set) Encode(w io.Writer, keys []string) error {
 	if len(keys) != s.rules {
 		return fmt.Errorf("multi: %d keys for %d rules", len(keys), s.rules)
 	}
-	if _, err := io.WriteString(w, setMagic); err != nil {
-		return err
-	}
-	if err := binio.WriteUvarint(w, uint64(s.rules)); err != nil {
-		return err
-	}
-	if err := binio.WriteUvarint(w, uint64(s.planShards)); err != nil {
-		return err
-	}
-	if err := binio.WriteUvarint(w, uint64(len(s.shards))); err != nil {
-		return err
-	}
-	var blob bytes.Buffer
-	for _, sh := range s.shards {
-		blob.Reset()
-		local := make([]string, len(sh.rules))
-		for i, r := range sh.rules {
-			local[i] = keys[r]
-		}
-		m := eagerEngine(sh.m)
-		if m == nil {
+	ms := make([]*engine.MultiSFA, len(s.shards))
+	for i, sh := range s.shards {
+		if ms[i] = eagerEngine(sh.m); ms[i] == nil {
 			// A lazy shard has no tables to persist — its states are
 			// rebuilt from traffic. Callers persist the rule sources
 			// instead and recompile on load.
 			return fmt.Errorf("%w: shard %v", ErrNotSerializable, sh.rules)
 		}
-		if err := encodeShard(&blob, m, local); err != nil {
-			return err
-		}
-		if err := binio.WriteBytes(w, blob.Bytes()); err != nil {
-			return err
-		}
 	}
-	return nil
+	bw := binio.NewWriter(w)
+	bw.WriteString(setMagic)
+	bw.Uvarint(uint64(s.rules))
+	bw.Uvarint(uint64(s.planShards))
+	bw.Uvarint(uint64(len(s.shards)))
+	var local []string
+	for i, sh := range s.shards {
+		local = local[:0]
+		for _, r := range sh.rules {
+			local = append(local, keys[r])
+		}
+		bw.Uvarint(uint64(shardLen(ms[i], local)))
+		writeShard(bw, ms[i], local)
+	}
+	return bw.Flush()
 }
 
 // DecodeSet reads a set blob written by Encode and reassembles a live
@@ -315,6 +287,8 @@ func (s *Set) Encode(w io.Writer, keys []string) error {
 // multiset must be satisfiable from keys, and together the shards must
 // cover every rule exactly once — anything else (corruption, a snapshot
 // for a different rule list) is an error, never a silently wrong Set.
+// Each shard frame is read once into one buffer, reused from shard to
+// shard, and decoded in place.
 func DecodeSet(r io.Reader, keys []string, o Options) (*Set, error) {
 	o = o.withDefaults()
 	magic := make([]byte, len(setMagic))
@@ -351,18 +325,18 @@ func DecodeSet(r io.Reader, keys []string, o Options) (*Set, error) {
 	}
 	assigned := 0
 	shards := make([]*shard, 0, nshards)
+	var frame []byte
 	for i := 0; i < nshards; i++ {
 		blobLen, err := binio.ReadCount(r, maxShardBlob, "shard blob byte")
 		if err != nil {
 			return nil, err
 		}
-		lr := &io.LimitedReader{R: r, N: int64(blobLen)}
-		ds, err := DecodeShard(lr, o)
+		if frame, err = binio.Append(r, frame[:0], blobLen); err != nil {
+			return nil, fmt.Errorf("multi: shard %d: reading frame: %w", i, err)
+		}
+		ds, err := decodeShard(frame, o)
 		if err != nil {
 			return nil, fmt.Errorf("multi: shard %d: %w", i, err)
-		}
-		if lr.N != 0 {
-			return nil, fmt.Errorf("multi: shard %d: %d trailing bytes in frame", i, lr.N)
 		}
 		rules := make([]int, len(ds.Keys))
 		for j, k := range ds.Keys {

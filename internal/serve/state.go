@@ -1,8 +1,8 @@
 package serve
 
 import (
-	"bytes"
 	"fmt"
+	"io"
 	"net/url"
 	"os"
 	"path/filepath"
@@ -79,7 +79,10 @@ func (st *State) saveTenantLocked(name string, defs []sfa.RuleDef, rs *sfa.RuleS
 
 	var rulesErr error
 	if text, err := FormatRules(defs); err == nil {
-		rulesErr = atomicWrite(base+".rules", []byte(text))
+		rulesErr = atomicWrite(base+".rules", func(w io.Writer) error {
+			_, err := io.WriteString(w, text)
+			return err
+		})
 	} else {
 		rulesErr = err
 	}
@@ -91,17 +94,41 @@ func (st *State) saveTenantLocked(name string, defs []sfa.RuleDef, rs *sfa.RuleS
 		os.Remove(base + ".rules")
 	}
 
-	var snap bytes.Buffer
-	if err := rs.Save(&snap); err != nil {
-		// No snapshot for this architecture: the rules mirror is all
-		// there is, so its failure is the caller's problem.
+	// Save streams straight into the temp file; only a complete snapshot
+	// is renamed into place.
+	var noSnapshot bool
+	err := atomicWrite(base+".snap", func(w io.Writer) error {
+		fw := &firstErrWriter{w: w}
+		err := rs.Save(fw)
+		noSnapshot = err != nil && fw.err == nil
+		return err
+	})
+	if noSnapshot {
+		// Save failed without a write failing: no snapshot for this
+		// architecture. The rules mirror is all there is, so its
+		// failure is the caller's problem.
 		os.Remove(base + ".snap")
 		return rulesErr
 	}
-	if err := atomicWrite(base+".snap", snap.Bytes()); err != nil {
+	if err != nil {
 		return err
 	}
 	return rulesErr
+}
+
+// firstErrWriter remembers the first error of the writer it wraps, so a
+// failed Save can be told apart from a failed write.
+type firstErrWriter struct {
+	w   io.Writer
+	err error
+}
+
+func (f *firstErrWriter) Write(p []byte) (int, error) {
+	n, err := f.w.Write(p)
+	if f.err == nil {
+		f.err = err
+	}
+	return n, err
 }
 
 // DeleteTenant removes a tenant's persisted files.
@@ -160,18 +187,20 @@ func (st *State) LoadTenant(name string) (defs []sfa.RuleDef, snap []byte) {
 	return defs, snap
 }
 
-// atomicWrite writes data to path via a temp file and rename, so a crash
-// mid-write can never leave a half-written state file (the loader would
-// reject a torn snapshot anyway — CRC — but the rules mirror has no such
-// guard).
-func atomicWrite(path string, data []byte) error {
+// atomicWrite writes path through write into a temp file, renamed into
+// place only when write, the sync and the close all succeed, so a crash
+// or a failed write can never leave a half-written state file (the
+// loader would reject a torn snapshot anyway — CRC — but the rules
+// mirror has no such guard). The temp file is removed on every path.
+// write gets the file itself: Save buffers its own output.
+func atomicWrite(path string, write func(io.Writer) error) error {
 	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
 	if err != nil {
 		return err
 	}
 	tmp := f.Name()
 	defer os.Remove(tmp)
-	if _, err := f.Write(data); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		return err
 	}

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -215,4 +216,43 @@ func TestHubDrain(t *testing.T) {
 	stream.Write([]byte("GET /etc/passwd"))
 	stream.Close()
 	<-done // must close now
+}
+
+// TestStateFailedSaveLeavesNoSnapshot: a rule set whose Save fails (a
+// lazily compiled one) leaves neither a snapshot — not even the previous
+// generation's — nor a temp file behind; the rules mirror is written.
+func TestStateFailedSaveLeavesNoSnapshot(t *testing.T) {
+	st, err := OpenState(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	eager, err := sfa.NewRuleSetFromDefs(stateDefs(), sfa.WithSearch())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.SaveTenant("ids", stateDefs(), eager); err != nil {
+		t.Fatal(err)
+	}
+	defs := []sfa.RuleDef{{Name: "gap", Pattern: `q00.{0,12}z00`}}
+	lazy, err := sfa.NewRuleSetFromDefs(defs, sfa.WithSearch(), sfa.WithLazyCompile(), sfa.WithSFACap(16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lazy.Save(io.Discard); err == nil {
+		t.Fatal("fixture saved; it must be a lazily compiled set")
+	}
+	if err := st.SaveTenant("ids", defs, lazy); err != nil {
+		t.Fatal(err)
+	}
+	files, err := os.ReadDir(filepath.Join(st.Dir(), "tenants"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, f := range files {
+		names = append(names, f.Name())
+	}
+	if !reflect.DeepEqual(names, []string{"ids.rules"}) {
+		t.Fatalf("tenant files after a failed Save: %v, want only ids.rules", names)
+	}
 }

@@ -21,8 +21,10 @@ func fuzzSnapshot(tb testing.TB, defs []RuleDef) []byte {
 // FuzzLoadRuleSet hammers the snapshot decoder with arbitrary bytes:
 // it must return an error or a fully working rule set — never panic,
 // and never allocate beyond what the input's actual size justifies
-// (binio.ReadExact grows with the stream; engine tables are only
-// materialized after the CRCs hold). Runs in CI via `make fuzz-smoke`.
+// (binio.Append grows with the stream; engine tables are only
+// materialized after the CRCs hold; TestLoadRuleSetReaderShapes asserts
+// the bound for a frame that lies about its length). Runs in CI via
+// `make fuzz-smoke`.
 func FuzzLoadRuleSet(f *testing.F) {
 	valid := fuzzSnapshot(f, []RuleDef{
 		{Name: "a", Pattern: `(ab)*c?`},

@@ -469,3 +469,50 @@ func TestRuleSetHotPathsZeroAllocPerArm(t *testing.T) {
 		}
 	}
 }
+
+// TestInstrumentedStreamZeroAlloc: a RuleStream.Write on a set compiled
+// WithScanStats, followed by the per-request flight record the serve
+// scan handler makes, allocates nothing in steady state — the
+// observability layer's record path is as free as the walk it observes.
+func TestInstrumentedStreamZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	stats := NewScanStats()
+	rs, err := NewRuleSetFromDefs(snortDefs(snort.ScanSample(8)), WithSearch(), WithThreads(1), WithScanStats(stats))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := rs.NewStream()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring := NewFlightRecorder(64)
+	data, _ := textgen.Traffic{SuspiciousPerMille: 5}.Generate(64<<10, 3)
+	dst := make([]uint64, rs.MaskWords())
+	pass := func() {
+		st.Write(data)
+		st.Mask(dst)
+		ss := st.Stats()
+		ring.Record(ScanRecord{
+			Tenant:      "t",
+			Generation:  1,
+			Bytes:       int64(len(data)),
+			Chunks:      ss.Chunks,
+			PrefilterNs: ss.PrefilterNs,
+			ComposeNs:   ss.ComposeNs - ss.PrefilterNs,
+		})
+	}
+	pass()
+	pass()
+	before := stats.Snapshot().Chunks
+	if avg := testing.AllocsPerRun(20, pass); avg != 0 {
+		t.Fatalf("instrumented Write + flight record allocate %.1f/op in steady state, want 0", avg)
+	}
+	if stats.Snapshot().Chunks == before {
+		t.Fatal("scan stats recorded nothing: the instrumentation was not engaged")
+	}
+	if len(ring.Snapshot(4)) == 0 {
+		t.Fatal("flight recorder recorded nothing")
+	}
+}

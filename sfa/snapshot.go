@@ -59,40 +59,27 @@ func (rs *RuleSet) Save(w io.Writer) error {
 	if rs.set == nil {
 		return fmt.Errorf("sfa: Save needs a combined rule set (isolated or non-SFA rule sets recompile from source)")
 	}
-	h := binio.NewCRC32C()
-	cw := io.MultiWriter(w, h)
-	if _, err := io.WriteString(cw, ruleSetMagic); err != nil {
-		return err
-	}
+	bw := binio.NewWriter(w)
+	bw.BeginCRC()
+	bw.WriteString(ruleSetMagic)
 	cfg := buildConfig(rs.opts)
 	search := byte(0)
 	if cfg.search {
 		search = 1
 	}
-	if _, err := cw.Write([]byte{byte(cfg.flags), search}); err != nil {
-		return err
-	}
-	if err := binio.WriteUvarint(cw, uint64(len(rs.defs))); err != nil {
-		return err
-	}
+	bw.Byte(byte(cfg.flags))
+	bw.Byte(search)
+	bw.Uvarint(uint64(len(rs.defs)))
 	for _, d := range rs.defs {
-		if err := binio.WriteString(cw, d.Name); err != nil {
-			return err
-		}
-		if err := binio.WriteString(cw, d.Pattern); err != nil {
-			return err
-		}
-		if _, err := cw.Write([]byte{byte(d.Flags)}); err != nil {
-			return err
-		}
+		bw.String(d.Name)
+		bw.String(d.Pattern)
+		bw.Byte(byte(d.Flags))
 	}
-	if err := rs.set.Encode(cw, rs.keys); err != nil {
+	if err := rs.set.Encode(bw, rs.keys); err != nil {
 		return err
 	}
-	var crc4 [4]byte
-	binary.LittleEndian.PutUint32(crc4[:], h.Sum32())
-	_, err := w.Write(crc4[:])
-	return err
+	bw.Uint32(bw.EndCRC())
+	return bw.Flush()
 }
 
 // LoadRuleSet reconstructs a rule set saved with Save: every shard's
