@@ -20,11 +20,13 @@
 # short real window each of scan_dense (the eager path), scan_sparse
 # (the workload where the literal matcher is the whole op), scan_lazy
 # (lazy shards behind the prefilter, and the lazy tuple in its
-# no-prefilter twin's set-up) and build (the only window that checks the
-# masks of sets that were built, saved, loaded and rebuilt) verified
-# against the isolated-rule oracle — so a change that breaks the
-# benchmark, drops a literal hit, breaks a lazy verdict or builds a
-# wrong table, fails here, not in the pipeline that runs it.
+# no-prefilter twin's set-up), stream_compose (the one workload whose
+# Compose consumes full carried mappings, out-of-order segments folded
+# together) and build (the only window that checks the masks of sets
+# that were built, saved, loaded and rebuilt) verified against the
+# isolated-rule oracle — so a change that breaks the benchmark, drops a
+# literal hit, breaks a lazy verdict, breaks a composed mapping or
+# builds a wrong table, fails here, not in the pipeline that runs it.
 
 GO ?= go
 
@@ -61,7 +63,8 @@ race:
 # Exercise the fuzz corpora for a few seconds so the oracle cross-checks
 # actually run somewhere — every fuzz target in the module, 10 s each:
 # FuzzMatch (combined vs isolated vs derivative oracle), FuzzEngineAgreement
-# (the single-pattern engine vs the derivative oracle), FuzzPrefilter
+# (the single-pattern engine vs the derivative oracle, and its known-start
+# DFA walk vs its D-SFA walk), FuzzPrefilter
 # (prefiltered vs unfiltered, one-shot, split and composed, over an eager
 # set of every shard mode and a lazily compiled gap-rule set verified per
 # rule), FuzzParse (parse → String → parse round trip; derivatives must
@@ -85,10 +88,11 @@ fuzz-smoke:
 # HTTP, hot-reload under concurrent streamed scans, assert shard reuse,
 # scrape /metrics in Prometheus text format (exposition validity, core
 # series, counter monotonicity under reloads), and round-trip the
-# flight recorder + attribution endpoints under concurrent load — all
+# flight recorder + attribution endpoints under concurrent load, and
+# close half-sent headers and idle keep-alive connections on time — all
 # under -race.
 serve-smoke:
-	$(GO) test -race -run 'TestServeSmoke|TestServePromScrapeSmoke|TestServeFlightSmoke|TestServeEndToEnd|TestServeFlightAndAttribution|TestServeFlightConcurrent|TestRuleboardConcurrentScansAndReloads|TestMetricsContentNegotiation|TestMetricsPromExposition|TestPromAttributionSeries|TestPromMonotonicUnderConcurrentScansAndReloads|TestPromTenantRowsSurviveDeleteAndReadd|TestSlowScanLogging' ./cmd/sfaserve ./internal/serve
+	$(GO) test -race -run 'TestServeSmoke|TestServeTimeouts|TestServePromScrapeSmoke|TestServeFlightSmoke|TestServeEndToEnd|TestServeFlightAndAttribution|TestServeFlightConcurrent|TestRuleboardConcurrentScansAndReloads|TestMetricsContentNegotiation|TestMetricsPromExposition|TestPromAttributionSeries|TestPromMonotonicUnderConcurrentScansAndReloads|TestPromTenantRowsSurviveDeleteAndReadd|TestSlowScanLogging' ./cmd/sfaserve ./internal/serve
 
 # Snapshot subsystem smoke: rule-set save → reload → byte-identical
 # verdicts (vs the isolated oracle), warm-restart the real sfaserve over
@@ -99,16 +103,18 @@ snapshot-smoke:
 
 # The benchmark BENCHMARK.json names: its own tests (-short skips the
 # full-length runs), then one 1-second window each of the two eager scan
-# workloads, the lazy one and build (cold build, Save, snapshot loads
-# and one-rule Rebuilds, each resulting set's mask checked) through the
-# same entry point the benchmark's runs use — every op and spot slice
-# checked by the bench's isolated-rule oracle. run.sh builds into
-# .bench_build/.
+# workloads, the lazy one, stream_compose (segments on their own
+# streams, folded with Compose) and build (cold build, Save, snapshot
+# loads and one-rule Rebuilds, each resulting set's mask checked)
+# through the same entry point the benchmark's runs use — every op and
+# spot slice checked by the bench's isolated-rule oracle. run.sh builds
+# into .bench_build/.
 bench-check:
 	cd bench && $(GO) test -short ./...
 	bash bench/run.sh -workload scan_dense -seconds 1
 	bash bench/run.sh -workload scan_sparse -seconds 1
 	bash bench/run.sh -workload scan_lazy -seconds 1
+	bash bench/run.sh -workload stream_compose -seconds 1
 	bash bench/run.sh -workload build -seconds 1
 
 ci: vet lint build docs-check test race fuzz-smoke serve-smoke snapshot-smoke bench-check

@@ -90,6 +90,17 @@ import (
 // drainTimeout bounds how long shutdown waits for in-flight scans.
 const drainTimeout = 30 * time.Second
 
+// readHeaderTimeout bounds how long a connection may take to send a
+// request's line and headers, and idleTimeout how long a keep-alive
+// connection may wait for its next request: without them a client that
+// sends half a header holds a connection forever. Neither bounds a body
+// — a slow large upload is a streamed scan, so there is no ReadTimeout.
+// Variables only so the tests can shorten them.
+var (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 120 * time.Second
+)
+
 // serverConfig is everything run needs; the tests drive run directly
 // with a synthetic shutdown channel instead of signals.
 type serverConfig struct {
@@ -261,7 +272,11 @@ func run(cfg serverConfig, ready chan<- string, shutdown <-chan struct{}) error 
 	if cfg.slowScanMs != 0 {
 		hopts = append(hopts, serve.WithSlowScanLog(logger, time.Duration(cfg.slowScanMs)*time.Millisecond))
 	}
-	srv := &http.Server{Handler: serve.NewHandler(hub, hopts...)}
+	srv := &http.Server{
+		Handler:           serve.NewHandler(hub, hopts...),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 

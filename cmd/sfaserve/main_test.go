@@ -1,9 +1,13 @@
 package main
 
 import (
+	"bufio"
+	"context"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
+	"net/http/httptrace"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -500,5 +504,101 @@ func TestWarmRestartSmoke(t *testing.T) {
 		if ids3[i] != ids2[i] {
 			t.Fatalf("boot3 shard %d build id %d != boot2's %d", i, ids3[i], ids2[i])
 		}
+	}
+}
+
+// TestServeTimeouts drives the serve loop with its header and idle
+// timeouts shortened: a connection that sends half a request line is
+// closed once the header timeout passes; a keep-alive connection that
+// waits longer than the header timeout (but less than the idle timeout)
+// between two scans still serves the second one; and a connection left
+// idle after a scan is closed once the idle timeout passes.
+func TestServeTimeouts(t *testing.T) {
+	oldHeader, oldIdle := readHeaderTimeout, idleTimeout
+	readHeaderTimeout, idleTimeout = 200*time.Millisecond, time.Second
+	t.Cleanup(func() { readHeaderTimeout, idleTimeout = oldHeader, oldIdle })
+
+	rules := filepath.Join(t.TempDir(), "rules.txt")
+	if err := os.WriteFile(rules, []byte("passwd /etc/passwd\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	base, stop := bootState(t, t.TempDir(), "ids="+rules)
+	defer stop()
+
+	conn, err := net.Dial("tcp", strings.TrimPrefix(base, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("POST /v1/tenants/ids/sc")); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	// The server may answer 400 before it closes; what matters is that
+	// it closes.
+	got, err := io.ReadAll(conn)
+	if err != nil {
+		t.Fatalf("half a request line: read %q, err %v; want the server to close the connection", got, err)
+	}
+	if len(got) > 0 && !strings.HasPrefix(string(got), "HTTP/1.1 400 ") {
+		t.Fatalf("half a request line answered %q", got)
+	}
+	if waited := time.Since(start); waited < readHeaderTimeout/2 {
+		t.Fatalf("connection closed after %v, before the %v header timeout", waited, readHeaderTimeout)
+	}
+
+	client := &http.Client{Transport: &http.Transport{MaxConnsPerHost: 1}}
+	defer client.CloseIdleConnections()
+	var reused []bool
+	for i := 0; i < 2; i++ {
+		if i > 0 {
+			time.Sleep(2 * readHeaderTimeout)
+		}
+		var info httptrace.GotConnInfo
+		ctx := httptrace.WithClientTrace(context.Background(), &httptrace.ClientTrace{
+			GotConn: func(ci httptrace.GotConnInfo) { info = ci },
+		})
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/v1/tenants/ids/scan", strings.NewReader("GET /etc/passwd"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := client.Do(req)
+		if err != nil {
+			t.Fatalf("scan %d: %v", i, err)
+		}
+		body := readAll(t, resp)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || !strings.Contains(body, `"passwd"`) {
+			t.Fatalf("scan %d: status %d body %s", i, resp.StatusCode, body)
+		}
+		reused = append(reused, info.Reused)
+	}
+	if !reused[1] {
+		t.Fatal("the second scan did not reuse the keep-alive connection")
+	}
+
+	idle, err := net.Dial("tcp", strings.TrimPrefix(base, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idle.Close()
+	req, _ := http.NewRequest(http.MethodPost, base+"/v1/tenants/ids/scan", strings.NewReader("GET /etc/passwd"))
+	if err := req.Write(idle); err != nil {
+		t.Fatal(err)
+	}
+	idle.SetReadDeadline(time.Now().Add(10 * time.Second))
+	br := bufio.NewReader(idle)
+	resp, err := http.ReadResponse(br, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	readAll(t, resp)
+	start = time.Now()
+	if rest, err := io.ReadAll(br); err != nil || len(rest) != 0 {
+		t.Fatalf("idle connection: read %q, err %v; want the server to close it", rest, err)
+	}
+	if waited := time.Since(start); waited < idleTimeout/2 {
+		t.Fatalf("idle connection closed after %v, before the %v idle timeout", waited, idleTimeout)
 	}
 }

@@ -11,6 +11,8 @@
 // int32 layout the paper used.
 package core
 
+import "repro/internal/dfa"
+
 // FitsU8 reports whether every id of an automaton with n states fits in a
 // uint8 table entry.
 func FitsU8(n int) bool { return n <= 1<<8 }
@@ -35,6 +37,15 @@ func table256[T uint8 | uint16 | int32](numStates, classes int, classOf *[256]ui
 		}
 	}
 	return t
+}
+
+// DFATable256 materializes DFA d's own flat 256-wide table with entries
+// of type T, which must hold every state id (FitsU8 / FitsU16 for the
+// narrow widths). It is the one builder of DFA tables: the sequential
+// and speculative baselines and the known-start walk of the SFA engines
+// all expand d.NextC through it.
+func DFATable256[T uint8 | uint16 | int32](d *dfa.DFA) []T {
+	return table256[T](d.NumStates, d.BC.Count, &d.BC.Of, d.NextC)
 }
 
 // Table256U8 materializes the flat 256-wide table with uint8 entries

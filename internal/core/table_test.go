@@ -17,6 +17,29 @@ func TestWidthPredicates(t *testing.T) {
 	}
 }
 
+// TestDFATable256AgreesWithNextByte checks the one DFA table builder at
+// every width against the class-indexed table it expands.
+func TestDFATable256AgreesWithNextByte(t *testing.T) {
+	for _, pat := range []string{"([0-4]{2}[5-9]{2})*", "(a|b)*abb", ".*(GET|POST) /[a-z]{2,6}.*"} {
+		d := dfa.MustCompilePattern(pat)
+		wide := DFATable256[int32](d)
+		t16 := DFATable256[uint16](d)
+		t8 := DFATable256[uint8](d)
+		if len(wide) != d.NumStates*256 || len(t16) != len(wide) || len(t8) != len(wide) {
+			t.Fatalf("%s: table lengths %d/%d/%d for %d states", pat, len(wide), len(t16), len(t8), d.NumStates)
+		}
+		for q := int32(0); q < int32(d.NumStates); q++ {
+			for b := 0; b < 256; b++ {
+				want := d.NextByte(q, byte(b))
+				i := int(q)<<8 | b
+				if wide[i] != want || int32(t16[i]) != want || int32(t8[i]) != want {
+					t.Fatalf("%s: (%d, %d) → i32 %d u16 %d u8 %d, NextByte %d", pat, q, b, wide[i], t16[i], t8[i], want)
+				}
+			}
+		}
+	}
+}
+
 func TestDSFAWidthTablesAgree(t *testing.T) {
 	for _, pat := range []string{"(ab)*", "([0-4]{2}[5-9]{2})*", "(a|b)*abb"} {
 		d := dfa.MustCompilePattern(pat)

@@ -30,8 +30,9 @@ const NoDead int32 = -1
 
 // DFA is a complete deterministic finite automaton. Transitions are
 // stored class-indexed: NextC[q*len(classes)+c] with c the byte class of
-// the input byte. Table256 expands to the flat 256-wide layout used by
-// the matching engines (1 KB per state, as in the paper's Sect. VI-B).
+// the input byte. core.DFATable256 expands it to the flat 256-wide
+// layout the matching engines walk (1 KB per int32 state, as in the
+// paper's Sect. VI-B).
 type DFA struct {
 	NumStates int
 	Start     int32
@@ -102,22 +103,6 @@ func (d *DFA) Run(from int32, text []byte) int32 {
 		q = int(next[q*nc+int(of[b])])
 	}
 	return int32(q)
-}
-
-// Table256 materializes the flat 256-entries-per-state transition table
-// (int32 entries ⇒ exactly 1 KB per state). Engines use this layout by
-// default so the cache behaviour studied in the paper's Fig. 8 is
-// reproduced faithfully.
-func (d *DFA) Table256() []int32 {
-	t := make([]int32, d.NumStates*256)
-	for q := 0; q < d.NumStates; q++ {
-		row := t[q*256 : (q+1)*256]
-		base := q * d.BC.Count
-		for b := 0; b < 256; b++ {
-			row[b] = d.NextC[base+int(d.BC.Of[b])]
-		}
-	}
-	return t
 }
 
 // findDead locates the sink: the unique non-accepting state all of whose

@@ -217,26 +217,6 @@ func TestDFAMatchesNFARandom(t *testing.T) {
 	}
 }
 
-func TestTable256(t *testing.T) {
-	d := MustCompilePattern("([0-4]{2}[5-9]{2})*")
-	tab := d.Table256()
-	if len(tab) != d.NumStates*256 {
-		t.Fatalf("table len %d", len(tab))
-	}
-	// Running on the flat table must agree with NextByte.
-	q1, q2 := d.Start, d.Start
-	for _, b := range []byte("0055") {
-		q1 = d.NextByte(q1, b)
-		q2 = tab[int(q2)*256+int(b)]
-	}
-	if q1 != q2 {
-		t.Error("flat table disagrees with class table")
-	}
-	if !d.Accept[q1] {
-		t.Error("0055 should be accepted")
-	}
-}
-
 func TestDeadStateConvention(t *testing.T) {
 	d := MustCompilePattern("(ab)*")
 	if d.Dead == NoDead {

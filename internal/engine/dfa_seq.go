@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"repro/internal/core"
 	"repro/internal/dfa"
 	"repro/internal/nfa"
 	"repro/internal/syntax"
@@ -17,7 +18,7 @@ type DFASequential struct {
 // NewDFASequential compiles the matcher (materializing the 256-wide
 // table; the class-indexed table stays available through d).
 func NewDFASequential(d *dfa.DFA) *DFASequential {
-	return &DFASequential{d: d, tab: d.Table256()}
+	return &DFASequential{d: d, tab: core.DFATable256[int32](d)}
 }
 
 // Match implements Algorithm 2.

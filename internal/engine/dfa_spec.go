@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"repro/internal/core"
 	"repro/internal/dfa"
 )
 
@@ -44,36 +45,16 @@ func NewDFASpeculative(d *dfa.DFA, threads int, red Reduction, opts ...Option) *
 	}
 	switch m.layout {
 	case LayoutU8:
-		m.tab.u8 = table256U8DFA(d)
+		m.tab.u8 = core.DFATable256[uint8](d)
 	case LayoutU16:
-		m.tab.u16 = table256U16DFA(d)
+		m.tab.u16 = core.DFATable256[uint16](d)
 	case LayoutI32:
-		m.tab.i32 = d.Table256()
+		m.tab.i32 = core.DFATable256[int32](d)
 	}
 	m.ctxs.New = func() any {
 		return &specCtx{m: m, maps: make([]int32, m.threads*d.NumStates)}
 	}
 	return m
-}
-
-func table256U8DFA(d *dfa.DFA) []uint8 {
-	t := make([]uint8, d.NumStates*256)
-	for q := int32(0); q < int32(d.NumStates); q++ {
-		for b := 0; b < 256; b++ {
-			t[int(q)<<8|b] = uint8(d.NextByte(q, byte(b)))
-		}
-	}
-	return t
-}
-
-func table256U16DFA(d *dfa.DFA) []uint16 {
-	t := make([]uint16, d.NumStates*256)
-	for q := int32(0); q < int32(d.NumStates); q++ {
-		for b := 0; b < 256; b++ {
-			t[int(q)<<8|b] = uint16(d.NextByte(q, byte(b)))
-		}
-	}
-	return t
 }
 
 // specCtx is the per-Match scratch: the p chunk mappings (flat, p × |D|)

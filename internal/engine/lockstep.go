@@ -10,12 +10,14 @@ import (
 //
 // A table walk is a serial load-to-load chain — the next lookup's
 // address is the previous lookup's result — so one walk is bound by
-// load latency and leaves the load ports idle. A D-SFA chunk always
-// starts from the identity state, which is known without looking at the
-// input, so the k shards of a rule set give k *independent* chains over
-// the same byte: their loads overlap, and k shards cost little more
-// than one (the idea Ko et al. apply to k speculative start states of
-// one DFA, applied here to k automata with one certain start each).
+// load latency and leaves the load ports idle. Every walk here starts
+// from a state known without looking at the input — D.Start for a walk
+// of the whole slice, the D-SFA's identity for a p > 1 sub-chunk or a
+// carried-mapping chunk — so the k shards of a rule set give k
+// *independent* chains over the same byte: their loads overlap, and k
+// shards cost little more than one (the idea Ko et al. apply to k
+// speculative start states of one DFA, applied here to k automata with
+// one certain start each).
 //
 // The kernels are specialised for the u16 layout — the only layout a
 // shard of more than 256 states resolves to under the default shard
@@ -23,9 +25,10 @@ import (
 // passes. Everything else (lazy engines, other layouts, spawn mode, a
 // lone engine) falls back to that engine's own single walk, so a
 // Lockstep pass is always verdict-identical to the k separate calls it
-// replaces: the kernels only produce chunk-final D-SFA states, and the
-// ApplyVec / mask-row / ComposeVec steps that consume them are the ones
-// the single-engine paths run.
+// replaces: the kernels only produce final DFA states (a walk of D from
+// D.Start) or chunk-final D-SFA states, and the mask-row / ApplyVec /
+// ComposeVec steps that consume them are the ones the single-engine
+// paths run.
 
 // lockstepWidth is the widest kernel: how many engines one pass of the
 // byte slice advances (BenchmarkLockstepWalk_k*, README).
@@ -65,32 +68,48 @@ func run256U16x4(t0, t1, t2, t3 []uint16, s0, s1, s2, s3 int32, text []byte) (in
 	return int32(q0), int32(q1), int32(q2), int32(q3)
 }
 
-// lockstepRun walks every engine of ms (all LayoutU16) over text from
-// its identity state, lockstepWidth at a time, and stores engine j's
-// chunk-final D-SFA state in out[j*stride].
+// walkTable is the u16 table and start state of one engine's walk: D's
+// own from D.Start when the start is known, else the D-SFA's from its
+// identity.
+func (m *MultiSFA) walkTable(known bool) ([]uint16, int32) {
+	if known {
+		return m.dtab, m.s.D.Start
+	}
+	return m.sfaTables().u16, m.s.Start
+}
+
+// lockstepRun walks every engine of ms (all LayoutU16) over text,
+// lockstepWidth at a time, and stores engine j's final state in
+// out[j*stride]: the DFA state text reaches from D.Start when known is
+// set, else the chunk-final D-SFA state.
 //
 //sfa:noalloc
-func lockstepRun(ms []*MultiSFA, text []byte, out []int32, stride int) {
+func lockstepRun(ms []*MultiSFA, known bool, text []byte, out []int32, stride int) {
 	for len(ms) > 0 {
 		switch {
 		case len(ms) >= lockstepWidth:
-			a, b, c, d := ms[0], ms[1], ms[2], ms[3]
-			out[0], out[stride], out[2*stride], out[3*stride] = run256U16x4(a.tab.u16, b.tab.u16, c.tab.u16, d.tab.u16,
-				a.s.Start, b.s.Start, c.s.Start, d.s.Start, text)
+			t0, s0 := ms[0].walkTable(known)
+			t1, s1 := ms[1].walkTable(known)
+			t2, s2 := ms[2].walkTable(known)
+			t3, s3 := ms[3].walkTable(known)
+			out[0], out[stride], out[2*stride], out[3*stride] = run256U16x4(t0, t1, t2, t3, s0, s1, s2, s3, text)
 			if ms = ms[lockstepWidth:]; len(ms) > 0 {
 				out = out[lockstepWidth*stride:]
 			}
 		case len(ms) == 3:
-			a, b, c := ms[0], ms[1], ms[2]
-			out[0], out[stride], out[2*stride] = run256U16x3(a.tab.u16, b.tab.u16, c.tab.u16,
-				a.s.Start, b.s.Start, c.s.Start, text)
+			t0, s0 := ms[0].walkTable(known)
+			t1, s1 := ms[1].walkTable(known)
+			t2, s2 := ms[2].walkTable(known)
+			out[0], out[stride], out[2*stride] = run256U16x3(t0, t1, t2, s0, s1, s2, text)
 			return
 		case len(ms) == 2:
-			a, b := ms[0], ms[1]
-			out[0], out[stride] = run256U16x2(a.tab.u16, b.tab.u16, a.s.Start, b.s.Start, text)
+			t0, s0 := ms[0].walkTable(known)
+			t1, s1 := ms[1].walkTable(known)
+			out[0], out[stride] = run256U16x2(t0, t1, s0, s1, text)
 			return
 		default:
-			out[0] = run256U16(ms[0].tab.u16, ms[0].s.Start, text)
+			t0, s0 := ms[0].walkTable(known)
+			out[0] = run256U16(t0, s0, text)
 			return
 		}
 	}
@@ -184,11 +203,14 @@ func (g *Lockstep) Threads() int { return g.threads }
 
 // lockCtx is one pass's scratch: the engines walking together, their
 // indices, and the k×p chunk-final states, engine-major, so that engine
-// j's are the contiguous locals the single-engine folds take.
+// j's are the contiguous locals the single-engine folds take. known is
+// set when the pass walked D from D.Start as one chunk, so each engine's
+// one local is already its final DFA state.
 type lockCtx struct {
 	job    jobState
 	text   []byte
 	p      int
+	known  bool
 	ms     []*MultiSFA
 	idx    []int
 	locals []int32
@@ -196,7 +218,7 @@ type lockCtx struct {
 
 func (c *lockCtx) runChunk(i int) {
 	lo, hi := span(len(c.text), c.p, i)
-	lockstepRun(c.ms, c.text[lo:hi], c.locals[i:], c.p)
+	lockstepRun(c.ms, false, c.text[lo:hi], c.locals[i:], c.p)
 }
 
 // pick selects the members of sel that walk together into c.ms / c.idx
@@ -218,22 +240,34 @@ func (g *Lockstep) pick(c *lockCtx, sel []int) bool {
 	return len(c.idx) > 0
 }
 
-// walk runs the picked engines over text, cut into c.p sub-chunks.
+// walk runs the picked engines over text, cut into c.p sub-chunks. With
+// known set (the mask forms) a walk that runs as one chunk is D's own
+// from D.Start; ComposeChunks needs the chunk's mapping, so it always
+// walks the D-SFA.
 //
 //sfa:noalloc
-func (g *Lockstep) walk(c *lockCtx, text []byte) {
+func (g *Lockstep) walk(c *lockCtx, text []byte, known bool) {
 	if g.threads < 2 || len(text) < streamSequentialMax {
-		c.p = 1
-		lockstepRun(c.ms, text, c.locals, 1)
+		c.p, c.known = 1, known
+		lockstepRun(c.ms, known, text, c.locals, 1)
 		return
 	}
-	c.p, c.text = g.threads, text
+	c.p, c.known, c.text = g.threads, false, text
 	dispatchChunks(c, &c.job, g.pool, false, c.p)
 	c.text = nil
 }
 
 // localsOf returns the sub-chunk states of the j-th picked engine.
 func (c *lockCtx) localsOf(j int) []int32 { return c.locals[j*c.p : (j+1)*c.p] }
+
+// final returns the DFA state the j-th picked engine m reached from
+// D.Start over the pass's whole text.
+func (c *lockCtx) final(j int, m *MultiSFA) int32 {
+	if c.known {
+		return c.locals[j]
+	}
+	return m.finalState(c.localsOf(j))
+}
 
 // picked reports whether sel member i took part in the walk, advancing
 // the cursor *j over c.idx (a subsequence of sel).
@@ -272,10 +306,10 @@ func (g *Lockstep) MatchMasks(sel []int, text []byte, dsts [][]uint64) {
 	c := g.get()
 	if g.pick(c, sel) {
 		start := time.Now()
-		g.walk(c, text)
+		g.walk(c, text, true)
 		for j, i := range c.idx {
 			m := g.eager[i]
-			copy(dsts[i][:m.words], m.row(m.finalState(c.localsOf(j))))
+			copy(dsts[i][:m.words], m.row(c.final(j, m)))
 		}
 		g.charge(c, start, len(text))
 	}
@@ -299,11 +333,11 @@ func (g *Lockstep) MatchMasks(sel []int, text []byte, dsts [][]uint64) {
 func (g *Lockstep) OrMasks(sel []int, text []byte, dsts [][]uint64) {
 	c := g.get()
 	if g.pick(c, sel) {
-		g.walk(c, text)
+		g.walk(c, text, true)
 		for j, i := range c.idx {
 			m := g.eager[i]
 			dst := dsts[i]
-			for w, bits := range m.row(m.finalState(c.localsOf(j))) {
+			for w, bits := range m.row(c.final(j, m)) {
 				dst[w] |= bits
 			}
 		}
@@ -329,7 +363,7 @@ func (g *Lockstep) ComposeChunks(sel []int, curs, tmps [][]int16, chunk []byte) 
 	c := g.get()
 	if g.pick(c, sel) {
 		start := time.Now()
-		g.walk(c, chunk)
+		g.walk(c, chunk, false)
 		for j, i := range c.idx {
 			m := g.eager[i]
 			curs[i], tmps[i] = composeLocals(m.s, curs[i], tmps[i], c.localsOf(j))

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -17,6 +18,16 @@ import (
 // The per-chunk results are SFA states, i.e. transformations of the
 // DFA's state set, combined by either reduction strategy into the DFA
 // state the whole input reaches, whose bitmask row is the verdict.
+//
+// The simulation is only needed where a chunk's start state is unknown.
+// A walk that runs as one chunk from the start — MatchMask below the
+// parallel threshold or at p = 1, every OrMask window — starts at
+// D.Start, so the engine walks D's own 256-wide u16 table instead and
+// reads the final DFA state's row directly; |D| ≤ core.MaxDFAStates, so
+// that table always fits u16 and is small (|D| ≤ |S_d|). The D-SFA's
+// table serves the rest — p > 1 sub-chunks, ComposeChunk's carried
+// mappings, and Match, which is Algorithm 5 itself — and is built on the
+// first such walk, once; TableBytes reports what has been built.
 //
 // A single pattern is the one-rule case (NewSFAParallel): one mask word
 // per state, bit 0 the DFA's accept bit. A rule set's shards are the
@@ -37,8 +48,14 @@ type MultiSFA struct {
 	masks   []uint64 // DFA-state-indexed accept bitmasks, stride words
 	threads int
 	red     Reduction
-	layout  TableLayout // resolved; never LayoutAuto
-	tab     tables
+	layout  TableLayout // resolved D-SFA layout; never LayoutAuto
+	// dtab is D's own 256-wide table, built at construction: the
+	// known-start walk. Nil for LayoutClass, which walks D's class table.
+	dtab []uint16
+	// sfaTab is the D-SFA's table in the resolved layout, published once
+	// by the first walk whose start is unknown (sfaTables).
+	sfaTab  atomic.Pointer[tables]
+	sfaOnce sync.Once
 	spawn   bool
 	pool    *Pool
 	id      uint64    // process-unique build id (see BuildID)
@@ -102,13 +119,8 @@ func newMultiSFA(s *core.DSFA, masks []uint64, words, threads int, red Reduction
 	if o.stats != nil {
 		m.boundary = &obs.StateFreq{}
 	}
-	switch m.layout {
-	case LayoutU8:
-		m.tab.u8 = s.Table256U8()
-	case LayoutU16:
-		m.tab.u16 = s.Table256U16()
-	case LayoutI32:
-		m.tab.i32 = s.Table256()
+	if m.layout != LayoutClass {
+		m.dtab = core.DFATable256[uint16](s.D)
 	}
 	m.ctxs.New = func() any {
 		return &multiCtx{m: m, locals: make([]int32, m.threads)}
@@ -134,7 +146,8 @@ func (c *multiCtx) runChunk(i int) {
 	c.locals[i] = c.m.runChunk(c.text[lo:hi])
 }
 
-// runChunk walks one chunk through the resolved table layout.
+// runChunk walks one chunk of the D-SFA from the identity state through
+// the resolved table layout.
 func (m *MultiSFA) runChunk(chunk []byte) int32 {
 	if m.layout == LayoutClass {
 		q := m.s.Start
@@ -144,7 +157,47 @@ func (m *MultiSFA) runChunk(chunk []byte) int32 {
 		}
 		return q
 	}
-	return m.tab.run(m.layout, m.s.Start, chunk)
+	return m.sfaTables().run(m.layout, m.s.Start, chunk)
+}
+
+// sfaTables returns the D-SFA's 256-wide table, building it on the first
+// call: only walks whose start is unknown need it, and many engines never
+// make one.
+func (m *MultiSFA) sfaTables() *tables {
+	if t := m.sfaTab.Load(); t != nil {
+		return t
+	}
+	m.sfaOnce.Do(func() {
+		t := &tables{}
+		switch m.layout {
+		case LayoutU8:
+			t.u8 = m.s.Table256U8()
+		case LayoutU16:
+			t.u16 = m.s.Table256U16()
+		case LayoutI32:
+			t.i32 = m.s.Table256()
+		}
+		m.sfaTab.Store(t)
+	})
+	return m.sfaTab.Load()
+}
+
+// runDFA walks text from D.Start and returns the DFA state it reaches:
+// the known-start walk, one lookup per byte in D's own table.
+func (m *MultiSFA) runDFA(text []byte) int32 {
+	if m.dtab == nil {
+		return m.s.D.Run(m.s.D.Start, text)
+	}
+	return run256U16(m.dtab, m.s.D.Start, text)
+}
+
+// sequential reports whether a walk of n bytes runs as one chunk on the
+// calling goroutine: always at p = 1, and below streamSequentialMax on the
+// pooled path, where submission and reduction would cost more than the
+// walk. Spawn mode keeps forking, since thread creation is what it
+// measures (Fig. 10).
+func (m *MultiSFA) sequential(n int) bool {
+	return m.threads < 2 || (!m.spawn && n < streamSequentialMax)
 }
 
 // finalState folds the p chunk mappings into the combined-DFA state the
@@ -173,13 +226,9 @@ func (m *MultiSFA) reduce(c *multiCtx) int32 {
 	return int32(treeReduce16(vecs, m.s.D.NumStates, &c.ar)[m.s.D.Start])
 }
 
-// run walks text with p chunks and returns the final combined-DFA state.
+// run is Algorithm 5 with p chunks — every chunk but the first starts at
+// an unknown state — and returns the final combined-DFA state.
 func (m *MultiSFA) run(text []byte) int32 {
-	if m.threads == 1 {
-		// Degenerate case: no fork, no reduction — the chunk result is an
-		// SFA state; apply its mapping to the DFA start.
-		return core.ApplyVec(m.s.Map(m.runChunk(text)), m.s.D.Start)
-	}
 	c := m.ctxs.Get().(*multiCtx)
 	c.text = text
 	dispatchChunks(c, &c.job, m.pool, m.spawn, m.threads)
@@ -194,11 +243,20 @@ func (m *MultiSFA) row(q int32) []uint64 {
 	return m.masks[int(q)*m.words : (int(q)+1)*m.words]
 }
 
+// final returns the DFA state text reaches from D.Start: D's own walk
+// when the input runs as one chunk, else Algorithm 5 over the D-SFA.
+func (m *MultiSFA) final(text []byte) int32 {
+	if m.sequential(len(text)) {
+		return m.runDFA(text)
+	}
+	return m.run(text)
+}
+
 // MatchMask scans text once and writes the accept bitmask — bit r set iff
 // rule r matches the whole input — into dst, which must have Words()
 // capacity. It returns dst[:Words()].
 func (m *MultiSFA) MatchMask(text []byte, dst []uint64) []uint64 {
-	return append(dst[:0], m.row(m.run(text))...)
+	return append(dst[:0], m.row(m.final(text))...)
 }
 
 // OrMask scans text sequentially on the calling goroutine and ORs the
@@ -206,10 +264,10 @@ func (m *MultiSFA) MatchMask(text []byte, dst []uint64) []uint64 {
 // This is the candidate-window primitive of the literal prefilter: a
 // window is a short slice, so the chunk-parallel dispatch of MatchMask
 // would cost more than the walk, and OR-accumulation lets overlapping
-// windows of one input share a result buffer.
+// windows of one input share a result buffer. The walk starts at
+// D.Start, so it is D's own.
 func (m *MultiSFA) OrMask(text []byte, dst []uint64) {
-	q := core.ApplyVec(m.s.Map(m.runChunk(text)), m.s.D.Start)
-	for i, w := range m.row(q) {
+	for i, w := range m.row(m.runDFA(text)) {
 		dst[i] |= w
 	}
 }
@@ -217,10 +275,11 @@ func (m *MultiSFA) OrMask(text []byte, dst []uint64) {
 // Match implements Matcher: whole-input acceptance by any rule — the
 // accept bit of the DFA under the D-SFA, which accepts where some rule
 // does (a one-rule mask is that bit; the rule-set product accepts where
-// any component does). At p = 1 it is Algorithm 5's own test: the chunk's
-// SFA state is in Fs.
+// any component does). It always walks the D-SFA, so the harness's
+// figures measure the paper's engine. As one chunk it is Algorithm 5's
+// own test: the chunk's SFA state is in Fs.
 func (m *MultiSFA) Match(text []byte) bool {
-	if m.threads == 1 {
+	if m.sequential(len(text)) {
 		return m.s.Accept[m.runChunk(text)]
 	}
 	return m.s.D.Accept[m.run(text)]
@@ -237,12 +296,19 @@ func (m *MultiSFA) Masks() []uint64 { return m.masks }
 // SFA exposes the underlying automaton (stats and harness reporting).
 func (m *MultiSFA) SFA() *core.DSFA { return m.s }
 
-// Layout returns the resolved table layout.
+// Layout returns the resolved D-SFA table layout.
 func (m *MultiSFA) Layout() TableLayout { return m.layout }
 
-// TableBytes returns the resident size of the materialized match table
-// (0 for LayoutClass, which walks the class-indexed table in core).
-func (m *MultiSFA) TableBytes() int64 { return m.tab.memoryBytes() }
+// TableBytes returns the resident size of the 256-wide tables built so
+// far: D's own, and the D-SFA's once a walk with an unknown start has
+// built it (0 for LayoutClass, which walks the class-indexed tables).
+func (m *MultiSFA) TableBytes() int64 {
+	n := int64(len(m.dtab)) * 2
+	if t := m.sfaTab.Load(); t != nil {
+		n += t.memoryBytes()
+	}
+	return n
+}
 
 // Name implements Matcher.
 func (m *MultiSFA) Name() string {

@@ -80,7 +80,7 @@ type ShardStat struct {
 	DFAStates  int      `json:"dfa_states"`
 	SFAStates  int      `json:"sfa_states"`
 	Layout     string   `json:"layout"`
-	TableBytes int64    `json:"table_bytes"`
+	TableBytes int64    `json:"table_bytes"` // tables built so far (see docs/observability.md)
 	BuildID    uint64   `json:"build_id"`
 	Prefilter  string   `json:"prefilter"`
 	// Lazy-shard cache counters (WithLazyCompile); zero on eager shards.

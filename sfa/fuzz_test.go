@@ -1,9 +1,11 @@
 package sfa
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/syntax"
 )
 
@@ -96,7 +98,11 @@ func FuzzMatch(f *testing.F) {
 // FuzzEngineAgreement feeds arbitrary (pattern, input) pairs through the
 // compile pipeline; whenever the pattern compiles, the default SFA engine
 // must agree with the Brzozowski-derivative oracle — an implementation
-// that shares only the parser with it.
+// that shares only the parser with it. The engine's two walks must agree
+// too: MatchMask, which walks the DFA's own table from its start state,
+// against Match's D-SFA walk, on the input and on the input repeated past
+// the 4 KiB threshold, where the p = 2 MatchMask walks the D-SFA in two
+// chunks and a p = 1 twin still walks the DFA.
 func FuzzEngineAgreement(f *testing.F) {
 	f.Add("(ab)*", "abab")
 	f.Add("([0-4]{2}[5-9]{2})*", "0055")
@@ -122,6 +128,19 @@ func FuzzEngineAgreement(f *testing.F) {
 		if got != want {
 			t.Fatalf("pattern %q input %q: engine=%v derivatives=%v",
 				pattern, input, got, want)
+		}
+		m := re.matcher.(*engine.MultiSFA)
+		dst := make([]uint64, 1)
+		if known := m.MatchMask([]byte(input), dst)[0] != 0; known != want {
+			t.Fatalf("pattern %q input %q: known-start walk=%v derivatives=%v",
+				pattern, input, known, want)
+		}
+		long := bytes.Repeat([]byte(input+"a"), 4200/(len(input)+1)+1)
+		one := engine.NewSFAParallel(re.dsfa, 1, engine.ReduceSequential)
+		known, split := one.MatchMask(long, dst)[0] != 0, m.MatchMask(long, dst)[0] != 0
+		if sfaWalk := m.Match(long); known != split || known != sfaWalk {
+			t.Fatalf("pattern %q input %q repeated to %d bytes: known-start walk=%v p=2 D-SFA=%v Match=%v",
+				pattern, input, len(long), known, split, sfaWalk)
 		}
 	})
 }
