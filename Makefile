@@ -1,13 +1,14 @@
 # CI entry points. `make ci` is the gate: vet + sfavet (the first-party
 # static-analysis suite of docs/static-analysis.md) + build + docs checks
-# (markdown links + stale documented options) + race tests + fuzz smoke
+# (markdown links + stale documented options + the metric catalogue
+# against the declared /metrics families) + race tests + fuzz smoke
 # runs (the multi-pattern match oracle, the single-pattern engine and
 # the parser against the derivative oracle, the literal matcher against
 # its naive scan, the construction state table against a map, and the
 # snapshot decoder) + the
 # sfaserve serving smoke (server boot, rule load, hot reload under
 # concurrent streamed scans, Prometheus /metrics scrape + exposition
-# checks) + the snapshot smoke (save → reload → verify verdicts,
+# checks + both /metrics goldens) + the snapshot smoke (save → reload → verify verdicts,
 # warm-restart sfaserve over a state dir, shard-cache reuse). The
 # zero-allocation hot paths — pooled Match, RuleSet.MatchMask and
 # RuleStream.Write on both block-driver arms, the single-pattern stream,
@@ -52,10 +53,13 @@ test:
 
 # Docs gate: every relative markdown link in README/ROADMAP/docs/ and
 # the package READMEs resolves, every documented With* option is still
-# declared in the Go source (renames fail here, not in review), and every
-# markdown file a Go comment cites exists.
+# declared in the Go source (renames fail here, not in review), every
+# markdown file a Go comment cites exists, and docs/observability.md's
+# metric catalogue has a row for exactly the families /metrics declares
+# (TestMetricCatalogue reads the names from the family table itself).
 docs-check:
 	$(GO) run ./cmd/docscheck
+	$(GO) test -run TestMetricCatalogue ./internal/serve
 
 race:
 	$(GO) test -race ./...
@@ -87,12 +91,13 @@ fuzz-smoke:
 # Serving subsystem smoke: boot the real sfaserve loop, load rules over
 # HTTP, hot-reload under concurrent streamed scans, assert shard reuse,
 # scrape /metrics in Prometheus text format (exposition validity, core
-# series, counter monotonicity under reloads), and round-trip the
-# flight recorder + attribution endpoints under concurrent load, and
-# close half-sent headers and idle keep-alive connections on time — all
-# under -race.
+# series, counter monotonicity under reloads), compare both /metrics
+# encodings with their goldens, count rejected scans, leave no metrics
+# row behind a failed tenant create, round-trip the flight recorder +
+# attribution endpoints under concurrent load, and close half-sent
+# headers and idle keep-alive connections on time — all under -race.
 serve-smoke:
-	$(GO) test -race -run 'TestServeSmoke|TestServeTimeouts|TestServePromScrapeSmoke|TestServeFlightSmoke|TestServeEndToEnd|TestServeFlightAndAttribution|TestServeFlightConcurrent|TestRuleboardConcurrentScansAndReloads|TestMetricsContentNegotiation|TestMetricsPromExposition|TestPromAttributionSeries|TestPromMonotonicUnderConcurrentScansAndReloads|TestPromTenantRowsSurviveDeleteAndReadd|TestSlowScanLogging' ./cmd/sfaserve ./internal/serve
+	$(GO) test -race -run 'TestServeSmoke|TestServeTimeouts|TestServePromScrapeSmoke|TestServeFlightSmoke|TestServeEndToEnd|TestServeFlightAndAttribution|TestServeFlightConcurrent|TestRuleboardConcurrentScansAndReloads|TestMetricsContentNegotiation|TestMetricsPromExposition|TestPromAttributionSeries|TestPromMonotonicUnderConcurrentScansAndReloads|TestPromTenantRowsSurviveDeleteAndReadd|TestMetricsPromGolden|TestMetricsJSONGolden|TestFailedCreateLeavesNoMetrics|TestScanRejectedCounted|TestSlowScanLogging' ./cmd/sfaserve ./internal/serve
 
 # Snapshot subsystem smoke: rule-set save → reload → byte-identical
 # verdicts (vs the isolated oracle), warm-restart the real sfaserve over

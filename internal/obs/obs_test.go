@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"io"
 	"math/bits"
 	"strings"
 	"sync"
@@ -181,46 +182,70 @@ func TestRecordPathZeroAlloc(t *testing.T) {
 	}
 }
 
-func TestPromWriter(t *testing.T) {
-	var b strings.Builder
-	p := NewPromWriter(&b)
-	p.Counter("sfa_test_total", "help text", 42, "tenant", `a"b`)
-	p.Counter("sfa_test_total", "help text", 7, "tenant", "c")
-	p.Gauge("sfa_test_gauge", "a gauge", 1.5)
+// TestWriteProm checks the family driver: one header block per family
+// with its samples together, no output for a family without samples,
+// label escaping, and histogram buckets (elided outside the populated
+// range, then +Inf, _sum and _count).
+func TestWriteProm(t *testing.T) {
 	var h Histogram
 	h.Observe(3)
 	h.Observe(200)
-	p.Histogram("sfa_test_ns", "a histogram", h.Snapshot(), "stage", "compose")
-	if err := p.Flush(); err != nil {
+	type snap struct{ hist HistogramSnapshot }
+	fams := []Family[snap]{
+		{Name: "sfa_test_total", Kind: KindCounter, Help: "help text", Read: func(_ snap, out *Samples) {
+			Add(out, int64(42), "tenant", `a"b`)
+			Add(out, int64(7), "tenant", "c")
+		}},
+		{Name: "sfa_test_empty", Kind: KindGauge, Help: "never sampled", Read: func(snap, *Samples) {}},
+		{Name: "sfa_test_gauge", Kind: KindGauge, Help: "a gauge", Read: func(_ snap, out *Samples) { Add(out, 1.5) }},
+		{Name: "sfa_test_ns", Kind: KindHistogram, Help: "a histogram", Read: func(s snap, out *Samples) {
+			Add(out, s.hist, "stage", "compose")
+		}},
+	}
+	var b strings.Builder
+	if err := WriteProm(&b, snap{h.Snapshot()}, fams); err != nil {
 		t.Fatal(err)
 	}
-	out := b.String()
-	for _, want := range []string{
-		"# TYPE sfa_test_total counter",
-		`sfa_test_total{tenant="a\"b"} 42`,
-		`sfa_test_total{tenant="c"} 7`,
-		"# TYPE sfa_test_gauge gauge",
-		"sfa_test_gauge 1.5",
-		"# TYPE sfa_test_ns histogram",
-		`sfa_test_ns_bucket{stage="compose",le="3"} 1`,
-		`sfa_test_ns_bucket{stage="compose",le="+Inf"} 2`,
-		`sfa_test_ns_sum{stage="compose"} 203`,
-		`sfa_test_ns_count{stage="compose"} 2`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("exposition missing %q in:\n%s", want, out)
+	want := `# HELP sfa_test_total help text
+# TYPE sfa_test_total counter
+sfa_test_total{tenant="a\"b"} 42
+sfa_test_total{tenant="c"} 7
+# HELP sfa_test_gauge a gauge
+# TYPE sfa_test_gauge gauge
+sfa_test_gauge 1.5
+# HELP sfa_test_ns a histogram
+# TYPE sfa_test_ns histogram
+sfa_test_ns_bucket{stage="compose",le="3"} 1
+sfa_test_ns_bucket{stage="compose",le="7"} 1
+sfa_test_ns_bucket{stage="compose",le="15"} 1
+sfa_test_ns_bucket{stage="compose",le="31"} 1
+sfa_test_ns_bucket{stage="compose",le="63"} 1
+sfa_test_ns_bucket{stage="compose",le="127"} 1
+sfa_test_ns_bucket{stage="compose",le="255"} 2
+sfa_test_ns_bucket{stage="compose",le="+Inf"} 2
+sfa_test_ns_sum{stage="compose"} 203
+sfa_test_ns_count{stage="compose"} 2
+`
+	if got := b.String(); got != want {
+		t.Fatalf("exposition:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// A sample whose type is not its family's is a table bug, caught on the
+// first scrape.
+func TestAddKindMismatchPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("gauge sample in a counter family did not panic")
 		}
-	}
-	if strings.Count(out, "# TYPE sfa_test_total") != 1 {
-		t.Fatalf("duplicated header block:\n%s", out)
-	}
+	}()
+	fams := []Family[int]{{Name: "sfa_test_total", Kind: KindCounter, Read: func(_ int, out *Samples) { Add(out, 1.0) }}}
+	WriteProm(io.Discard, 0, fams)
 }
 
 func TestWriteRuntimeMetrics(t *testing.T) {
 	var b strings.Builder
-	p := NewPromWriter(&b)
-	WriteRuntimeMetrics(p)
-	if err := p.Flush(); err != nil {
+	if err := WriteProm(&b, struct{}{}, RuntimeFamilies[struct{}]()); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()

@@ -4,71 +4,105 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 )
 
-// PromWriter emits Prometheus text exposition format (version 0.0.4).
-// It tracks which metric names have had their # HELP/# TYPE headers
-// written so callers can emit the same metric with different label sets
-// from independent call sites (per-tenant loops) without duplicating
-// headers — the exposition format requires all samples of one metric to
-// share one header block, so callers must still group same-name calls
-// together.
-//
-// PromWriter is for the scrape path, not the hot path: it allocates
-// freely (it runs once per /metrics request).
-type PromWriter struct {
-	w    *bufio.Writer
-	seen map[string]bool
-	err  error
+// Prometheus text exposition (version 0.0.4), driven by a table of
+// families. Each Family is declared once — name, type, help, and how to
+// read its samples from a snapshot — and WriteProm writes the families
+// in table order, each family's samples together under its one header
+// block. This is the scrape path, not the hot path: it allocates freely
+// (it runs once per /metrics request).
+
+// Kind is a family's exposition type.
+type Kind uint8
+
+const (
+	KindCounter Kind = iota
+	KindGauge
+	KindHistogram
+)
+
+var kindNames = [...]string{KindCounter: "counter", KindGauge: "gauge", KindHistogram: "histogram"}
+
+// Value is a sample's value; its type picks the family's: an int64 is a
+// counter, a float64 a gauge, a HistogramSnapshot a histogram.
+type Value interface {
+	int64 | float64 | HistogramSnapshot
 }
 
-// NewPromWriter wraps w.
-func NewPromWriter(w io.Writer) *PromWriter {
-	return &PromWriter{w: bufio.NewWriter(w), seen: make(map[string]bool)}
-}
-
-// Flush flushes buffered output and returns the first error seen.
-func (p *PromWriter) Flush() error {
-	if p.err == nil {
-		p.err = p.w.Flush()
+// KindOf returns the family type of a V-valued sample.
+func KindOf[V Value]() Kind {
+	var v V
+	switch any(v).(type) {
+	case int64:
+		return KindCounter
+	case float64:
+		return KindGauge
 	}
-	return p.err
+	return KindHistogram
 }
 
-func (p *PromWriter) header(name, help, typ string) {
-	if p.seen[name] {
-		return
+// Family declares one metric family read from snapshots of type S.
+type Family[S any] struct {
+	Name string
+	Kind Kind
+	Help string
+	// Read adds the family's samples from snap to out; a family that
+	// adds none prints nothing, not even its header.
+	Read func(snap S, out *Samples)
+}
+
+// Samples is where one family's Read puts its samples. Their family's
+// # HELP and # TYPE lines go out before the first.
+type Samples struct {
+	w          *bufio.Writer
+	name, help string
+	kind       Kind
+	started    bool
+}
+
+// WriteProm writes every family of fams, read from snap, to w.
+func WriteProm[S any](w io.Writer, snap S, fams []Family[S]) error {
+	bw := bufio.NewWriter(w)
+	for _, f := range fams {
+		f.Read(snap, &Samples{w: bw, name: f.Name, help: f.Help, kind: f.Kind})
 	}
-	p.seen[name] = true
-	if help != "" {
-		fmt.Fprintf(p.w, "# HELP %s %s\n", name, escapeHelp(help))
+	return bw.Flush()
+}
+
+// Add writes one sample of out's family. labels are alternating key,
+// value pairs. v's type must be the family's (see Value).
+func Add[V Value](out *Samples, v V, labels ...string) {
+	if k := KindOf[V](); k != out.kind {
+		panic("obs: " + kindNames[k] + " sample for " + kindNames[out.kind] + " family " + out.name)
 	}
-	fmt.Fprintf(p.w, "# TYPE %s %s\n", name, typ)
+	if !out.started {
+		out.started = true
+		if out.help != "" {
+			fmt.Fprintf(out.w, "# HELP %s %s\n", out.name, escapeHelp(out.help))
+		}
+		fmt.Fprintf(out.w, "# TYPE %s %s\n", out.name, kindNames[out.kind])
+	}
+	switch v := any(v).(type) {
+	case int64:
+		fmt.Fprintf(out.w, "%s%s %d\n", out.name, labelString(labels), v)
+	case float64:
+		fmt.Fprintf(out.w, "%s%s %s\n", out.name, labelString(labels), strconv.FormatFloat(v, 'g', -1, 64))
+	case HistogramSnapshot:
+		out.histogram(v, labels)
+	}
 }
 
-// Counter writes one counter sample. labels are alternating key, value
-// pairs.
-func (p *PromWriter) Counter(name, help string, v int64, labels ...string) {
-	p.header(name, help, "counter")
-	fmt.Fprintf(p.w, "%s%s %d\n", name, labelString(labels), v)
-}
-
-// Gauge writes one gauge sample.
-func (p *PromWriter) Gauge(name, help string, v float64, labels ...string) {
-	p.header(name, help, "gauge")
-	fmt.Fprintf(p.w, "%s%s %s\n", name, labelString(labels), formatFloat(v))
-}
-
-// Histogram writes one histogram sample set (cumulative _bucket series,
-// _sum, _count) from a snapshot. Empty buckets outside the populated
-// range are elided — fewer exposition lines, identical semantics, the
-// le= edges are just a subset of the fixed log₂ boundaries.
-func (p *PromWriter) Histogram(name, help string, s HistogramSnapshot, labels ...string) {
-	p.header(name, help, "histogram")
-	ls := labels
+// histogram writes one histogram sample set: cumulative _bucket series,
+// _sum and _count. Empty buckets outside the populated range are elided
+// — fewer exposition lines, identical semantics, the le= edges are just
+// a subset of the fixed log₂ boundaries.
+func (out *Samples) histogram(s HistogramSnapshot, labels []string) {
+	bucket := func(le string, n int64) {
+		fmt.Fprintf(out.w, "%s_bucket%s %d\n", out.name, labelString(append(labels[:len(labels):len(labels)], "le", le)), n)
+	}
 	lo, hi := -1, -1
 	for i, n := range s.Buckets {
 		if n != 0 {
@@ -79,17 +113,13 @@ func (p *PromWriter) Histogram(name, help string, s HistogramSnapshot, labels ..
 		}
 	}
 	var cum int64
-	if lo >= 0 {
-		for i := lo; i <= hi && i < NumBuckets-1; i++ {
-			cum += s.Buckets[i]
-			fmt.Fprintf(p.w, "%s_bucket%s %d\n", name,
-				labelString(append(append([]string{}, ls...), "le", strconv.FormatInt(BucketUpper(i), 10))), cum)
-		}
+	for i := lo; lo >= 0 && i <= hi && i < NumBuckets-1; i++ {
+		cum += s.Buckets[i]
+		bucket(strconv.FormatInt(BucketUpper(i), 10), cum)
 	}
-	fmt.Fprintf(p.w, "%s_bucket%s %d\n", name,
-		labelString(append(append([]string{}, ls...), "le", "+Inf")), s.Count)
-	fmt.Fprintf(p.w, "%s_sum%s %d\n", name, labelString(ls), s.Sum)
-	fmt.Fprintf(p.w, "%s_count%s %d\n", name, labelString(ls), s.Count)
+	bucket("+Inf", s.Count)
+	fmt.Fprintf(out.w, "%s_sum%s %d\n", out.name, labelString(labels), s.Sum)
+	fmt.Fprintf(out.w, "%s_count%s %d\n", out.name, labelString(labels), s.Count)
 }
 
 // labelString renders alternating key, value pairs as {k="v",...};
@@ -127,19 +157,4 @@ func escapeHelp(s string) string {
 	}
 	r := strings.NewReplacer(`\`, `\\`, "\n", `\n`)
 	return r.Replace(s)
-}
-
-func formatFloat(v float64) string {
-	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-// SortedKeys returns m's keys sorted — the exposition convenience for
-// per-tenant loops that must emit rows in a stable order.
-func SortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

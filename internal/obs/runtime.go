@@ -19,37 +19,46 @@ var runtimeSamples = []string{
 	"/sched/latencies:seconds",
 }
 
-// WriteRuntimeMetrics samples the Go runtime and writes the series as
-// sfa_go_* gauges. Distribution-shaped series (GC pauses, scheduler
-// latencies) are summarized to p50/p90/p99/max gauges in nanoseconds —
-// the runtime's float64 histograms do not map onto our integer log₂
-// buckets, and quantile gauges are what dashboards want from them
-// anyway.
-func WriteRuntimeMetrics(p *PromWriter) {
-	samples := make([]metrics.Sample, len(runtimeSamples))
-	for i, name := range runtimeSamples {
-		samples[i].Name = name
+// RuntimeFamilies returns the runtimeSamples series as sfa_go_* gauge
+// families, sampled from the Go runtime when written (snap is not read).
+// Distribution-shaped series (GC pauses, scheduler latencies) are
+// summarized to p50/p90/p99/max gauges in nanoseconds, named with an
+// _ns suffix — the runtime's float64 histograms do not map onto our
+// integer log₂ buckets, and quantile gauges are what dashboards want
+// from them anyway.
+func RuntimeFamilies[S any]() []Family[S] {
+	kinds := map[string]metrics.ValueKind{}
+	for _, d := range metrics.All() {
+		kinds[d.Name] = d.Kind
 	}
-	metrics.Read(samples)
-	for _, s := range samples {
-		name := promName(s.Name)
-		switch s.Value.Kind() {
-		case metrics.KindUint64:
-			p.Gauge(name, "runtime/metrics "+s.Name, float64(s.Value.Uint64()))
-		case metrics.KindFloat64:
-			p.Gauge(name, "runtime/metrics "+s.Name, s.Value.Float64())
-		case metrics.KindFloat64Histogram:
-			h := s.Value.Float64Histogram()
-			for _, q := range []struct {
-				q     float64
-				label string
-			}{{0.5, "0.5"}, {0.9, "0.9"}, {0.99, "0.99"}, {1, "1"}} {
-				v := float64Quantile(h, q.q)
-				p.Gauge(name+"_ns", "runtime/metrics "+s.Name+" quantile, nanoseconds",
-					v*1e9, "q", q.label)
+	fams := make([]Family[S], len(runtimeSamples))
+	for i, name := range runtimeSamples {
+		f := Family[S]{Name: promName(name), Kind: KindGauge, Help: "runtime/metrics " + name}
+		if kinds[name] == metrics.KindFloat64Histogram {
+			f.Name += "_ns"
+			f.Help += " quantile, nanoseconds"
+		}
+		f.Read = func(_ S, out *Samples) {
+			s := []metrics.Sample{{Name: name}}
+			metrics.Read(s)
+			switch s[0].Value.Kind() {
+			case metrics.KindUint64:
+				Add(out, float64(s[0].Value.Uint64()))
+			case metrics.KindFloat64:
+				Add(out, s[0].Value.Float64())
+			case metrics.KindFloat64Histogram:
+				h := s[0].Value.Float64Histogram()
+				for _, q := range []struct {
+					q     float64
+					label string
+				}{{0.5, "0.5"}, {0.9, "0.9"}, {0.99, "0.99"}, {1, "1"}} {
+					Add(out, float64Quantile(h, q.q)*1e9, "q", q.label)
+				}
 			}
 		}
+		fams[i] = f
 	}
+	return fams
 }
 
 // promName maps a runtime/metrics name like "/gc/pauses:seconds" to

@@ -292,36 +292,50 @@ func (h *Hub) SetTableBudget(b *sfa.TableBudget, perTenantLimit int64) {
 // TableBudget returns the hub-wide budget, nil when none was set.
 func (h *Hub) TableBudget() *sfa.TableBudget { return h.budget }
 
-// tenantOpts returns the compile options for one tenant's boards: the
+// tenantOpts returns the compile options for a new board of name: the
 // hub options plus the tenant's scan-stats sink (so every generation
 // records into the same per-tenant history) and, under SetTableBudget,
-// the tenant's child budget.
-func (h *Hub) tenantOpts(name string) []sfa.Option {
-	opts := make([]sfa.Option, 0, len(h.opts)+2)
+// the tenant's child budget — the ones a deleted tenant of that name
+// left, or fresh ones. Nothing is registered until adopt, which the
+// caller runs under h.mu as it registers the built board, so a failed
+// create leaves no metrics row and no budget node behind. adopt reports
+// false when a concurrent create registered other ones first (the name
+// was created and deleted again meanwhile); the board is then built
+// again.
+func (h *Hub) tenantOpts(name string) (opts []sfa.Option, adopt func() bool) {
+	tm := h.metrics.peek(name)
+	opts = make([]sfa.Option, 0, len(h.opts)+2)
 	opts = append(opts, h.opts...)
-	opts = append(opts, sfa.WithScanStats(&h.metrics.Tenant(name).Scan))
-	if h.budget != nil {
-		opts = append(opts, sfa.WithTableBudget(h.tenantBudget(name)))
-	}
-	return opts
-}
-
-// tenantBudget returns (creating on first use) the named tenant's child
-// budget. The child survives tenant deletion — like the tenant's metrics
-// entry, and so a recreated tenant cannot escape its bound by cycling.
-func (h *Hub) tenantBudget(name string) *sfa.TableBudget {
-	h.bmu.Lock()
-	defer h.bmu.Unlock()
-	tb := h.budgets[name]
-	if tb == nil {
+	opts = append(opts, sfa.WithScanStats(&tm.Scan))
+	tb := h.tenantBudgetIfAny(name)
+	if h.budget != nil && tb == nil {
 		tb = h.budget.Child(h.tenantLimit)
-		h.budgets[name] = tb
 	}
-	return tb
+	if tb != nil {
+		opts = append(opts, sfa.WithTableBudget(tb))
+	}
+	return opts, func() bool {
+		if !h.metrics.adopt(name, tm) {
+			return false
+		}
+		if tb == nil {
+			return true
+		}
+		// The child survives tenant deletion — like the tenant's metrics
+		// entry, and so a recreated tenant cannot escape its bound by
+		// cycling.
+		h.bmu.Lock()
+		defer h.bmu.Unlock()
+		if cur := h.budgets[name]; cur != nil {
+			return cur == tb
+		}
+		h.budgets[name] = tb
+		return true
+	}
 }
 
-// tenantBudgetIfAny is tenantBudget without the create — the metrics
-// path must not mint budgets for tenants that never compiled lazily.
+// tenantBudgetIfAny returns the named tenant's child budget, nil when
+// the hub has no budget or the tenant never had a board.
 func (h *Hub) tenantBudgetIfAny(name string) *sfa.TableBudget {
 	h.bmu.Lock()
 	defer h.bmu.Unlock()
@@ -403,13 +417,14 @@ func (h *Hub) Restore() (RestoreStats, error) {
 	}
 	for _, name := range names {
 		fileDefs, snap := h.state.LoadTenant(name)
-		board := h.restoreBoard(name, fileDefs, snap, &stats)
+		opts, adopt := h.tenantOpts(name)
+		board := h.restoreBoard(opts, fileDefs, snap, &stats)
 		if board == nil {
 			stats.Failed = append(stats.Failed, name)
 			continue
 		}
 		h.mu.Lock()
-		if h.tenants[name] == nil {
+		if h.tenants[name] == nil && adopt() {
 			h.tenants[name] = board
 			stats.Tenants++
 		}
@@ -419,8 +434,7 @@ func (h *Hub) Restore() (RestoreStats, error) {
 }
 
 // restoreBoard materializes one tenant from its persisted artifacts.
-func (h *Hub) restoreBoard(name string, fileDefs []sfa.RuleDef, snap []byte, stats *RestoreStats) *Ruleboard {
-	opts := h.tenantOpts(name)
+func (h *Hub) restoreBoard(opts []sfa.Option, fileDefs []sfa.RuleDef, snap []byte, stats *RestoreStats) *Ruleboard {
 	if snap != nil {
 		rs, err := sfa.LoadRuleSet(bytes.NewReader(snap), opts...)
 		if err == nil {
@@ -500,13 +514,15 @@ func (h *Hub) SetRules(name string, defs []sfa.RuleDef) (created bool, board *Ru
 		h.mu.RUnlock()
 
 		if b == nil {
-			nb, err := NewRuleboard(defs, h.tenantOpts(name)...)
+			opts, adopt := h.tenantOpts(name)
+			nb, err := NewRuleboard(defs, opts...)
 			if err != nil {
 				return false, nil, ReloadResult{}, err
 			}
 			h.mu.Lock()
-			if h.tenants[name] != nil {
-				// Lost a create race; apply to the winner as a reload.
+			if h.tenants[name] != nil || !adopt() {
+				// Lost a create race; apply to the winner as a reload
+				// (or, if it came and went, build against its history).
 				h.mu.Unlock()
 				continue
 			}

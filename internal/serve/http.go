@@ -181,6 +181,9 @@ type MetricsReply struct {
 	// TableBudget is the hub-wide lazy-compilation budget (SetTableBudget);
 	// absent when the hub has none.
 	TableBudget *BudgetCounts `json:"table_budget,omitempty"`
+	// ScanRejected counts scan requests answered with an error status,
+	// keyed by the code; absent until the first.
+	ScanRejected map[string]int64 `json:"scan_rejected,omitempty"`
 }
 
 // BudgetCounts reports one table-budget node: the byte bound, what lazy
@@ -198,8 +201,11 @@ type BudgetCounts struct {
 	StallNs int64 `json:"stall_ns,omitempty"`
 }
 
-func budgetCounts(tb *sfa.TableBudget) *BudgetCounts {
-	s := tb.Stats()
+// budgetCounts converts one budget node's stats; nil stays nil.
+func budgetCounts(s *sfa.BudgetStats) *BudgetCounts {
+	if s == nil {
+		return nil
+	}
 	return &BudgetCounts{
 		LimitBytes:    s.LimitBytes,
 		ResidentBytes: s.UsedBytes,
@@ -250,64 +256,52 @@ type SnapshotMetrics struct {
 	Store         *snapshot.Stats `json:"store,omitempty"`
 }
 
-// metricsReply assembles the /metrics document from the hub's counters.
+// metricsReply assembles the /metrics document from one collected
+// snapshot — the same one the Prometheus families read. The document's
+// shape is its own (scripts parse it), so it is filled here field by
+// field rather than generated from the family table.
 func metricsReply(h *Hub) MetricsReply {
-	m := h.Metrics()
+	s := collect(h)
 	reply := MetricsReply{
-		UptimeSeconds: time.Since(m.start).Seconds(),
-		Tenants:       map[string]TenantCounts{},
+		UptimeSeconds: s.uptime,
+		Tenants:       make(map[string]TenantCounts, len(s.tenants)),
 		Snapshot: SnapshotMetrics{
-			WarmLoads:     m.warmLoads.Load(),
-			RebuiltLoads:  m.rebuiltLoads.Load(),
-			ColdBuilds:    m.coldBuilds.Load(),
-			PersistErrors: m.persistErrors.Load(),
+			WarmLoads:     s.warmLoads,
+			RebuiltLoads:  s.rebuiltLoads,
+			ColdBuilds:    s.coldBuilds,
+			PersistErrors: s.persistErrors,
+			Store:         s.store,
 		},
+		TableBudget: budgetCounts(s.budget),
 	}
-	if st := h.State(); st != nil {
-		stats := st.Cache().Stats()
-		reply.Snapshot.Store = &stats
+	if len(s.rejected) > 0 {
+		reply.ScanRejected = make(map[string]int64, len(s.rejected))
 	}
-	if tb := h.TableBudget(); tb != nil {
-		reply.TableBudget = budgetCounts(tb)
+	for _, r := range s.rejected {
+		reply.ScanRejected[strconv.Itoa(r.code)] = r.n
 	}
-	// Union of resident tenants and tenants with traffic history: a
-	// just-created (or just-restored) tenant must appear before its
-	// first scan, and a deleted one keeps its counters.
-	names := map[string]bool{}
-	for _, name := range h.Names() {
-		names[name] = true
-	}
-	for _, name := range m.tenantNames() {
-		names[name] = true
-	}
-	for name := range names {
-		tm := m.Tenant(name)
+	for i := range s.tenants {
+		t := &s.tenants[i]
 		tc := TenantCounts{
-			Scans:         tm.Scans.Load(),
-			ScanBytes:     tm.ScanBytes.Load(),
-			Reloads:       tm.Reloads.Load(),
-			ShardsReused:  tm.ShardsReused.Load(),
-			ShardsRebuilt: tm.ShardsRebuilt.Load(),
-			SlowScans:     tm.SlowScans.Load(),
+			Resident:      t.resident,
+			Generation:    t.gen,
+			Rules:         t.rules,
+			Shards:        t.shards,
+			Scans:         t.scans,
+			ScanBytes:     t.scanBytes,
+			Reloads:       t.reloads,
+			ShardsReused:  t.shardsReused,
+			ShardsRebuilt: t.shardsRebuilt,
+			SlowScans:     t.slowScans,
+			TableBudget:   budgetCounts(t.budget),
 		}
-		if sc := tm.Scan.Snapshot(); sc.Chunks > 0 {
-			tc.Scan = &sc
+		if t.scan.Chunks > 0 {
+			tc.Scan = &t.scan
 		}
-		if b, ok := h.Tenant(name); ok {
-			rs, gen := b.Snapshot()
-			tc.Resident = true
-			tc.Generation = gen
-			tc.Rules = rs.Len()
-			tc.Shards = rs.NumShards()
-			pf := rs.PrefilterStats()
-			tc.Prefilter = &pf
-			br := rs.BuildReport()
-			tc.Build = &br
+		if t.resident {
+			tc.Build, tc.Prefilter = &t.build, &t.pf
 		}
-		if tb := h.tenantBudgetIfAny(name); tb != nil {
-			tc.TableBudget = budgetCounts(tb)
-		}
-		reply.Tenants[name] = tc
+		reply.Tenants[t.name] = tc
 	}
 	return reply
 }
@@ -526,12 +520,12 @@ func NewHandler(h *Hub, opts ...HandlerOption) http.Handler {
 		name := r.PathValue("tenant")
 		b, ok := h.Tenant(name)
 		if !ok {
-			httpError(w, http.StatusNotFound, fmt.Errorf("no tenant %q", name))
+			rejectScan(w, h, http.StatusNotFound, fmt.Errorf("no tenant %q", name))
 			return
 		}
 		st, err := b.NewStream()
 		if err != nil {
-			httpError(w, http.StatusUnprocessableEntity, err)
+			rejectScan(w, h, http.StatusUnprocessableEntity, err)
 			return
 		}
 		defer st.Close()
@@ -563,9 +557,9 @@ func NewHandler(h *Hub, opts ...HandlerOption) http.Handler {
 					}
 					var mbe *http.MaxBytesError
 					if errors.As(err, &mbe) {
-						httpError(w, http.StatusRequestEntityTooLarge, err)
+						rejectScan(w, h, http.StatusRequestEntityTooLarge, err)
 					} else {
-						httpError(w, http.StatusBadRequest, fmt.Errorf("reading body: %w", err))
+						rejectScan(w, h, http.StatusBadRequest, fmt.Errorf("reading body: %w", err))
 					}
 					bad = true
 					return
@@ -679,4 +673,10 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 
 func httpError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
+}
+
+// rejectScan answers a scan request with an error and counts it.
+func rejectScan(w http.ResponseWriter, h *Hub, code int, err error) {
+	h.Metrics().rejectScan(code)
+	httpError(w, code, err)
 }

@@ -313,7 +313,7 @@ type ShardInfo struct {
 	DFAStates  int      // combined minimal DFA, live states
 	SFAStates  int      // combined D-SFA, live states
 	Layout     string   // resolved transition-table layout
-	TableBytes int64    // resident match-table bytes
+	TableBytes int64    // match-table bytes built so far (see docs/observability.md)
 	BuildID    uint64   // construction id; stable when Rebuild reuses the shard
 	// Prefilter is the shard's scan mode under the literal cascade:
 	// "window" (scans only candidate windows around literal hits), "gate"
