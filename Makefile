@@ -68,7 +68,8 @@ race:
 # actually run somewhere — every fuzz target in the module, 10 s each:
 # FuzzMatch (combined vs isolated vs derivative oracle), FuzzEngineAgreement
 # (the single-pattern engine vs the derivative oracle, and its known-start
-# DFA walk vs its D-SFA walk), FuzzPrefilter
+# DFA walk vs its D-SFA walk; the lazy engine vs both, one-shot and in
+# p = 2 chunks, also capped so that its walks cross evictions), FuzzPrefilter
 # (prefiltered vs unfiltered, one-shot, split and composed, over an eager
 # set of every shard mode and a lazily compiled gap-rule set verified per
 # rule), FuzzParse (parse → String → parse round trip; derivatives must

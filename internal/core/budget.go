@@ -367,7 +367,7 @@ var (
 
 // GlobalTableBudget returns the process-wide root budget shared by every
 // lazy structure not given an explicit budget. It starts unlimited;
-// callers arm it with SetLimit (sfa.WithGlobalTableBudget).
+// callers arm it with SetLimit.
 func GlobalTableBudget() *TableBudget {
 	globalBudgetOnce.Do(func() { globalBudget = NewTableBudget(0) })
 	return globalBudget

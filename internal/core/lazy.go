@@ -30,22 +30,17 @@ import (
 // materializes a handful of states holds a handful of directory entries
 // — not one per page its state cap would allow.
 //
-// A Lazy may be tied to a table budget (newLazySized with a
-// *BudgetHandle): page allocations are then charged through the handle
-// and fail with ErrTableBudget when it is exhausted, and the owner — a
-// LazyTuple, which shares one handle across its components — can drop
-// and re-initialize the structure to give the bytes back. The budgeted
-// entry points are package-internal; NewLazy keeps the original
-// unbudgeted contract.
+// A Lazy is a component of a LazyTuple and charges its pages through the
+// tuple's *BudgetHandle, which its components share: a page allocation
+// fails with ErrTableBudget when the budget is exhausted, and the tuple
+// drops and re-initializes the structure to give the bytes back.
 type Lazy struct {
 	D *dfa.DFA
 
 	nc       int
 	n        int // vector length
 	maxState int32
-	pageBits uint
-	pageSize int32
-	h        *BudgetHandle // nil = unbudgeted
+	h        *BudgetHandle
 
 	mu        sync.Mutex
 	numStates atomic.Int32
@@ -53,17 +48,16 @@ type Lazy struct {
 	bytes     int64   // bytes charged for pages and directory entries (under mu)
 	scratch   []int16 // successor / identity vector being interned (under mu)
 
-	pages pageDir[lazyPage] // index = id >> pageBits
+	pages pageDir[lazyPage] // index = id >> lazyPageBits
 
 	start int32
 }
 
-// lazyPage is one page of states: their transition rows, mapping vectors
-// and accept flags.
+// lazyPage is one page of states: their transition rows and mapping
+// vectors.
 type lazyPage struct {
-	rows   []int32 // pageSize × nc entries
-	maps   []int16 // pageSize × n entries
-	accept []bool  // pageSize entries
+	rows []int32 // lazyPageSize × nc entries
+	maps []int16 // lazyPageSize × n entries
 }
 
 // pageDir is a page directory that grows on demand. Pages never move, so
@@ -108,7 +102,12 @@ func (d *pageDir[P]) grow(n int) []P {
 func (d *pageDir[P]) reset() { d.p.Store(nil) }
 
 const (
-	lazyPageBits = 10
+	// lazyPageBits sizes component pages: with a shared byte budget the
+	// charging unit must stay small relative to realistic budgets (the
+	// grace floor force-admits one page per table, so page size is also
+	// the granularity below which a budget cannot bind), and component
+	// DFAs can run to thousands of states at 2·n bytes per mapping vector.
+	lazyPageBits = 5
 	lazyPageSize = 1 << lazyPageBits
 	// lazyStateOverhead approximates the per-state bookkeeping outside
 	// the pages (intern map bucket + id slice entry) for budget
@@ -116,46 +115,27 @@ const (
 	lazyStateOverhead = 48
 )
 
-// NewLazy prepares an on-the-fly D-SFA over d. maxStates bounds the
-// number of materialized SFA states (≤ n states are created for an input
-// of length n, so the bound only matters for adversarial inputs).
-func NewLazy(d *dfa.DFA, maxStates int) (*Lazy, error) {
-	return newLazySized(d, maxStates, lazyPageBits, nil)
-}
-
-// newLazySized is NewLazy with an explicit page granularity and an
-// optional budget handle. Small pages make eviction accounting
-// fine-grained enough for tight budgets; the default page holds 1024
-// states, which for a component DFA of a few thousand states is
-// megabytes — far too coarse a charging unit for a shared budget.
-func newLazySized(d *dfa.DFA, maxStates int, pageBits uint, h *BudgetHandle) (*Lazy, error) {
-	if d.NumStates > MaxDFAStates {
-		return nil, fmt.Errorf("core: DFA has %d states, limit %d", d.NumStates, MaxDFAStates)
-	}
-	if maxStates <= 0 {
-		maxStates = 1 << 20
-	}
-	pageSize := 1 << pageBits
+// newLazy prepares an on-the-fly D-SFA over d whose pages are charged
+// through h. maxStates (≥ 1) bounds the number of materialized states
+// (≤ n states are created for an input of length n, so the bound only
+// matters for adversarial inputs); the owner checked d's size.
+func newLazy(d *dfa.DFA, maxStates int, h *BudgetHandle) *Lazy {
 	l := &Lazy{
 		D:        d,
 		nc:       d.BC.Count,
 		n:        d.NumStates,
 		maxState: int32(maxStates),
-		pageBits: pageBits,
-		pageSize: int32(pageSize),
 		h:        h,
 		ids:      make(map[uint64][]int32),
 		scratch:  make([]int16, d.NumStates),
 	}
-	if err := l.reinit(); err != nil {
-		return nil, err
-	}
-	return l, nil
+	l.reinit()
+	return l
 }
 
-// pageBytes is the budget charge of one page.
-func (l *Lazy) pageBytes() int64 {
-	return int64(l.pageSize) * int64(4*l.nc+2*l.n+1+lazyStateOverhead)
+// lazyPageBytes is the budget charge of one page of a Lazy over d.
+func lazyPageBytes(d *dfa.DFA) int64 {
+	return lazyPageSize * int64(4*d.BC.Count+2*d.NumStates+lazyStateOverhead)
 }
 
 // lazyDirEntryBytes is the budget charge of one page-directory entry.
@@ -164,7 +144,7 @@ const lazyDirEntryBytes = int64(unsafe.Sizeof(lazyPage{}))
 // maxCharge bounds the next single charge intern can make: one page, plus
 // the directory's doubling when the page is the first past its end.
 func (l *Lazy) maxCharge() int64 {
-	return l.pageBytes() + int64(max(len(l.pages.load()), minDirPages))*lazyDirEntryBytes
+	return lazyPageBytes(l.D) + int64(max(len(l.pages.load()), minDirPages))*lazyDirEntryBytes
 }
 
 // drop releases every materialized state and its budget bytes, leaving
@@ -176,30 +156,27 @@ func (l *Lazy) drop() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.pages.reset()
-	clear(l.ids)
+	l.ids = make(map[uint64][]int32) // a cleared map would keep its buckets
 	l.numStates.Store(0)
-	if l.h != nil {
-		l.h.Release(l.bytes)
-	}
+	l.h.Release(l.bytes)
 	l.bytes = 0
 }
 
 // reinit re-interns the identity mapping after drop (or at
-// construction). The page charge goes through the budget's grace floor,
-// so on an evicted structure it cannot fail; the only error is the
-// state cap, impossible when empty.
-func (l *Lazy) reinit() error {
+// construction). It cannot fail: the structure is empty, so the state
+// cap is not reached, and the page charge goes through the budget's
+// grace floor.
+func (l *Lazy) reinit() {
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	for q := range l.scratch {
 		l.scratch[q] = int16(q)
 	}
-	start, _, err := l.intern(l.scratch)
-	l.mu.Unlock()
+	start, err := l.intern(l.scratch)
 	if err != nil {
-		return err
+		panic(fmt.Sprintf("core: lazy reinit: %v", err))
 	}
 	l.start = start
-	return nil
 }
 
 // Intern returns the id of the state with the given transformation
@@ -211,8 +188,7 @@ func (l *Lazy) reinit() error {
 func (l *Lazy) Intern(vec []int16) (int32, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	id, _, err := l.intern(vec)
-	return id, err
+	return l.intern(vec)
 }
 
 // Start returns the id of the identity mapping.
@@ -223,25 +199,14 @@ func (l *Lazy) NumStates() int { return int(l.numStates.Load()) }
 
 // Map returns the transformation vector of state id (read-only).
 func (l *Lazy) Map(id int32) []int16 {
-	p, off := id>>l.pageBits, int(id&(l.pageSize-1))
+	p, off := id>>lazyPageBits, int(id&(lazyPageSize-1))
 	return l.pages.load()[p].maps[off*l.n : (off+1)*l.n]
 }
 
-// Accepting reports whether state id is accepting.
-func (l *Lazy) Accepting(id int32) bool {
-	p, off := id>>l.pageBits, id&(l.pageSize-1)
-	return l.pages.load()[p].accept[off]
-}
-
-// NextByte returns the successor of state id on byte b, constructing it if
-// necessary. It is safe for concurrent use.
-func (l *Lazy) NextByte(id int32, b byte) (int32, error) {
-	return l.NextClass(id, int(l.D.BC.Of[b]))
-}
-
-// NextClass is NextByte for a byte class.
+// NextClass returns the successor of state id on byte class c,
+// constructing it if necessary. It is safe for concurrent use.
 func (l *Lazy) NextClass(id int32, c int) (int32, error) {
-	p, off := id>>l.pageBits, int(id&(l.pageSize-1))
+	p, off := id>>lazyPageBits, int(id&(lazyPageSize-1))
 	slot := &l.pages.load()[p].rows[off*l.nc+c]
 	if to := atomic.LoadInt32(slot); to >= 0 {
 		return to, nil
@@ -260,7 +225,7 @@ func (l *Lazy) construct(id int32, c int, slot *int32) (int32, error) {
 	for q := 0; q < l.n; q++ {
 		next[q] = int16(l.D.NextClass(int32(f[q]), c))
 	}
-	to, _, err := l.intern(next)
+	to, err := l.intern(next)
 	if err != nil {
 		return 0, err
 	}
@@ -269,65 +234,41 @@ func (l *Lazy) construct(id int32, c int, slot *int32) (int32, error) {
 }
 
 // intern must be called with l.mu held.
-func (l *Lazy) intern(vec []int16) (int32, bool, error) {
+func (l *Lazy) intern(vec []int16) (int32, error) {
 	h := hashVec16(vec)
 	for _, id := range l.ids[h] {
 		if eqVec16(l.Map(id), vec) {
-			return id, false, nil
+			return id, nil
 		}
 	}
 	id := l.numStates.Load()
 	if id >= l.maxState {
-		return 0, false, fmt.Errorf("%w (lazy cap %d)", ErrTooManyStates, l.maxState)
+		return 0, fmt.Errorf("%w (lazy cap %d)", ErrTooManyStates, l.maxState)
 	}
-	p, off := int(id>>l.pageBits), int(id&(l.pageSize-1))
+	p, off := int(id>>lazyPageBits), int(id&(lazyPageSize-1))
 	pages := l.pages.load()
 	if p >= len(pages) || pages[p].rows == nil {
 		// A new page, and a longer directory when the page is past its
 		// end: one charge, so a refusal leaves nothing half-made.
 		grown := grownFor(len(pages), p)
-		charge := l.pageBytes() + int64(grown-len(pages))*lazyDirEntryBytes
+		charge := lazyPageBytes(l.D) + int64(grown-len(pages))*lazyDirEntryBytes
 		if !l.h.TryCharge(charge) {
-			return 0, false, fmt.Errorf("%w (lazy page)", ErrTableBudget)
+			return 0, fmt.Errorf("%w (lazy page)", ErrTableBudget)
 		}
 		l.bytes += charge
 		if grown > len(pages) {
 			pages = l.pages.grow(grown)
 		}
-		rows := make([]int32, int(l.pageSize)*l.nc)
+		rows := make([]int32, lazyPageSize*l.nc)
 		for i := range rows {
 			rows[i] = -1
 		}
-		pages[p] = lazyPage{rows, make([]int16, int(l.pageSize)*l.n), make([]bool, l.pageSize)}
+		pages[p] = lazyPage{rows, make([]int16, lazyPageSize*l.n)}
 	}
 	copy(pages[p].maps[off*l.n:(off+1)*l.n], vec)
-	pages[p].accept[off] = l.D.Accept[vec[l.D.Start]]
 	l.ids[h] = append(l.ids[h], id)
 	// numStates.Store is the only mutation of the counter and happens
 	// under l.mu; readers use it only for statistics.
 	l.numStates.Store(id + 1)
-	return id, true, nil
-}
-
-// Run advances from state `from` over text, constructing states on demand.
-func (l *Lazy) Run(from int32, text []byte) (int32, error) {
-	q := from
-	bc := &l.D.BC.Of
-	for _, b := range text {
-		to, err := l.NextClass(q, int(bc[b]))
-		if err != nil {
-			return 0, err
-		}
-		q = to
-	}
-	return q, nil
-}
-
-// Accepts reports whole-input acceptance, building states as needed.
-func (l *Lazy) Accepts(text []byte) (bool, error) {
-	q, err := l.Run(l.start, text)
-	if err != nil {
-		return false, err
-	}
-	return l.Accepting(q), nil
+	return id, nil
 }

@@ -90,13 +90,6 @@ type LazyTuple struct {
 const (
 	lazyTuplePageBits = 6
 	lazyTuplePageSize = 1 << lazyTuplePageBits
-	// lazyCompPageBits sizes component pages: with a shared byte budget
-	// the charging unit must stay small relative to realistic budgets
-	// (the grace floor force-admits one page per table, so page size is
-	// also the granularity below which a budget cannot bind), and
-	// component DFAs can run to thousands of states at 2·n bytes per
-	// mapping vector.
-	lazyCompPageBits = 5
 )
 
 // LazyTupleOptions parameterizes NewLazyTuple.
@@ -151,8 +144,8 @@ func (t *LazyTuple) build() {
 	if compMax <= 0 {
 		compMax = 1 << 20
 	}
-	if compMax < 1<<lazyCompPageBits {
-		compMax = 1 << lazyCompPageBits
+	if compMax < lazyPageSize {
+		compMax = lazyPageSize
 	}
 	t.ids = make(map[string]int32)
 	t.maxStates = int32(maxStates)
@@ -201,18 +194,13 @@ func (t *LazyTuple) build() {
 	}
 	grace := t.tuplePageBytes() + minDirPages*tupleDirEntryBytes + 4*t.tupleStateBytes() + 1024
 	for _, d := range dfas {
-		grace += int64(1<<lazyCompPageBits)*int64(4*d.BC.Count+2*d.NumStates+1+lazyStateOverhead) +
-			minDirPages*lazyDirEntryBytes
+		grace += lazyPageBytes(d) + minDirPages*lazyDirEntryBytes
 	}
 	t.h = budget.Register(t, grace)
 
 	t.comps = make([]*Lazy, k)
 	for i, d := range dfas {
-		l, err := newLazySized(d, compMax, lazyCompPageBits, t.h)
-		if err != nil {
-			panic(fmt.Sprintf("core: lazy tuple component %d: %v", i, err))
-		}
-		t.comps[i] = l
+		t.comps[i] = newLazy(d, compMax, t.h)
 	}
 	t.mu.Lock()
 	err := t.initStartLocked()
@@ -500,8 +488,10 @@ func (t *LazyTuple) BudgetEvict() int64 {
 		c.drop()
 	}
 	t.rows.reset()
-	t.tuples = t.tuples[:0]
-	clear(t.ids)
+	// Fresh containers: clearing would keep the slice's capacity and the
+	// map's buckets allocated after their bytes were released.
+	t.tuples = nil
+	t.ids = make(map[string]int32)
 	t.states = 0
 	t.h.Release(t.bytes)
 	t.bytes = 0
@@ -509,9 +499,7 @@ func (t *LazyTuple) BudgetEvict() int64 {
 	// Re-initialization charges through the grace floor: with every
 	// byte of this structure just released, it cannot fail.
 	for _, c := range t.comps {
-		if err := c.reinit(); err != nil {
-			panic(fmt.Sprintf("core: lazy tuple reinit: %v", err))
-		}
+		c.reinit()
 	}
 	t.mu.Lock()
 	if err := t.initStartLocked(); err != nil {

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -138,6 +141,45 @@ func TestLazyTupleEvictsUnderSharedBudget(t *testing.T) {
 	}
 	if st.Used > st.Limit+4*wsA {
 		t.Fatalf("usage %d far exceeds limit %d", st.Used, st.Limit)
+	}
+}
+
+func TestLazyTupleEvictionFreesMemory(t *testing.T) {
+	// Counters modulo the first six primes: a^k reaches a new tuple for
+	// every k below their product, while each component holds at most
+	// 13 states — so the tuple layer's intern map and tuple slice carry
+	// most of the bytes. An eviction releases their charge, and the heap
+	// must shrink by about as much: a cleared map keeps its buckets and
+	// a truncated slice its capacity.
+	primes := []int{2, 3, 5, 7, 11, 13}
+	dfas := make([]*dfa.DFA, len(primes))
+	n := 1
+	for i, p := range primes {
+		dfas[i] = dfa.MustCompilePattern(fmt.Sprintf("(a{%d})*", p))
+		n *= p
+	}
+	lt, err := NewLazyTuple(dfas, LazyTupleOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lt.Close()
+	text := bytes.Repeat([]byte("a"), n)
+	lt.RunToVec(text, make([]int16, lt.VecLen()))
+	if st := lt.Stats(); st.States != n {
+		t.Fatalf("materialized %d tuple states, want %d", st.States, n)
+	}
+	heap := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	before := heap()
+	released := lt.BudgetEvict()
+	freed := before - heap()
+	runtime.KeepAlive(text)
+	if freed < released*3/4 {
+		t.Fatalf("eviction released %d charged bytes but the heap shrank by %d", released, freed)
 	}
 }
 

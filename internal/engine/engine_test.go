@@ -2,8 +2,11 @@ package engine
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/dfa"
@@ -192,16 +195,83 @@ func TestSpeculativeMatchesPaperSemantics(t *testing.T) {
 	}
 }
 
-func TestLazyEngineErrSticky(t *testing.T) {
-	d := dfa.MustCompilePattern("([0-4]{5}[5-9]{5})*")
-	m, err := NewSFALazy(d, 2, 3) // absurdly low cap
+func TestLazyEngineCapEvicts(t *testing.T) {
+	// A state cap below the input's working set resets the automaton and
+	// re-enters mid-scan; it never costs a verdict, neither on the input
+	// that reached it nor on the next one. r20 crosses even the minimum
+	// caps core.LazyTuple enforces.
+	for _, n := range []int{5, 20} {
+		d := dfa.MustCompilePattern(fmt.Sprintf("([0-4]{%d}[5-9]{%d})*", n, n))
+		m, err := NewSFALazy(d, 2, 3) // absurdly low cap
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, in := range [][]byte{textgen.RnText(n, 8<<10, 1), nil} {
+			if got, want := m.Match(in), d.Accepts(in); got != want {
+				t.Fatalf("r%d, %d-byte input: lazy = %v, DFA = %v", n, len(in), got, want)
+			}
+		}
+		if n == 20 && m.Stats().Resets == 0 {
+			t.Fatal("r20: the input never reached the state cap")
+		}
+	}
+}
+
+func TestLazyEngineCapConcurrent(t *testing.T) {
+	// Goroutines sharing one capped engine evict each other's states
+	// mid-scan; run with -race to exercise the spill–evict–re-enter path.
+	d := dfa.MustCompilePattern("([0-4]{20}[5-9]{20})*")
+	m, err := NewSFALazy(d, 2, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	text := bytes.Repeat([]byte("0123456789"), 10)
-	_ = m.Match(text)
-	if m.Err() == nil {
-		t.Fatal("expected sticky state-cap error")
+	const workers = 8
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		go func(seed int64) {
+			r := rand.New(rand.NewSource(seed))
+			for k := 0; k < 6; k++ {
+				in := textgen.RnText(20, 1+r.Intn(5<<10), seed)
+				if k%2 == 1 && len(in) > 0 {
+					in[r.Intn(len(in))] ^= 1 // a digit off its block: rejected unless it stays in range
+				}
+				if got, want := m.Match(in), d.Accepts(in); got != want {
+					errs <- fmt.Errorf("worker %d, %d-byte input: lazy = %v, DFA = %v", seed, len(in), got, want)
+					return
+				}
+			}
+			errs <- nil
+		}(int64(w))
+	}
+	for w := 0; w < workers; w++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if m.Stats().Resets == 0 {
+		t.Fatal("the inputs never reached the state cap")
+	}
+}
+
+func TestLazyEngineReclaimed(t *testing.T) {
+	// A dropped lazy engine must be collectable: its finalizer closes the
+	// tuple's budget handle, and an engine that reached itself through its
+	// own fields would keep its tables, and their charge, forever.
+	d := dfa.MustCompilePattern("([0-4]{20}[5-9]{20})*")
+	budget := core.NewTableBudget(0)
+	for i := 0; i < 8; i++ {
+		lt, err := core.NewLazyTuple([]*dfa.DFA{d}, core.LazyTupleOptions{Budget: budget})
+		if err != nil {
+			t.Fatal(err)
+		}
+		NewLazyMultiSFA(lt, 2).Match(textgen.RnText(20, 8<<10, 1))
+	}
+	for i := 0; i < 100 && budget.Stats().Used > 0; i++ {
+		runtime.GC() // finalizers run after the cycle that found the engine dead
+		time.Sleep(time.Millisecond)
+	}
+	if used := budget.Stats().Used; used != 0 {
+		t.Fatalf("%d bytes still charged after every engine was dropped", used)
 	}
 }
 

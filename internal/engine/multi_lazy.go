@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/dfa"
 	"repro/internal/obs"
 )
 
@@ -54,6 +55,17 @@ type LazyMultiSFA struct {
 // NewLazyMultiSFA wraps a lazy combined automaton as a shard engine.
 // Rule bit i of every result mask belongs to component i of t.
 func NewLazyMultiSFA(t *core.LazyTuple, threads int, opts ...Option) *LazyMultiSFA {
+	m := newLazyMultiSFA(t, threads, opts)
+	// The budget keeps a process-wide registry entry (and therefore a
+	// strong reference) for every lazy structure that has built its
+	// tables; without a release hook, dropping a rule set would leak its
+	// charged bytes forever. Engines have no Close in this codebase —
+	// reclamation rides the collector instead.
+	runtime.SetFinalizer(m, func(m *LazyMultiSFA) { m.t.Close() })
+	return m
+}
+
+func newLazyMultiSFA(t *core.LazyTuple, threads int, opts []Option) *LazyMultiSFA {
 	if threads < 1 {
 		threads = 1
 	}
@@ -70,38 +82,57 @@ func NewLazyMultiSFA(t *core.LazyTuple, threads int, opts ...Option) *LazyMultiS
 		pool:    o.pool,
 		id:      id,
 	}
+	// Neither the constructor nor a context refers back to m: a finalizer
+	// never runs on an object that reaches itself.
+	words := m.words
 	m.ctxs.New = func() any {
-		c := &lazyMultiCtx{m: m, vecs: make([][]int16, m.threads)}
+		c := &lazyMultiCtx{t: t, threads: threads, vecs: make([][]int16, threads)}
 		for i := range c.vecs {
 			c.vecs[i] = make([]int16, t.VecLen())
 		}
 		c.tmp = make([]int16, t.VecLen())
-		c.mask = make([]uint64, m.words)
+		c.mask = make([]uint64, words)
 		return c
 	}
-	// The budget keeps a process-wide registry entry (and therefore a
-	// strong reference) for every lazy structure that has built its
-	// tables; without a release hook, dropping a rule set would leak its
-	// charged bytes forever. Engines have no Close in this codebase —
-	// reclamation rides the collector instead.
-	runtime.SetFinalizer(m, func(m *LazyMultiSFA) { m.t.Close() })
 	return m
+}
+
+// NewSFALazy is Algorithm 5 over an on-the-fly SFA (Sect. V-A) for one
+// pattern: the one-rule LazyMultiSFA, whose states are constructed the
+// first time any thread needs them. It trades Table III's up-front
+// construction time for a slower per-byte step; ablation A3 quantifies
+// the trade. maxStates caps the resident states (0 = the core.LazyTuple
+// default); reaching the cap resets the structure mid-scan, which never
+// changes a verdict.
+//
+// The tuple charges a budget of its own, which nothing else reaches, so
+// the engine needs no finalizer: the collector frees the tuple and its
+// budget with it. A finalizer would keep them one collection longer,
+// and a caller that compiles patterns in a loop would outrun the
+// collector.
+func NewSFALazy(d *dfa.DFA, threads, maxStates int, opts ...Option) (*LazyMultiSFA, error) {
+	t, err := core.NewLazyTuple([]*dfa.DFA{d}, core.LazyTupleOptions{MaxStates: maxStates, CompMaxStates: maxStates})
+	if err != nil {
+		return nil, err
+	}
+	return newLazyMultiSFA(t, threads, opts), nil
 }
 
 // lazyMultiCtx is the per-call scratch: one chunk-result vector per
 // thread, a compose scratch, and a mask buffer for Match.
 type lazyMultiCtx struct {
-	job  jobState
-	m    *LazyMultiSFA
-	text []byte
-	vecs [][]int16
-	tmp  []int16
-	mask []uint64
+	job     jobState
+	t       *core.LazyTuple
+	threads int
+	text    []byte
+	vecs    [][]int16
+	tmp     []int16
+	mask    []uint64
 }
 
 func (c *lazyMultiCtx) runChunk(i int) {
-	lo, hi := span(len(c.text), c.m.threads, i)
-	c.m.t.RunToVec(c.text[lo:hi], c.vecs[i])
+	lo, hi := span(len(c.text), c.threads, i)
+	c.t.RunToVec(c.text[lo:hi], c.vecs[i])
 }
 
 // runToVec scans text and leaves the induced transformation in a
@@ -247,7 +278,7 @@ func (m *LazyMultiSFA) Name() string {
 	if m.spawn {
 		mode = "-spawn"
 	}
-	return fmt.Sprintf("multi-sfa-lazy-p%d%s", m.threads, mode)
+	return fmt.Sprintf("sfa-lazy-p%d%s", m.threads, mode)
 }
 
 // Info implements the shard-engine stats surface.

@@ -160,6 +160,26 @@ func TestPooledMatchZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
+func TestLazyMatchZeroAllocSteadyState(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; allocs/op is only meaningful without -race")
+	}
+	d := dfa.MustCompilePattern("([0-4]{2}[5-9]{2})*")
+	text := bytes.Repeat([]byte("0055"), 4096)
+	for _, p := range []int{1, 2} {
+		m, err := NewSFALazy(d, p, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 10; i++ { // warm the states, the context pool and the worker pool
+			m.Match(text)
+		}
+		if avg := testing.AllocsPerRun(100, func() { m.Match(text) }); avg != 0 {
+			t.Errorf("p=%d: warm lazy Match allocates %.2f allocs/op", p, avg)
+		}
+	}
+}
+
 func TestSpanMatchesChunks(t *testing.T) {
 	for n := 0; n < 100; n++ {
 		for p := 1; p <= 12; p++ {

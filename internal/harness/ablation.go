@@ -91,7 +91,7 @@ func (c Config) Ablations() error {
 	mLazy.Match(text)
 	lazy := time.Since(start)
 	c.printf("eager: build(%d states)+match = %.3f s\n", sEager.NumStates, eager.Seconds())
-	c.printf("lazy:  match materializing %d states = %.3f s\n", mLazy.States(), lazy.Seconds())
+	c.printf("lazy:  match materializing %d states = %.3f s\n", mLazy.Stats().States, lazy.Seconds())
 
 	// A4: front-end construction comparison.
 	c.header("Ablation A4 — Glushkov vs Thompson front end")

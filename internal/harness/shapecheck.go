@@ -139,8 +139,8 @@ func (c Config) ShapeCheck() error {
 	}
 	lt := textgen.RnText(50, 1<<20, c.Seed)
 	lazy.Match(lt)
-	report("lazy SFA visits ≪ full state set (r50)", lazy.States() < 1000,
-		fmt.Sprintf("%d of 10100 states", lazy.States()))
+	report("lazy SFA visits ≪ full state set (r50)", lazy.Stats().States < 1000,
+		fmt.Sprintf("%d of 10100 states", lazy.Stats().States))
 
 	c.printf("\n%d passed, %d failed\n", pass, fail)
 	if fail > 0 {

@@ -25,7 +25,7 @@ func NewTableBudget(limitBytes int64) *TableBudget {
 
 // GlobalTableBudget returns the process-wide budget that lazy rule sets
 // charge by default (when compiled without WithTableBudget). It starts
-// unlimited; WithGlobalTableBudget or SetLimit bounds it.
+// unlimited; SetLimit bounds it.
 func GlobalTableBudget() *TableBudget {
 	return &TableBudget{b: core.GlobalTableBudget()}
 }

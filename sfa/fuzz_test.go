@@ -2,6 +2,7 @@ package sfa
 
 import (
 	"bytes"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -102,12 +103,20 @@ func FuzzMatch(f *testing.F) {
 // too: MatchMask, which walks the DFA's own table from its start state,
 // against Match's D-SFA walk, on the input and on the input repeated past
 // the 4 KiB threshold, where the p = 2 MatchMask walks the D-SFA in two
-// chunks and a p = 1 twin still walks the DFA.
+// chunks and a p = 1 twin still walks the DFA. The lazy engine must agree
+// on both inputs, at its default cap and in a twin capped at 3 states;
+// past 4 KiB its p = 2 chunks are walked in parallel and composed
+// blockwise. The long inputs are judged by the DFA walk, not by
+// derivatives, whose terms can grow with the input (".*.*00" takes
+// seconds per kilobyte). A 4 KiB shuffle of the input's bytes reaches
+// more states than the repetition does, so the capped twin crosses
+// evictions.
 func FuzzEngineAgreement(f *testing.F) {
 	f.Add("(ab)*", "abab")
 	f.Add("([0-4]{2}[5-9]{2})*", "0055")
 	f.Add("a|bc+", "bcc")
 	f.Add("[a-c]{1,3}", "abc")
+	f.Add("[ab]*a[ab]{6}", "abbabaaab")
 	f.Fuzz(func(t *testing.T, pattern, input string) {
 		if len(pattern) > 30 || len(input) > 30 {
 			return
@@ -141,6 +150,34 @@ func FuzzEngineAgreement(f *testing.F) {
 		if sfaWalk := m.Match(long); known != split || known != sfaWalk {
 			t.Fatalf("pattern %q input %q repeated to %d bytes: known-start walk=%v p=2 D-SFA=%v Match=%v",
 				pattern, input, len(long), known, split, sfaWalk)
+		}
+		lazy, err := Compile(pattern, WithEngine(EngineLazySFA), WithDFACap(500), WithThreads(2))
+		if err != nil {
+			t.Fatalf("pattern %q: the SFA engine compiled, the lazy one did not: %v", pattern, err)
+		}
+		capped, err := engine.NewSFALazy(lazy.dfa, 2, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		alphabet := input + "a"
+		r := rand.New(rand.NewSource(int64(len(input))))
+		mixed := make([]byte, 4200)
+		for i := range mixed {
+			mixed[i] = alphabet[r.Intn(len(alphabet))]
+		}
+		wantMixed := one.MatchMask(mixed, dst)[0] != 0
+		for _, e := range []engine.Matcher{lazy.matcher, capped} {
+			if got := e.Match([]byte(input)); got != want {
+				t.Fatalf("pattern %q input %q: %s=%v derivatives=%v", pattern, input, e.Name(), got, want)
+			}
+			if got := e.Match(long); got != known {
+				t.Fatalf("pattern %q input %q repeated to %d bytes: %s=%v DFA=%v",
+					pattern, input, len(long), e.Name(), got, known)
+			}
+			if got := e.Match(mixed); got != wantMixed {
+				t.Fatalf("pattern %q input %q shuffled to %d bytes: %s=%v DFA=%v",
+					pattern, input, len(mixed), e.Name(), got, wantMixed)
+			}
 		}
 	})
 }

@@ -87,7 +87,6 @@ type config struct {
 	search  bool
 	dfaCap  int
 	sfaCap  int
-	lazyMax int
 
 	// RuleSet-only knobs (ignored by Compile).
 	isolatedRules bool
@@ -207,18 +206,6 @@ func WithLazyCompile() Option { return func(c *config) { c.lazyCompile = true } 
 // Compile ignores this option.
 func WithTableBudget(b *TableBudget) Option { return func(c *config) { c.tableBudget = b } }
 
-// WithGlobalTableBudget bounds the process-wide table budget at
-// limitBytes (<= 0 = unlimited) and enables lazy compilation for this
-// set — shorthand for SetLimit on GlobalTableBudget plus
-// WithLazyCompile. The limit is process state: it applies to every lazy
-// set charging the global budget, not only this one.
-func WithGlobalTableBudget(limitBytes int64) Option {
-	return func(c *config) {
-		GlobalTableBudget().SetLimit(limitBytes)
-		c.lazyCompile = true
-	}
-}
-
 // WithoutPrefilter disables the literal prefilter cascade that combined
 // rule sets arm by default: every shard scans every input byte, exactly
 // as before the prefilter existed. The prefilter never changes verdicts
@@ -286,7 +273,7 @@ func Compile(pattern string, opts ...Option) (*Regexp, error) {
 		}
 		re.matcher = engine.NewSFAParallel(re.dsfa, cfg.threads, cfg.reduction())
 	case EngineLazySFA:
-		m, err := engine.NewSFALazy(re.dfa, cfg.threads, cfg.lazyMax)
+		m, err := engine.NewSFALazy(re.dfa, cfg.threads, 0)
 		if err != nil {
 			return nil, err
 		}
