@@ -21,13 +21,16 @@
 # short real window each of scan_dense (the eager path), scan_sparse
 # (the workload where the literal matcher is the whole op), scan_lazy
 # (lazy shards behind the prefilter, and the lazy tuple in its
-# no-prefilter twin's set-up), stream_compose (the one workload whose
-# Compose consumes full carried mappings, out-of-order segments folded
-# together) and build (the only window that checks the masks of sets
-# that were built, saved, loaded and rebuilt) verified against the
-# isolated-rule oracle — so a change that breaks the benchmark, drops a
-# literal hit, breaks a lazy verdict, breaks a composed mapping or
-# builds a wrong table, fails here, not in the pipeline that runs it.
+# no-prefilter twin's set-up), stream_chunks (the in-order stream),
+# stream_compose (the one workload whose Compose consumes full carried
+# mappings, out-of-order segments folded together), serve_large (the
+# real server at p = GOMAXPROCS, the one workload whose walks start
+# unknown and so derive the D-SFAs' mapping vectors) and build (the only
+# window that checks the masks of sets that were built, saved, loaded
+# and rebuilt) verified against the isolated-rule oracle — so a change
+# that breaks the benchmark, drops a literal hit, breaks a lazy verdict,
+# breaks a composed mapping, derives a wrong vector or builds a wrong
+# table, fails here, not in the pipeline that runs it.
 
 GO ?= go
 
@@ -66,7 +69,9 @@ race:
 
 # Exercise the fuzz corpora for a few seconds so the oracle cross-checks
 # actually run somewhere — every fuzz target in the module, 10 s each:
-# FuzzMatch (combined vs isolated vs derivative oracle), FuzzEngineAgreement
+# FuzzMatch (combined vs isolated vs derivative oracle, and a fresh
+# p = 2 set, whose scan of the input repeated past 4 KiB derives its
+# D-SFAs' mapping vectors, vs its p = 1 twin), FuzzEngineAgreement
 # (the single-pattern engine vs the derivative oracle, and its known-start
 # DFA walk vs its D-SFA walk; the lazy engine vs both, one-shot and in
 # p = 2 chunks, also capped so that its walks cross evictions), FuzzPrefilter
@@ -109,18 +114,22 @@ snapshot-smoke:
 
 # The benchmark BENCHMARK.json names: its own tests (-short skips the
 # full-length runs), then one 1-second window each of the two eager scan
-# workloads, the lazy one, stream_compose (segments on their own
-# streams, folded with Compose) and build (cold build, Save, snapshot
-# loads and one-rule Rebuilds, each resulting set's mask checked)
-# through the same entry point the benchmark's runs use — every op and
-# spot slice checked by the bench's isolated-rule oracle. run.sh builds
-# into .bench_build/.
+# workloads, the lazy one, stream_chunks (one stream written in order),
+# stream_compose (segments on their own streams, folded with Compose),
+# serve_large (256 KiB bodies through the real sfaserve, whose p > 1
+# walks of 4 KiB and more start unknown) and build (cold build, Save,
+# snapshot loads and one-rule Rebuilds, each resulting set's mask
+# checked) through the same entry point the benchmark's runs use —
+# every op and spot slice checked by the bench's isolated-rule oracle.
+# run.sh builds into .bench_build/.
 bench-check:
 	cd bench && $(GO) test -short ./...
 	bash bench/run.sh -workload scan_dense -seconds 1
 	bash bench/run.sh -workload scan_sparse -seconds 1
 	bash bench/run.sh -workload scan_lazy -seconds 1
+	bash bench/run.sh -workload stream_chunks -seconds 1
 	bash bench/run.sh -workload stream_compose -seconds 1
+	bash bench/run.sh -workload serve_large -seconds 1
 	bash bench/run.sh -workload build -seconds 1
 
 ci: vet lint build docs-check test race fuzz-smoke serve-smoke snapshot-smoke bench-check

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/dfa"
 	"repro/internal/nfa"
@@ -27,6 +28,14 @@ const MaxDFAStates = 1 << 15
 // as D, so matching uses exactly one table lookup per input byte — "each
 // thread only deals with a single state in SFA and just looks up the
 // transition table once for each character" (Sect. V-B).
+//
+// The transformation vectors are a derived cache. Matching reads only
+// NextC and Accept; a vector is read where Algorithm 5 applies or
+// composes a chunk's mapping (the p > 1 reduction, a carried-mapping
+// fold), by StateOf, and by Encode. Construction releases the vectors it
+// interned with once Accept and EmptyID are known, and the first reader
+// derives all of them at once from (D, NextC, Start). A decoded
+// automaton keeps the vectors it decoded.
 type DSFA struct {
 	D         *dfa.DFA
 	NumStates int
@@ -35,37 +44,99 @@ type DSFA struct {
 	NextC     []int32
 	EmptyID   int32 // id of the everywhere-dead mapping, or -1
 
-	n    int     // vector length == D.NumStates
-	maps []int16 // flat NumStates × n transformation vectors
+	n int // vector length == D.NumStates
 
-	// ids is the vector-lookup index behind StateOf. BuildDSFA fills it
-	// as a side effect of interning; automata assembled from already-
-	// final tables (DecodeDSFA, NewDSFAFromParts) leave it nil and build
-	// it on first StateOf call — matching never consults it, so warm
-	// snapshot loads skip the full-table hashing scan entirely.
+	// vecs is published once: by the decoder, or by the first reader
+	// (vectors) under vecOnce.
+	vecs    atomic.Pointer[vectors]
+	vecOnce sync.Once
+}
+
+// vectors are a D-SFA's resident transformation vectors and the StateOf
+// index over them, built on the first StateOf call — matching never
+// consults it, so a warm snapshot load skips the full-table hashing scan.
+type vectors struct {
+	maps    []int16 // flat NumStates × n
+	n       int
 	ids     map[uint64][]int32
 	idsOnce sync.Once
 }
 
-// ensureIDs builds the StateOf intern index on demand. Safe for
-// concurrent first use; a no-op when construction already filled it.
-func (s *DSFA) ensureIDs() {
-	s.idsOnce.Do(func() {
-		if s.ids != nil {
-			return
-		}
+// of is state id's vector.
+func (v *vectors) of(id int32) []int16 { return v.maps[int(id)*v.n : (int(id)+1)*v.n] }
+
+// vectors returns the resident transformation vectors, deriving them on
+// the first call. Safe for concurrent first use: one derivation is
+// published and every caller sees it.
+func (s *DSFA) vectors() *vectors {
+	if v := s.vecs.Load(); v != nil {
+		return v
+	}
+	s.vecOnce.Do(func() {
+		maps, _ := s.deriveMaps()
+		s.vecs.Store(&vectors{maps: maps, n: s.n})
+	})
+	return s.vecs.Load()
+}
+
+// stateIDs returns the vectors with their StateOf index, building the
+// index on first use.
+func (s *DSFA) stateIDs() *vectors {
+	v := s.vectors()
+	v.idsOnce.Do(func() {
 		ids := make(map[uint64][]int32, s.NumStates)
 		for id := int32(0); id < int32(s.NumStates); id++ {
-			h := hashVec16(s.mapOf(id))
+			h := hashVec16(v.of(id))
 			ids[h] = append(ids[h], id)
 		}
-		s.ids = ids
+		v.ids = ids
 	})
+	return v
+}
+
+// deriveMaps computes every state's transformation vector from the
+// transition table, walking the automaton breadth-first from Start: the
+// identity at Start, and f_{wσ}(q) = δ(f_w(q), σ) for each state first
+// reached from state w by class σ. A state's vector does not depend on
+// the word that reaches it, so any parent gives the vector construction
+// computed. Each step is the composition f_w ⊙ δ_σ with D's class-σ
+// column as a vector. It also returns the number of states reached;
+// the vectors of the others are left zero.
+func (s *DSFA) deriveMaps() (maps []int16, reached int) {
+	n, d := s.n, s.D
+	nc := d.BC.Count
+	cols := make([]int16, nc*n) // cols[σ·n+q] = δ(q, σ)
+	for q := range n {
+		for c, to := range d.NextC[q*nc : (q+1)*nc] {
+			cols[c*n+q] = int16(to)
+		}
+	}
+	maps = make([]int16, s.NumStates*n)
+	vec := func(id int32) []int16 { return maps[int(id)*n : (int(id)+1)*n] }
+	for q := range n {
+		maps[int(s.Start)*n+q] = int16(q)
+	}
+	seen := make([]bool, s.NumStates)
+	queue := make([]int32, 1, s.NumStates)
+	queue[0] = s.Start
+	seen[s.Start] = true
+	for head := 0; head < len(queue); head++ {
+		from := queue[head]
+		for c, to := range s.NextC[int(from)*nc : (int(from)+1)*nc] {
+			if !seen[to] {
+				seen[to] = true
+				ComposeVec(vec(to), vec(from), cols[c*n:(c+1)*n])
+				queue = append(queue, to)
+			}
+		}
+	}
+	return maps, len(queue)
 }
 
 // BuildDSFA runs the correspondence construction (Algorithm 4) on a
 // complete DFA. cap > 0 bounds the number of SFA states (live or not);
-// ErrTooManyStates is returned when exceeded.
+// ErrTooManyStates is returned when exceeded. The vectors it interns are
+// released on return (see DSFA).
 func BuildDSFA(d *dfa.DFA, cap int) (*DSFA, error) {
 	if d.NumStates > MaxDFAStates {
 		return nil, fmt.Errorf("core: DFA has %d states, D-SFA construction limit is %d",
@@ -84,16 +155,16 @@ func BuildDSFA(d *dfa.DFA, cap int) (*DSFA, error) {
 	if cap > 0 && cap < sizeHint {
 		sizeHint = cap
 	}
-	s.maps = make([]int16, 0, sizeHint*n)
+	maps := make([]int16, 0, sizeHint*n)
 	s.NextC = make([]int32, 0, sizeHint*nc)
+	mapOf := func(id int32) []int16 { return maps[int(id)*n : (int(id)+1)*n] }
 
-	// Intern table: hash → candidate ids, vectors live in s.maps.
+	// Intern table: hash → candidate ids, vectors live in maps.
 	ids := make(map[uint64][]int32, sizeHint)
-	s.ids = ids
 	intern := func(vec []int16) (int32, bool, error) {
 		h := hashVec16(vec)
 		for _, id := range ids[h] {
-			if eqVec16(s.mapOf(id), vec) {
+			if eqVec16(mapOf(id), vec) {
 				return id, false, nil
 			}
 		}
@@ -102,7 +173,7 @@ func BuildDSFA(d *dfa.DFA, cap int) (*DSFA, error) {
 		}
 		id := int32(s.NumStates)
 		s.NumStates++
-		s.maps = append(s.maps, vec...)
+		maps = append(maps, vec...)
 		ids[h] = append(ids[h], id)
 		s.NextC = append(s.NextC, make([]int32, nc)...)
 		return id, true, nil
@@ -125,11 +196,11 @@ func BuildDSFA(d *dfa.DFA, cap int) (*DSFA, error) {
 		id := queue[0]
 		queue = queue[1:]
 		// Hoisted out of the per-class loop: intern's appends may move
-		// s.maps to a new backing array, leaving f viewing the old one —
+		// maps to a new backing array, leaving f viewing the old one —
 		// that stale view stays correct because interned vectors are
-		// write-once (do not add in-place mutation of s.maps without
+		// write-once (do not add in-place mutation of maps without
 		// revisiting this).
-		f := s.mapOf(id)
+		f := mapOf(id)
 		for c := 0; c < nc; c++ {
 			// Line 6 (deterministic case): fnext(q) = δ(f(q), σ).
 			for q := 0; q < n; q++ {
@@ -147,57 +218,54 @@ func BuildDSFA(d *dfa.DFA, cap int) (*DSFA, error) {
 	}
 
 	// Final states Fs (line 12) and the dead mapping, if reachable.
-	s.finalize()
+	s.finalize(maps)
 	return s, nil
 }
 
 // finalize derives the accept vector and the dead-mapping id from the
-// interned vectors — the last step both construction paths share.
-func (s *DSFA) finalize() {
+// flat transformation vectors maps.
+func (s *DSFA) finalize(maps []int16) {
 	d := s.D
 	s.Accept = make([]bool, s.NumStates)
 	s.EmptyID = -1
-	for id := int32(0); id < int32(s.NumStates); id++ {
-		f := s.mapOf(id)
+	for id := 0; id < s.NumStates; id++ {
+		f := maps[id*s.n : (id+1)*s.n]
 		s.Accept[id] = d.Accept[f[d.Start]]
 		if d.Dead != dfa.NoDead && allEqual(f, int16(d.Dead)) {
-			s.EmptyID = id
+			s.EmptyID = int32(id)
 		}
 	}
 }
 
-// NewDSFAFromParts assembles a D-SFA from externally constructed tables:
-// nextC is the class-indexed transition table (stride d.BC.Count) and
-// maps the flat transformation vectors (stride d.NumStates), state ids
-// dense from 0. The tuple-interned product construction in
-// internal/multi builds these directly from component D-SFAs instead of
-// running the vector-interning Algorithm 4; the assembled automaton is
-// indistinguishable to the engines and the codec. Unlike BuildDSFA's
-// intern table, maps may contain duplicate vectors (distinct tuples can
-// agree on every reachable product state) — matching and serialization
-// are unaffected, and StateOf resolves to the first id holding the
-// vector. The accept vector and dead-mapping id are derived here; the
-// StateOf index is built lazily on first use.
+// NewDSFAFromParts assembles a D-SFA from an externally constructed
+// transition table: nextC is class-indexed (stride d.BC.Count), state
+// ids dense from 0 and every state reachable from start. The
+// tuple-interned product construction in internal/multi builds it
+// directly from component D-SFAs instead of running the vector-interning
+// Algorithm 4; the assembled automaton is indistinguishable to the
+// engines and the codec. Unlike BuildDSFA's states, two states may hold
+// the same vector (distinct tuples can agree on every reachable product
+// state) — matching and serialization are unaffected, and StateOf
+// resolves to the first id holding the vector.
 //
-//sfa:borrowed nextC maps
+// The accept vector and dead-mapping id are read off the transformation
+// vectors, which are derived here and released on return (see DSFA).
+//
+//sfa:borrowed nextC
 //sfa:adopts
-func NewDSFAFromParts(d *dfa.DFA, start int32, nextC []int32, maps []int16) (*DSFA, error) {
+func NewDSFAFromParts(d *dfa.DFA, start int32, nextC []int32) (*DSFA, error) {
 	if d.NumStates > MaxDFAStates {
 		return nil, fmt.Errorf("core: DFA has %d states, D-SFA construction limit is %d",
 			d.NumStates, MaxDFAStates)
 	}
 	n := d.NumStates
 	nc := d.BC.Count
-	if n == 0 || len(maps)%n != 0 {
-		return nil, fmt.Errorf("core: mapping table %d entries not a multiple of %d DFA states", len(maps), n)
+	if n == 0 || nc == 0 || len(nextC)%nc != 0 {
+		return nil, fmt.Errorf("core: transition table %d entries not a multiple of %d classes", len(nextC), nc)
 	}
-	states := len(maps) / n
+	states := len(nextC) / nc
 	if states == 0 {
 		return nil, errors.New("core: no SFA states")
-	}
-	if len(nextC) != states*nc {
-		return nil, fmt.Errorf("core: transition table %d entries, want %d states × %d classes",
-			len(nextC), states, nc)
 	}
 	if start < 0 || int(start) >= states {
 		return nil, fmt.Errorf("core: start %d out of range", start)
@@ -208,9 +276,12 @@ func NewDSFAFromParts(d *dfa.DFA, start int32, nextC []int32, maps []int16) (*DS
 		Start:     start,
 		NextC:     nextC,
 		n:         n,
-		maps:      maps,
 	}
-	s.finalize()
+	maps, reached := s.deriveMaps()
+	if reached != states {
+		return nil, fmt.Errorf("core: %d of %d states unreachable from start", states-reached, states)
+	}
+	s.finalize(maps)
 	return s, nil
 }
 
@@ -223,13 +294,10 @@ func allEqual(v []int16, x int16) bool {
 	return true
 }
 
-func (s *DSFA) mapOf(id int32) []int16 {
-	return s.maps[int(id)*s.n : (int(id)+1)*s.n]
-}
-
-// Map returns the transformation vector of SFA state id. The slice aliases
-// internal storage and must not be modified.
-func (s *DSFA) Map(id int32) []int16 { return s.mapOf(id) }
+// Map returns the transformation vector of SFA state id, deriving every
+// vector on the first call (see DSFA). The slice aliases internal storage
+// and must not be modified.
+func (s *DSFA) Map(id int32) []int16 { return s.vectors().of(id) }
 
 // StateOf returns the id of the SFA state holding exactly the given
 // transformation vector, if one was reached during construction. The
@@ -237,9 +305,9 @@ func (s *DSFA) Map(id int32) []int16 { return s.mapOf(id) }
 // StateOf(ComposeVec(f, g)) always succeeds for reachable f, g — a closure
 // property the tests and package monoid rely on.
 func (s *DSFA) StateOf(vec []int16) (int32, bool) {
-	s.ensureIDs()
-	for _, id := range s.ids[hashVec16(vec)] {
-		if eqVec16(s.mapOf(id), vec) {
+	v := s.stateIDs()
+	for _, id := range v.ids[hashVec16(vec)] {
+		if eqVec16(v.of(id), vec) {
 			return id, true
 		}
 	}
@@ -309,11 +377,16 @@ func ComposeVec(h, f, g []int16) {
 //sfa:borrowed f
 func ApplyVec(f []int16, q int32) int32 { return int32(f[q]) }
 
-// MemoryBytes estimates the resident size of the SFA's match-time tables:
-// the class-indexed transition table plus the mapping vectors needed for
-// reduction. The 256-wide table adds NumStates KiB on top when expanded.
+// MemoryBytes estimates the resident size of the SFA's tables: the
+// class-indexed transition table plus the mapping vectors if they are
+// resident (decoded, or derived by a reader since construction). The
+// 256-wide table adds NumStates KiB on top when expanded.
 func (s *DSFA) MemoryBytes() int64 {
-	return int64(len(s.NextC))*4 + int64(len(s.maps))*2
+	n := int64(len(s.NextC)) * 4
+	if v := s.vecs.Load(); v != nil {
+		n += int64(len(v.maps)) * 2
+	}
+	return n
 }
 
 // String summarizes the automaton.

@@ -457,3 +457,93 @@ func sortInts(a []int) {
 		}
 	}
 }
+
+// TestVectorsReleasedAndDerived: BuildDSFA and NewDSFAFromParts leave no
+// vectors resident; the vectors the first reader derives are the ones
+// construction interned (StateOf finds each under its own id), and
+// NewDSFAFromParts over BuildDSFA's table gives the same Accept and
+// EmptyID with D's dead state (whole input) and without (search).
+func TestVectorsReleasedAndDerived(t *testing.T) {
+	for _, pat := range []string{"(ab)*", "([0-4]{2}[5-9]{2})*", ".*(a|bc)*d.*", ".*a[ab]{3}.*"} {
+		s := buildDSFA(t, pat)
+		p, err := NewDSFAFromParts(s.D, s.Start, append([]int32(nil), s.NextC...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, a := range []*DSFA{s, p} {
+			if a.vecs.Load() != nil || a.MemoryBytes() != int64(len(a.NextC))*4 {
+				t.Fatalf("%q: %d bytes resident after construction, want the table's %d", pat, a.MemoryBytes(), len(a.NextC)*4)
+			}
+		}
+		if p.EmptyID != s.EmptyID || fmt.Sprint(p.Accept) != fmt.Sprint(s.Accept) {
+			t.Fatalf("%q: assembled Accept/EmptyID %v/%d, built %v/%d", pat, p.Accept, p.EmptyID, s.Accept, s.EmptyID)
+		}
+		if (s.D.Dead == dfa.NoDead) != (s.EmptyID < 0) {
+			t.Fatalf("%q: dead DFA state %d, EmptyID %d", pat, s.D.Dead, s.EmptyID)
+		}
+		for id := int32(0); id < int32(s.NumStates); id++ {
+			if got, ok := s.StateOf(s.Map(id)); !ok || got != id {
+				t.Fatalf("%q: StateOf(Map(%d)) = %d, %v", pat, id, got, ok)
+			}
+			if !eqVec16(p.Map(id), s.Map(id)) {
+				t.Fatalf("%q: state %d derives different vectors from the same table", pat, id)
+			}
+		}
+		if want := int64(len(s.NextC))*4 + int64(s.NumStates*s.n)*2; s.MemoryBytes() != want {
+			t.Fatalf("%q: MemoryBytes %d after derivation, want %d", pat, s.MemoryBytes(), want)
+		}
+	}
+	// A state the start cannot reach has no vector to derive.
+	s := buildDSFA(t, "(ab)*")
+	nc := s.D.BC.Count
+	next := append([]int32(nil), s.NextC...)
+	for c := 0; c < nc; c++ {
+		next = append(next, int32(s.NumStates))
+	}
+	if _, err := NewDSFAFromParts(s.D, s.Start, next); err == nil {
+		t.Fatal("a table with an unreachable state was accepted")
+	}
+}
+
+// TestEmptyIDAmongSeveralDeadStates: a tuple automaton can hold several
+// everywhere-dead states, not all of them self-loops. NewDSFAFromParts
+// reports the last one, as a finalize over every vector does; a
+// shortcut through sink states would report the other.
+func TestEmptyIDAmongSeveralDeadStates(t *testing.T) {
+	s := buildDSFA(t, "(ab)*")
+	nc := s.D.BC.Count
+	e := s.EmptyID
+	if e < 0 {
+		t.Fatal("fixture has no dead mapping")
+	}
+	// Copy the dead state's row into a new state N and send one
+	// transition of a live state into N instead: N is everywhere-dead and
+	// steps to e, not to itself.
+	next := append(append([]int32(nil), s.NextC...), s.NextC[int(e)*nc:(int(e)+1)*nc]...)
+	n := int32(s.NumStates)
+	redirected := false
+	for x := int32(0); x < n && !redirected; x++ {
+		for c := 0; c < nc && x != e; c++ {
+			if next[int(x)*nc+c] == e {
+				next[int(x)*nc+c] = n
+				redirected = true
+				break
+			}
+		}
+	}
+	if !redirected {
+		t.Fatal("no live state steps to the dead mapping")
+	}
+	p, err := NewDSFAFromParts(s.D, s.Start, next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.EmptyID != max(e, n) {
+		t.Fatalf("EmptyID %d, want the last of the dead states %d and %d", p.EmptyID, e, n)
+	}
+	for _, id := range []int32{e, n} {
+		if !allEqual(p.Map(id), int16(s.D.Dead)) || p.Accept[id] {
+			t.Fatalf("state %d: vector %v, accept %v; want everywhere dead", id, p.Map(id), p.Accept[id])
+		}
+	}
+}

@@ -21,7 +21,7 @@ const sfaHeaderLen = len(dsfaMagic) + 12
 
 // EncodedLen is the size of s's encoding, its DFA's included.
 func (s *DSFA) EncodedLen() int {
-	return s.D.EncodedLen() + sfaHeaderLen + (s.NumStates+7)/8 + 4*len(s.NextC) + 2*len(s.maps)
+	return s.D.EncodedLen() + sfaHeaderLen + (s.NumStates+7)/8 + 4*len(s.NextC) + 2*s.NumStates*s.n
 }
 
 // WriteTo serializes the D-SFA (including its underlying DFA).
@@ -33,7 +33,8 @@ func (s *DSFA) WriteTo(w io.Writer) (int64, error) {
 	return bw.Count() - start, err
 }
 
-// Encode writes s's encoding, its DFA's first, to w.
+// Encode writes s's encoding, its DFA's first, to w. It derives the
+// mapping vectors if they are not resident, and keeps them.
 func (s *DSFA) Encode(w *binio.Writer) {
 	s.D.Encode(w)
 	w.WriteString(dsfaMagic)
@@ -42,14 +43,15 @@ func (s *DSFA) Encode(w *binio.Writer) {
 	w.Uint32(uint32(s.EmptyID))
 	w.Bits(s.Accept)
 	w.Int32s(s.NextC)
-	w.Int16s(s.maps)
+	w.Int16s(s.vectors().maps)
 }
 
 // DecodeDSFA parses a D-SFA encoding that fills b exactly. It is the
 // format's one parser — ReadDSFA only frames a stream for it — and
-// validates state counts, transition targets and mapping values. The
-// StateOf vector-lookup index is NOT rebuilt here: matching never
-// consults it, so a warm snapshot load skips hashing every mapping
+// validates state counts, transition targets and mapping values, and
+// that the start state's vector is the identity. The decoded vectors stay
+// resident. The StateOf vector-lookup index is NOT rebuilt here: matching
+// never consults it, so a warm snapshot load skips hashing every mapping
 // vector and the index materializes lazily on the first StateOf call.
 func DecodeDSFA(b []byte) (*DSFA, error) {
 	d, n, err := dfa.Decode(b)
@@ -108,10 +110,16 @@ func decodeSection(d *dfa.DFA, b []byte) (*DSFA, error) {
 	}
 	// A mapping value is a DFA state id; ids are int16, so the bound is
 	// also below 1<<15.
-	s.maps = make([]int16, s.NumStates*s.n)
-	if i := binio.DecodeInt16s(s.maps, b[na+nt:], uint16(min(d.NumStates, 1<<15))); i >= 0 {
+	maps := make([]int16, s.NumStates*s.n)
+	if i := binio.DecodeInt16s(maps, b[na+nt:], uint16(min(d.NumStates, 1<<15))); i >= 0 {
 		return nil, fmt.Errorf("core: mapping value %d out of range", int16(binary.LittleEndian.Uint16(b[na+nt+2*i:])))
 	}
+	for q, f := range maps[int(s.Start)*s.n : (int(s.Start)+1)*s.n] {
+		if int(f) != q {
+			return nil, fmt.Errorf("core: start state %d maps DFA state %d to %d, not the identity", s.Start, q, f)
+		}
+	}
+	s.vecs.Store(&vectors{maps: maps, n: s.n})
 	return s, nil
 }
 

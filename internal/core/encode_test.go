@@ -115,7 +115,7 @@ func benchReadDSFA(b *testing.B, eager bool) {
 			b.Fatal(err)
 		}
 		if eager {
-			got.ensureIDs()
+			got.stateIDs()
 		}
 	}
 }
@@ -153,5 +153,30 @@ func TestDSFARoundTripTruncated(t *testing.T) {
 		if _, err := ReadDSFA(bytes.NewReader(buf.Bytes()[:cut])); err == nil {
 			t.Errorf("truncation at %d accepted", cut)
 		}
+	}
+}
+
+// TestDecodeRejectsNonIdentityStart: the start state's vector must be the
+// identity — derivation starts from it, and the engines write it rather
+// than read it.
+func TestDecodeRejectsNonIdentityStart(t *testing.T) {
+	s, err := BuildDSFA(dfa.MustCompilePattern("(ab)*"), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := s.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	b := buf.Bytes()
+	if _, err := DecodeDSFA(b); err != nil {
+		t.Fatal(err)
+	}
+	// The vectors end the encoding; set the start vector's entry 0 to 1,
+	// a DFA state in range.
+	at := len(b) - 2*s.NumStates*s.n + 2*int(s.Start)*s.n
+	b[at], b[at+1] = 1, 0
+	if _, err := DecodeDSFA(b); err == nil {
+		t.Fatal("a start vector that is not the identity was accepted")
 	}
 }

@@ -250,3 +250,88 @@ func TestSFATableBuiltOnce(t *testing.T) {
 		t.Fatal("the D-SFA table was built again")
 	}
 }
+
+// TestVectorsDerivedOnce: a D-SFA fresh from construction holds no
+// mapping vectors, a p = 1 walk and a new carried mapping derive none,
+// and when 8 goroutines make the first unknown-start walks of a fresh
+// p = 2 engine at once — chunked MatchMask under either reduction, Match,
+// ComposeChunk, a lock-step pass — one derivation is published: every
+// caller reads the same vectors, and every verdict is the p = 1 one.
+func TestVectorsDerivedOnce(t *testing.T) {
+	r := rand.New(rand.NewSource(8))
+	verdicts := [2]int{}
+	for round := 0; round < 8; round++ {
+		pat := []string{`([0-4]{2}[5-9]{2})*`, `.*(0[0-5]|a[ab]){3}.*`}[round%2]
+		s, err := core.BuildDSFA(dfa.MustCompilePattern(pat), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resident := func() bool { return s.MemoryBytes() > int64(len(s.NextC))*4 }
+		text := make([]byte, 2*streamSequentialMax+r.Intn(1000))
+		for i := range text {
+			text[i] = "0055ab"[r.Intn(6)]
+		}
+		if round%4 == 0 {
+			text = text[:len(text)&^3]
+			for i := range text {
+				text[i] = "0055"[i%4] // a whole-input member, so both verdicts occur
+			}
+		}
+		serial := NewSFAParallel(s, 1, ReduceSequential)
+		want := serial.MatchMask(text, make([]uint64, 1))[0]
+		verdicts[want]++
+		cur := make([]int16, serial.MappingLen())
+		serial.InitMapping(cur)
+		if resident() {
+			t.Fatalf("%q: vectors resident after construction, a p = 1 walk and InitMapping", pat)
+		}
+		red := []Reduction{ReduceSequential, ReduceTree}[round%2]
+		m := NewSFAParallel(s, 2, red, WithLayout(LayoutU16))
+		g := NewLockstep([]ShardEngine{m})
+		var wg sync.WaitGroup
+		got := make([]uint64, 8)
+		seen := make([]*int16, 8)
+		start := make(chan struct{})
+		for w := 0; w < 8; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				dst := make([]uint64, 1)
+				cur, tmp := make([]int16, m.MappingLen()), make([]int16, m.MappingLen())
+				m.InitMapping(cur)
+				<-start
+				switch w % 4 {
+				case 0:
+					got[w] = m.MatchMask(text, dst)[0]
+				case 1:
+					if m.Match(text) {
+						got[w] = 1
+					}
+				case 2:
+					cur, _ = m.ComposeChunk(cur, tmp, text)
+					got[w] = m.MatchMaskFrom(cur, dst)[0]
+				default:
+					g.MatchMasks([]int{0}, text, [][]uint64{dst})
+					got[w] = dst[0]
+				}
+				seen[w] = &s.Map(s.Start)[0]
+			}(w)
+		}
+		close(start)
+		wg.Wait()
+		for w := range got {
+			if got[w] != want {
+				t.Fatalf("%q round %d: goroutine %d's verdict %x, p = 1 %x", pat, round, w, got[w], want)
+			}
+			if seen[w] != seen[0] {
+				t.Fatalf("%q round %d: goroutines 0 and %d read different vectors", pat, round, w)
+			}
+		}
+		if !resident() {
+			t.Fatalf("%q: no vectors resident after unknown-start walks", pat)
+		}
+	}
+	if verdicts[0] == 0 || verdicts[1] == 0 {
+		t.Fatalf("verdicts (no match, match) = %v; want both", verdicts)
+	}
+}

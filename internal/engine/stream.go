@@ -83,9 +83,13 @@ func (m *MultiSFA) BuildID() uint64 { return m.id }
 func (m *MultiSFA) MappingLen() int { return m.s.D.NumStates }
 
 // InitMapping writes the identity mapping (the empty input's
-// transformation) into cur, which must have MappingLen() length.
+// transformation) into cur, which must have MappingLen() length. It is
+// written, not copied from the D-SFA's start vector, so that a new
+// stream does not derive the D-SFA's vectors.
 func (m *MultiSFA) InitMapping(cur []int16) {
-	copy(cur, m.s.Map(m.s.Start))
+	for q := range cur {
+		cur[q] = int16(q)
+	}
 }
 
 // ComposeChunk advances a carried mapping by one chunk of input: the

@@ -1,6 +1,6 @@
 // Package borrowedtable enforces the owned-vs-borrowed table regime of
 // docs/memory-model.md at compile time. A borrowed table — a decoded
-// snapshot table handed to an engine, the nextC/maps inputs of
+// snapshot table handed to an engine, the nextC input of
 // core.NewDSFAFromParts, a mapping vector a lazy engine lends out — is
 // memory the callee may read but does not own: mutating it corrupts a
 // structure someone else still reads, and retaining it past the call

@@ -26,13 +26,13 @@ import (
 // exact identity here, not a probabilistic one (internal/intern confirms
 // every fingerprint hit by comparing the tuple).
 //
-// The |D|-long mapping vectors the engine's reduction needs come only
-// after the walk has closed under its cap: one per interned state, at
-// the table's exact size, each from its BFS parent's vector by one class
-// step per entry (plain array indexing, never hashed). A capped attempt
+// The walk computes no |D|-long mapping vector at all. The automaton's
+// accept bits and dead mapping are derived from its finished table
+// (core.NewDSFAFromParts), and the vectors the engine's reduction needs
+// are derived from the table on first use (core.DSFA). A capped attempt
 // that overruns — a split or a failed merge — therefore costs cap ×
-// (k + classes) words of tuples and transitions, independent of |D|,
-// instead of cap × |D| vector entries it would throw away.
+// (k + classes) words of tuples and transitions, independent of |D|, and
+// so does a merged candidate the planner throws away.
 //
 // Tuple identity is an over-approximation of vector identity: two
 // distinct tuples can induce the same transformation on every
@@ -54,7 +54,6 @@ import (
 // is path-agnostic.
 func tupleDSFA(comps []*core.DSFA, d *dfa.DFA, cap int) (*core.DSFA, error) {
 	k := len(comps)
-	n := d.NumStates
 	nc := d.BC.Count
 
 	// Per-component class translation: combined class c steps component i
@@ -72,12 +71,8 @@ func tupleDSFA(comps []*core.DSFA, d *dfa.DFA, cap int) (*core.DSFA, error) {
 	if cap > 0 && cap < sizeHint {
 		sizeHint = cap
 	}
-	// The walk interns tuples only; each fresh state records the state and
-	// class it was first reached by, for the vectors after the walk.
 	tuples := intern.New[int32](k, cap, sizeHint)
 	nextC := make([]int32, 0, sizeHint*nc) // grown in lockstep with interning
-	parent := make([]int32, 1, sizeHint)   // parent[0] is unused: id 0 is the identity
-	class := make([]uint8, 1, sizeHint)
 	next := make([]int32, k)
 	for i, s := range comps {
 		next[i] = s.Start
@@ -98,31 +93,12 @@ func tupleDSFA(comps []*core.DSFA, d *dfa.DFA, cap int) (*core.DSFA, error) {
 			nextC[int(id)*nc+c] = to
 			if fresh {
 				nextC = append(nextC, make([]int32, nc)...)
-				parent = append(parent, id)
-				class = append(class, uint8(c))
 			}
-		}
-	}
-
-	// Materialize the product-DFA mapping vectors at their exact size, in
-	// id order: f_{wσ}(q) = δ(f_w(q), σ), and a state's parent was
-	// discovered before it, so its vector is already filled.
-	states := tuples.Len()
-	maps := make([]int16, states*n)
-	for q := 0; q < n; q++ {
-		maps[q] = int16(q)
-	}
-	for id := 1; id < states; id++ {
-		src := maps[int(parent[id])*n : int(parent[id]+1)*n]
-		dst := maps[id*n : (id+1)*n]
-		c := int(class[id])
-		for q, f := range src {
-			dst[q] = int16(d.NextClass(int32(f), c))
 		}
 	}
 	// The automaton keeps nextC for its lifetime: hand it over without
 	// the append slack.
-	return core.NewDSFAFromParts(d, 0, slices.Clone(nextC), maps)
+	return core.NewDSFAFromParts(d, 0, slices.Clone(nextC))
 }
 
 // shardDSFA dispatches a shard's combined D-SFA construction: tuple

@@ -36,8 +36,8 @@ var errDifferentSets = errors.New("multi: cannot compose streams of different ru
 // each shard's chunk scan reuses the engine's pooled match context.
 type SetStream struct {
 	set   *Set
-	cur   [][]int16 // carried mapping per shard
-	tmp   [][]int16 // ping-pong scratch per shard
+	cur   [][]int16 // carried mapping per shard; nil unless the shard is in set.carry
+	tmp   [][]int16 // ping-pong scratch, allocated like cur
 	local []uint64  // shard-local mask scratch for Mask
 	bytes int64
 
@@ -83,20 +83,20 @@ func (st *SetStream) Stats() StreamStats { return st.stat }
 
 // NewStream starts incremental matching from the empty input.
 func (s *Set) NewStream() *SetStream {
-	st := &SetStream{
-		set: s,
-		cur: make([][]int16, len(s.shards)),
-		tmp: make([][]int16, len(s.shards)),
+	st := &SetStream{set: s}
+	if len(s.carry) > 0 {
+		st.cur = make([][]int16, len(s.shards))
+		st.tmp = make([][]int16, len(s.shards))
+	}
+	for _, i := range s.carry {
+		m := s.shards[i].m
+		st.cur[i] = make([]int16, m.MappingLen())
+		st.tmp[i] = make([]int16, m.MappingLen())
+		m.InitMapping(st.cur[i])
 	}
 	maxWords := 0
-	for i, sh := range s.shards {
-		n := sh.m.MappingLen()
-		st.cur[i] = make([]int16, n)
-		st.tmp[i] = make([]int16, n)
-		sh.m.InitMapping(st.cur[i])
-		if w := sh.m.Words(); w > maxWords {
-			maxWords = w
-		}
+	for _, sh := range s.shards {
+		maxWords = max(maxWords, sh.m.Words())
 	}
 	st.local = make([]uint64, maxWords)
 	if p := s.pre; p != nil && (p.maxSpan > 0 || p.maxPre > 0) {
@@ -215,9 +215,11 @@ func (st *SetStream) Mask(dst []uint64) []uint64 {
 		switch {
 		case st.win.acc != nil && st.win.acc[i] != nil:
 			sh.merge(dst, st.win.acc[i])
-		case st.win.acc != nil && st.set.pre.shards[i].mode == prePrefix:
+		case st.set.pre != nil && st.set.pre.shards[i].mode == prePrefix:
 			// Begin-anchored shard: the verdict is decided by the first
-			// maxLen stream bytes, all held in the head buffer.
+			// maxLen stream bytes, all held in the head buffer (none
+			// when maxLen is 0: the stream then keeps no head). It
+			// carries no mapping.
 			k := min(st.set.pre.shards[i].maxLen, len(st.head))
 			start := time.Now()
 			sh.merge(dst, sh.m.MatchMask(st.head[:k], st.local))
@@ -235,8 +237,8 @@ func (st *SetStream) Bytes() int64 { return st.bytes }
 
 // Reset rewinds the stream to the empty input.
 func (st *SetStream) Reset() {
-	for i, sh := range st.set.shards {
-		sh.m.InitMapping(st.cur[i])
+	for _, i := range st.set.carry {
+		st.set.shards[i].m.InitMapping(st.cur[i])
 	}
 	if st.win.acc != nil {
 		for _, i := range st.set.pre.win {

@@ -23,10 +23,13 @@ func dfaTableBytes(s *Set) int64 {
 
 // TestKnownStartSetHoldsOnlyDFATables: a p = 1 set whose shards are all
 // window or prefix shards never walks from an unknown start, so it builds
-// no D-SFA table — TableBytes stays at Σ D tables through one-shot scans
-// (in order and block-parallel), streamed writes and masks, a Compose
-// tree, and a snapshot round trip, and the verdicts stay the reference
-// DFAs'.
+// no D-SFA table and derives no D-SFA mapping vector — TableBytes stays
+// at Σ D tables and no shard's D-SFA holds vectors through one-shot scans
+// (in order and block-parallel), streamed writes, masks and resets, a
+// Compose tree, Shards and BuildReport; after a snapshot round trip the
+// tables stay D's. The verdicts stay the reference DFAs'. The same rules
+// at p = 2, scanned whole in blocks of 4 KiB or more, walk unknown
+// starts: the window shards derive their vectors then, once.
 func TestKnownStartSetHoldsOnlyDFATables(t *testing.T) {
 	pats := armPool[:10] // windowable and begin-anchored rules only
 	a := compileArmSet(t, pats, Options{Threads: 1})
@@ -34,6 +37,9 @@ func TestKnownStartSetHoldsOnlyDFATables(t *testing.T) {
 	in := armTraffic(r, 200<<10, 64<<10)
 	want := a.want(in)
 	sizes := []int{4096, 5000, 100, 70000}
+	// vectors is false for a set whose vectors are resident by design:
+	// a decoded one.
+	vectors := true
 	check := func(s *Set, when string) {
 		t.Helper()
 		var shards int64
@@ -42,6 +48,12 @@ func TestKnownStartSetHoldsOnlyDFATables(t *testing.T) {
 		}
 		if tb, d := s.TableBytes(), dfaTableBytes(s); tb != d || shards != d {
 			t.Fatalf("%s: TableBytes %d, Σ ShardInfo.TableBytes %d, want Σ D tables %d", when, tb, shards, d)
+		}
+		_ = s.BuildReport()
+		for i, sh := range s.shards {
+			if vectors && vectorsResident(eagerEngine(sh.m).SFA()) {
+				t.Fatalf("%s: shard %d derived its D-SFA's mapping vectors", when, i)
+			}
 		}
 	}
 	scan := func(s *Set, when string) {
@@ -58,7 +70,12 @@ func TestKnownStartSetHoldsOnlyDFATables(t *testing.T) {
 		if m := st.Mask(got); !slices.Equal(m, want) {
 			t.Fatalf("%s: streamed %x, want %x", when, m, want)
 		}
-		check(s, when+": stream Write/Mask")
+		st.Reset()
+		streamIn(st, in, sizes)
+		if m := st.Mask(got); !slices.Equal(m, want) {
+			t.Fatalf("%s: streamed after Reset %x, want %x", when, m, want)
+		}
+		check(s, when+": stream Write/Mask/Reset")
 		if m := composeTree(s, r, in, []int{1000, 70000, 150000}, sizes).Mask(got); !slices.Equal(m, want) {
 			t.Fatalf("%s: composed %x, want %x", when, m, want)
 		}
@@ -71,6 +88,35 @@ func TestKnownStartSetHoldsOnlyDFATables(t *testing.T) {
 	}
 	check(s, "build")
 	scan(s, "built")
+
+	// p = 2, every block on the whole arm: the window shards walk blocks
+	// of 4 KiB or more in two chunks, and the reduction derives each one's
+	// vectors on the first; later scans reuse them.
+	p2 := compileArmSet(t, pats, Options{Threads: 2}).set
+	p2.ForceArm(func(int64) bool { return true })
+	check(p2, "p = 2 build")
+	got := make([]uint64, p2.Words())
+	first := make(map[int]*int16)
+	for round := 0; round < 3; round++ {
+		if m := p2.Scan(in, 1, got); !slices.Equal(m, want) {
+			t.Fatalf("p = 2 scan %d: %x, want %x", round, m, want)
+		}
+		for _, i := range p2.pre.win {
+			ds := eagerEngine(p2.shards[i].m).SFA()
+			if !vectorsResident(ds) {
+				t.Fatalf("p = 2 scan %d: window shard %d derived no vectors", round, i)
+			}
+			v := &ds.Map(ds.Start)[0]
+			if round == 0 {
+				first[i] = v
+			} else if first[i] != v {
+				t.Fatalf("p = 2 scan %d: window shard %d derived its vectors again", round, i)
+			}
+		}
+	}
+	if len(first) == 0 {
+		t.Fatal("fixture has no window shards at p = 2")
+	}
 
 	keys := codecKeys(pats)
 	var buf bytes.Buffer
@@ -87,6 +133,7 @@ func TestKnownStartSetHoldsOnlyDFATables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	vectors = false // a decoded D-SFA keeps the vectors it decoded
 	check(loaded, "snapshot load")
 	scan(loaded, "loaded")
 }

@@ -43,14 +43,22 @@ func Simplify(n *Node) *Node {
 		return n
 
 	case OpAlt:
-		subs := make([]*Node, 0, len(n.Sub))
-		sawEmpty := false
+		// Flatten first, so an ε inside a nested alternation is deduplicated
+		// with the outer ones: |(|0) and (?:)|(?:)|0 give the same tree.
+		flat := make([]*Node, 0, len(n.Sub))
 		for _, s := range n.Sub {
+			if s.Op == OpAlt {
+				flat = append(flat, s.Sub...)
+			} else {
+				flat = append(flat, s)
+			}
+		}
+		subs := make([]*Node, 0, len(flat))
+		sawEmpty := false
+		for _, s := range flat {
 			switch s.Op {
 			case OpNone:
 				// ∅ is the unit of alternation.
-			case OpAlt:
-				subs = append(subs, s.Sub...)
 			case OpEmpty:
 				if !sawEmpty {
 					sawEmpty = true

@@ -14,7 +14,9 @@ import (
 // multi-pattern path: the fuzzed pattern joins two fixed rules in a
 // RuleSet, and the combined automaton's Scan must agree rule-for-rule
 // with the isolated per-rule engines — and, for the fuzzed rule itself,
-// with the Brzozowski-derivative oracle. The same rules are then
+// with the Brzozowski-derivative oracle. The input repeated past 4 KiB
+// must then give the p = 2 set, whose first such scan derives its
+// D-SFAs' mapping vectors, the mask of a p = 1 twin. The same rules are then
 // compiled for substring search, where the literal prefilter arms and
 // the fixed rules land in window shards, and scanned and streamed with
 // the block driver forced through the arm schedule the arms byte spells
@@ -66,6 +68,22 @@ func FuzzMatch(f *testing.F) {
 		}
 		if oracle := syntax.DeriveMatch(node, in); fuzzHit != oracle {
 			t.Fatalf("pattern %q input %q: combined=%v derivatives=%v", pattern, input, fuzzHit, oracle)
+		}
+
+		// The input repeated past 4 KiB: the combined set is fresh and
+		// runs at p = 2, so its scan walks unknown starts and derives the
+		// D-SFAs' mapping vectors for the first time. A p = 1 twin walks
+		// from known starts only, and must agree.
+		if len(in) > 0 {
+			long := bytes.Repeat(in, 4096/len(in)+1)
+			serial, err := NewRuleSetFromDefs(defs, append(opts, WithThreads(1))...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := serial.MatchMask(long, make([]uint64, serial.MaskWords()))
+			if m := combined.MatchMask(long, make([]uint64, combined.MaskWords())); !reflect.DeepEqual(m, want) {
+				t.Fatalf("pattern %q input %q ×%d: p = 2 mask %x, p = 1 %x", pattern, input, len(long)/len(in), m, want)
+			}
 		}
 
 		// Substring search, prefilter armed, arms forced.
