@@ -1,4 +1,5 @@
-# CI entry points. `make ci` is the gate: vet + sfavet (the first-party
+# CI entry points. `make ci` is the gate: vet (which also fails on any
+# file `gofmt -l .` lists) + sfavet (the first-party
 # static-analysis suite of docs/static-analysis.md) + build + docs checks
 # (markdown links + stale documented options + the metric catalogue
 # against the declared /metrics families) + race tests + fuzz smoke
@@ -14,7 +15,11 @@
 # RuleStream.Write on both block-driver arms, the single-pattern stream,
 # and the instrumented, flight-recorded stream — are gated by
 # testing.AllocsPerRun tests, which skip under -race, so `make ci` runs
-# `make test` as well as `make race`.
+# `make test` as well as `make race`. `make examples-smoke` runs five of
+# the examples (quickstart, streaming, monoidlab, logscan, warmstart),
+# each of which exits non-zero on an error (warmstart also on a verdict
+# divergence); idsscan and idsserve take about a minute each and stay
+# out.
 # `make bench-check`
 # keeps the repo's benchmark (bench/, its own module, which tier-1 does
 # not build) compiling, its unit tests and input pins green, and one
@@ -34,16 +39,19 @@
 
 GO ?= go
 
-.PHONY: build vet lint test race docs-check fuzz-smoke serve-smoke snapshot-smoke bench-check ci
+.PHONY: build vet lint test race docs-check fuzz-smoke serve-smoke snapshot-smoke examples-smoke bench-check ci
 
 build:
 	$(GO) build ./...
 
 # Standard vet. copylocks (catches by-value copies of the obs wrapper
 # atomics and sync types) and lostcancel are in vet's default check set,
-# so they need no flags here.
+# so they need no flags here. Then the gofmt gate: any file gofmt would
+# change (test fixtures under testdata included) fails the target.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l . lists:"; echo "$$unformatted"; exit 1; fi
 
 # First-party analyzers (internal/lint): atomicfield, hotpathalloc,
 # pooldispatch, borrowedtable. Annotation grammar and escape hatches are
@@ -112,6 +120,14 @@ serve-smoke:
 snapshot-smoke:
 	$(GO) test -race -run 'TestRuleSetSnapshotRoundTrip|TestLoadRuleSetRejectsCorruption|TestShardCacheWarmsRepeatedBuilds|TestWarmRestartSmoke|TestStatePersistAndWarmRestore|TestStoreConcurrent|TestStoreEviction' ./sfa ./cmd/sfaserve ./internal/serve ./internal/snapshot
 
+# Examples smoke: each example below must run to completion.
+examples-smoke:
+	$(GO) run ./examples/quickstart
+	$(GO) run ./examples/streaming
+	$(GO) run ./examples/monoidlab
+	$(GO) run ./examples/logscan
+	$(GO) run ./examples/warmstart
+
 # The benchmark BENCHMARK.json names: its own tests (-short skips the
 # full-length runs), then one 1-second window each of the two eager scan
 # workloads, the lazy one, stream_chunks (one stream written in order),
@@ -132,4 +148,4 @@ bench-check:
 	bash bench/run.sh -workload serve_large -seconds 1
 	bash bench/run.sh -workload build -seconds 1
 
-ci: vet lint build docs-check test race fuzz-smoke serve-smoke snapshot-smoke bench-check
+ci: vet lint build docs-check test race fuzz-smoke serve-smoke snapshot-smoke examples-smoke bench-check

@@ -320,7 +320,7 @@ func BenchmarkAblation_TableLayout256(b *testing.B) {
 func BenchmarkAblation_TableLayoutClass(b *testing.B) {
 	f := rnFixture(b, fig8N())
 	benchMatcher(b, engine.NewSFAParallel(f.s, 2, engine.ReduceSequential,
-		engine.WithClassTable()), f.text, true)
+		engine.WithLayout(engine.LayoutClass)), f.text, true)
 }
 
 func BenchmarkAblation_LazySFA(b *testing.B) {

@@ -5,7 +5,7 @@
 //	sfabench [flags] <experiment>...
 //
 // Experiments: fig3 fig6 fig7 fig8 fig9 fig10 table2 table3 facts
-// ablation ruleset all
+// ablation ruleset shapecheck all
 //
 // Examples:
 //

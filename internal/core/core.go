@@ -10,24 +10,24 @@
 // the data-parallel property the matching engines in package engine
 // exploit.
 //
-// Two constructions are provided, mirroring the paper's terminology:
+// The construction here is the paper's D-SFA (Sect. IV): built from a
+// DFA, a state is a transformation vector f: Q → Q (the DFA's dead sink
+// makes the vector total), at most |D|^|D| states (Theorem 2). It is
+// produced by the correspondence construction (Algorithm 4), a direct
+// extension of the subset construction; a lazy, thread-safe variant
+// constructs states on demand during matching (Sect. V-A, "on-the-fly
+// construction").
 //
-//   - DSFA (Sect. IV, "D-SFA"): built from a DFA; a state is a
-//     transformation vector f: Q → Q (the DFA's dead sink makes the
-//     vector total). At most |D|^|D| states (Theorem 2).
-//   - NSFA ("N-SFA"): built from an ε-free NFA; a state is a
-//     correspondence f: Q → P(Q), stored as a boolean matrix. At most
-//     2^(|N|²) states.
-//
-// Both are produced by the correspondence construction (Algorithm 4), a
-// direct extension of the subset construction; a lazy, thread-safe
-// variant constructs D-SFA states on demand during matching (Sect. V-A,
-// "on-the-fly construction").
+// The paper's other SFA, the N-SFA over an ε-free NFA, is not built: its
+// states are boolean matrices whose ⊙ is an O(|N|³) product (Table II),
+// no figure or table this repository regenerates uses one (Sect. VII-B's
+// N-SFA bound is only printed as a note), and the rule-set engines run
+// on D-SFAs alone.
 //
 // Size convention: the paper reports automaton sizes without sink states.
-// LiveSize on both types excludes the everywhere-dead mapping, matching
-// the paper's |Sd| = 109 / 10 099 / 1 000 999 for r5/r50/r500 and
-// |S| = 21 for Fig. 10's pattern.
+// LiveSize excludes the everywhere-dead mapping, matching the paper's
+// |Sd| = 109 / 10 099 / 1 000 999 for r5/r50/r500 and |S| = 21 for
+// Fig. 10's pattern.
 package core
 
 // Interning hash for construction. Vectors are hashed once per candidate
@@ -67,28 +67,7 @@ func hashVec16(v []int16) uint64 {
 	return hashFinish(h)
 }
 
-// hashWords hashes a bitset matrix row block.
-func hashWords(v []uint64) uint64 {
-	h := uint64(hashOffset)
-	for _, w := range v {
-		h = (h ^ w) * hashPrime
-	}
-	return hashFinish(h)
-}
-
 func eqVec16(a, b []int16) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func eqWords(a, b []uint64) bool {
 	if len(a) != len(b) {
 		return false
 	}

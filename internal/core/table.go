@@ -71,24 +71,3 @@ func (s *DSFA) Table256U16() []uint16 {
 func (s *DSFA) Table256() []int32 {
 	return table256[int32](s.NumStates, s.D.BC.Count, &s.D.BC.Of, s.NextC)
 }
-
-// Table256 materializes the N-SFA's flat 256-wide int32 table.
-func (s *NSFA) Table256() []int32 {
-	return table256[int32](s.NumStates, s.t.BC.Count, &s.t.BC.Of, s.NextC)
-}
-
-// Table256U8 is the uint8-entry layout for N-SFAs with ≤ 256 states.
-func (s *NSFA) Table256U8() []uint8 {
-	if !FitsU8(s.NumStates) {
-		panic("core: Table256U8 needs ≤ 256 states")
-	}
-	return table256[uint8](s.NumStates, s.t.BC.Count, &s.t.BC.Of, s.NextC)
-}
-
-// Table256U16 is the uint16-entry layout for N-SFAs with ≤ 65536 states.
-func (s *NSFA) Table256U16() []uint16 {
-	if !FitsU16(s.NumStates) {
-		panic("core: Table256U16 needs ≤ 65536 states")
-	}
-	return table256[uint16](s.NumStates, s.t.BC.Count, &s.t.BC.Of, s.NextC)
-}

@@ -4,8 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/dfa"
-	"repro/internal/nfa"
-	"repro/internal/syntax"
 )
 
 func TestWidthPredicates(t *testing.T) {
@@ -59,41 +57,6 @@ func TestDSFAWidthTablesAgree(t *testing.T) {
 			}
 			if t8 != nil && int32(t8[i]) != wide[i] {
 				t.Fatalf("%s: u8[%d] = %d, i32 = %d", pat, i, t8[i], wide[i])
-			}
-		}
-	}
-}
-
-func TestNSFAWidthTablesAgree(t *testing.T) {
-	for _, pat := range []string{"(ab)*", "(a|bc)*", "([ab]{3}c)*"} {
-		node := syntax.MustParse(pat, 0)
-		a, err := nfa.Glushkov(node)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := BuildNSFA(a, 500_000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wide := s.Table256()
-		for q := int32(0); q < int32(s.NumStates); q++ {
-			for b := 0; b < 256; b++ {
-				if wide[int(q)<<8|b] != s.NextByte(q, byte(b)) {
-					t.Fatalf("%s: i32 table disagrees with NextByte at (%d, %d)", pat, q, b)
-				}
-			}
-		}
-		t16 := s.Table256U16()
-		var t8 []uint8
-		if FitsU8(s.NumStates) {
-			t8 = s.Table256U8()
-		}
-		for i := range wide {
-			if int32(t16[i]) != wide[i] {
-				t.Fatalf("%s: u16[%d] diverges", pat, i)
-			}
-			if t8 != nil && int32(t8[i]) != wide[i] {
-				t.Fatalf("%s: u8[%d] diverges", pat, i)
 			}
 		}
 	}

@@ -163,8 +163,8 @@ func (d *DFA) Validate() error {
 	return nil
 }
 
-// ToNFA views the DFA as an NFA (used by Brzozowski minimization and by
-// the N-SFA construction, which is defined on general automata).
+// ToNFA views the DFA as an NFA (used by Brzozowski minimization, which
+// reverses and determinizes it).
 func (d *DFA) ToNFA() *nfa.NFA {
 	a := nfa.New(d.NumStates)
 	a.Start = []int32{d.Start}

@@ -1,43 +1,41 @@
 package engine
 
-import "repro/internal/core"
-
 // Reduction arenas: reusable buffers for the ⊙-tree reductions of
 // Algorithms 3 and 5. The seed implementations allocated a fresh result
 // vector at every recursion level of the tree; here each match context
 // owns an arena and the tree runs iteratively, composing adjacent pairs
 // into slots of two ping-pong buffers — level k reads one buffer and
 // writes the other, so no composition ever aliases its destination and
-// steady-state reduction performs no allocation.
-
-// reduceArena16 serves the D-SFA engine's transformation vectors.
-type reduceArena16 struct {
-	hdrs [][]int16
-	a, b []int16
+// steady-state reduction performs no allocation. The D-SFA engine folds
+// int16 transformation vectors, the speculative-DFA engine int32 Q → Q
+// mappings.
+type reduceArena[T int16 | int32] struct {
+	hdrs [][]T
+	a, b []T
 }
 
 // vecs returns a reusable header slice of length p for gathering the
 // per-chunk mapping views.
-func (ar *reduceArena16) vecs(p int) [][]int16 {
+func (ar *reduceArena[T]) vecs(p int) [][]T {
 	if cap(ar.hdrs) < p {
-		ar.hdrs = make([][]int16, p)
+		ar.hdrs = make([][]T, p)
 	}
 	return ar.hdrs[:p]
 }
 
-func (ar *reduceArena16) buffers(p, n int) (a, b []int16) {
+func (ar *reduceArena[T]) buffers(p, n int) (a, b []T) {
 	need := (p/2 + 1) * n
 	if cap(ar.a) < need {
-		ar.a = make([]int16, need)
-		ar.b = make([]int16, need)
+		ar.a = make([]T, need)
+		ar.b = make([]T, need)
 	}
 	return ar.a[:need], ar.b[:need]
 }
 
-// treeReduce16 folds transformation vectors pairwise with ⊙ into a final
-// vector. vecs is clobbered as scratch; the result aliases the arena (or
-// vecs[0] when len(vecs) == 1).
-func treeReduce16(vecs [][]int16, n int, ar *reduceArena16) []int16 {
+// treeReduce folds mappings pairwise with ⊙ into a final mapping. vecs
+// is clobbered as scratch; the result aliases the arena (or vecs[0] when
+// len(vecs) == 1).
+func treeReduce[T int16 | int32](vecs [][]T, n int, ar *reduceArena[T]) []T {
 	m := len(vecs)
 	if m == 1 {
 		return vecs[0]
@@ -47,7 +45,10 @@ func treeReduce16(vecs [][]int16, n int, ar *reduceArena16) []int16 {
 		half := m / 2
 		for i := 0; i < half; i++ {
 			dst := cur[i*n : (i+1)*n]
-			core.ComposeVec(dst, vecs[2*i], vecs[2*i+1])
+			f, g := vecs[2*i][:n], vecs[2*i+1]
+			for q := range dst {
+				dst[q] = g[f[q]]
+			}
 			vecs[i] = dst
 		}
 		if m%2 == 1 {
@@ -63,112 +64,4 @@ func treeReduce16(vecs [][]int16, n int, ar *reduceArena16) []int16 {
 	}
 	_ = next
 	return vecs[0]
-}
-
-// reduceArena32 serves the speculative-DFA engine's Q → Q mappings.
-type reduceArena32 struct {
-	hdrs [][]int32
-	a, b []int32
-}
-
-func (ar *reduceArena32) vecs(p int) [][]int32 {
-	if cap(ar.hdrs) < p {
-		ar.hdrs = make([][]int32, p)
-	}
-	return ar.hdrs[:p]
-}
-
-func (ar *reduceArena32) buffers(p, n int) (a, b []int32) {
-	need := (p/2 + 1) * n
-	if cap(ar.a) < need {
-		ar.a = make([]int32, need)
-		ar.b = make([]int32, need)
-	}
-	return ar.a[:need], ar.b[:need]
-}
-
-// treeReduce32 is treeReduce16 for int32 mappings (Algorithm 3's ⊙-tree).
-func treeReduce32(vecs [][]int32, n int, ar *reduceArena32) []int32 {
-	m := len(vecs)
-	if m == 1 {
-		return vecs[0]
-	}
-	cur, next := ar.buffers(m, n)
-	for m > 1 {
-		half := m / 2
-		for i := 0; i < half; i++ {
-			dst := cur[i*n : (i+1)*n]
-			f, g := vecs[2*i], vecs[2*i+1]
-			for q := 0; q < n; q++ {
-				dst[q] = g[f[q]]
-			}
-			vecs[i] = dst
-		}
-		if m%2 == 1 {
-			dst := cur[half*n : (half+1)*n]
-			copy(dst, vecs[m-1])
-			vecs[half] = dst
-			half++
-		}
-		m = half
-		cur, next = next, cur
-	}
-	_ = next
-	return vecs[0]
-}
-
-// reduceArenaMat serves the N-SFA engine's boolean matrices (n×words
-// bitset rows); composition is the O(|N|³) matrix product of Table II.
-type reduceArenaMat struct {
-	hdrs [][]uint64
-	a, b []uint64
-}
-
-func (ar *reduceArenaMat) mats(p int) [][]uint64 {
-	if cap(ar.hdrs) < p {
-		ar.hdrs = make([][]uint64, p)
-	}
-	return ar.hdrs[:p]
-}
-
-func (ar *reduceArenaMat) buffers(p, mw int) (a, b []uint64) {
-	need := (p/2 + 1) * mw
-	if cap(ar.a) < need {
-		ar.a = make([]uint64, need)
-		ar.b = make([]uint64, need)
-	}
-	return ar.a[:need], ar.b[:need]
-}
-
-// treeReduceMat folds correspondences pairwise with boolean matrix
-// products. ComposeMat requires a zeroed destination, so slots are
-// cleared before reuse.
-func treeReduceMat(mats [][]uint64, n, words int, ar *reduceArenaMat) []uint64 {
-	m := len(mats)
-	if m == 1 {
-		return mats[0]
-	}
-	mw := n * words
-	cur, next := ar.buffers(m, mw)
-	for m > 1 {
-		half := m / 2
-		for i := 0; i < half; i++ {
-			dst := cur[i*mw : (i+1)*mw]
-			for k := range dst {
-				dst[k] = 0
-			}
-			core.ComposeMat(dst, mats[2*i], mats[2*i+1], n, words)
-			mats[i] = dst
-		}
-		if m%2 == 1 {
-			dst := cur[half*mw : (half+1)*mw]
-			copy(dst, mats[m-1])
-			mats[half] = dst
-			half++
-		}
-		m = half
-		cur, next = next, cur
-	}
-	_ = next
-	return mats[0]
 }

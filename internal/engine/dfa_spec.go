@@ -64,7 +64,7 @@ type specCtx struct {
 	m    *DFASpeculative
 	text []byte
 	maps []int32
-	ar   reduceArena32
+	ar   reduceArena[int32]
 }
 
 func (c *specCtx) runChunk(i int) {
@@ -103,7 +103,7 @@ func (m *DFASpeculative) reduce(c *specCtx) bool {
 		for i := range vecs {
 			vecs[i] = c.maps[i*n : (i+1)*n]
 		}
-		t := treeReduce32(vecs, n, &c.ar)
+		t := treeReduce(vecs, n, &c.ar)
 		final = t[m.d.Start]
 	}
 	return m.d.Accept[final]
@@ -112,41 +112,33 @@ func (m *DFASpeculative) reduce(c *specCtx) bool {
 // simulateChunkInto computes T[q] = destination of q over the chunk, for
 // all q (lines 2–7 of Algorithm 3), through the resolved table layout.
 func (m *DFASpeculative) simulateChunkInto(t []int32, chunk []byte) {
-	n := m.d.NumStates
 	for q := range t {
 		t[q] = int32(q)
 	}
 	switch m.layout {
 	case LayoutU8:
-		tab := m.tab.u8
-		for _, b := range chunk {
-			base := uint32(b)
-			for q := 0; q < n; q++ {
-				t[q] = int32(tab[uint32(t[q])<<8|base])
-			}
-		}
+		simulate256(m.tab.u8, t, chunk)
 	case LayoutU16:
-		tab := m.tab.u16
-		for _, b := range chunk {
-			base := uint32(b)
-			for q := 0; q < n; q++ {
-				t[q] = int32(tab[uint32(t[q])<<8|base])
-			}
-		}
+		simulate256(m.tab.u16, t, chunk)
 	case LayoutClass:
 		d := m.d
 		for _, b := range chunk {
-			for q := 0; q < n; q++ {
+			for q := range t {
 				t[q] = d.NextByte(t[q], b)
 			}
 		}
 	default:
-		tab := m.tab.i32
-		for _, b := range chunk {
-			base := int(b)
-			for q := 0; q < n; q++ {
-				t[q] = tab[int(t[q])<<8|base]
-			}
+		simulate256(m.tab.i32, t, chunk)
+	}
+}
+
+// simulate256 advances every entry of t over chunk through a 256-wide
+// table of any entry width.
+func simulate256[T uint8 | uint16 | int32](tab []T, t []int32, chunk []byte) {
+	for _, b := range chunk {
+		base := uint32(b)
+		for q := range t {
+			t[q] = int32(tab[uint32(t[q])<<8|base])
 		}
 	}
 }

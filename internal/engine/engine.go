@@ -10,9 +10,11 @@
 //     (sequential O(p) and parallel tree with the associative ⊙);
 //   - the on-the-fly variant of Algorithm 5 over a lazily constructed
 //     SFA (Sect. V-A);
-//   - an N-SFA engine whose tree reduction is boolean matrix
-//     multiplication (Table II);
 //   - the bitset NFA simulation used as the semantics oracle.
+//
+// There is no N-SFA engine: package core builds no N-SFA (its ⊙ is an
+// O(|N|³) boolean matrix product, Table II, and no experiment here
+// needs one), so every SFA engine walks a D-SFA.
 //
 // All engines implement whole-input acceptance over []byte, the semantics
 // of the paper's experiments ("1GB string accepted by those automata, and
@@ -43,9 +45,8 @@ const (
 	// Levels run iteratively on the calling goroutine over the match
 	// context's reusable ping-pong arena, so the fold allocates nothing
 	// in steady state; total work is O(|D|·p) for the SFA and speculative
-	// DFA engines and O(|N|³·p) for the N-SFA engine (the seed recursed
-	// in parallel goroutines, which only pays off for the N-SFA's heavy
-	// matrix products — revisit if that reduction shows up in profiles).
+	// DFA engines (the seed recursed in parallel goroutines, which does not
+	// pay off for vector compositions this cheap).
 	ReduceTree
 )
 

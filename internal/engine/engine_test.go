@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dfa"
-	"repro/internal/nfa"
 	"repro/internal/syntax"
 	"repro/internal/textgen"
 )
@@ -22,14 +21,6 @@ func allEngines(t *testing.T, pattern string, threads int) []Matcher {
 	node := syntax.MustParse(pattern, 0)
 	d := dfa.MustCompilePattern(pattern)
 	s, err := core.BuildDSFA(d, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := nfa.Glushkov(node)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ns, err := core.BuildNSFA(a, 500_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,13 +40,10 @@ func allEngines(t *testing.T, pattern string, threads int) []Matcher {
 		NewDFASpeculative(d, threads, ReduceSequential, WithSpawn()),
 		NewSFAParallel(s, threads, ReduceSequential),
 		NewSFAParallel(s, threads, ReduceTree),
-		NewSFAParallel(s, threads, ReduceSequential, WithClassTable()),
+		NewSFAParallel(s, threads, ReduceSequential, WithLayout(LayoutClass)),
 		NewSFAParallel(s, threads, ReduceSequential, WithLayout(LayoutI32), WithSpawn()),
 		NewSFAParallel(s, threads, ReduceTree, WithLayout(LayoutU16)),
 		lazy,
-		NewNSFAParallel(ns, threads, ReduceSequential),
-		NewNSFAParallel(ns, threads, ReduceTree),
-		NewNSFAParallel(ns, threads, ReduceTree, WithClassTable()),
 	}
 }
 

@@ -104,10 +104,6 @@ func WithLayout(l TableLayout) Option {
 	return func(o *engineOpts) { o.layout = l }
 }
 
-// WithClassTable matches through the byte-class-compressed table instead
-// of a 256-wide layout (ablation A2; changes Fig. 8's cache story).
-func WithClassTable() Option { return WithLayout(LayoutClass) }
-
 // WithSpawn restores the seed behaviour of creating fresh goroutines on
 // every Match. The paper's Fig. 10 measurement explicitly includes thread
 // creation ("the execution times of the parallel computation includes the
@@ -153,44 +149,13 @@ func buildOpts(opts []Option) engineOpts {
 	return o
 }
 
-// The specialized chunk walkers below are the hot loops of Algorithm 5
-// (and of Algorithm 3's per-state simulation): one load per byte, with
-// the byte loop unrolled 4× so that loop control and bounds checks
-// amortize over four lookups between iterations of the serial
-// load-to-load chain.
-
-func run256U8(tab []uint8, start int32, text []byte) int32 {
-	q := uint32(uint8(start))
-	i := 0
-	for ; i+4 <= len(text); i += 4 {
-		q = uint32(tab[q<<8|uint32(text[i])])
-		q = uint32(tab[q<<8|uint32(text[i+1])])
-		q = uint32(tab[q<<8|uint32(text[i+2])])
-		q = uint32(tab[q<<8|uint32(text[i+3])])
-	}
-	for ; i < len(text); i++ {
-		q = uint32(tab[q<<8|uint32(text[i])])
-	}
-	return int32(q)
-}
-
-func run256U16(tab []uint16, start int32, text []byte) int32 {
-	q := uint32(uint16(start))
-	i := 0
-	for ; i+4 <= len(text); i += 4 {
-		q = uint32(tab[q<<8|uint32(text[i])])
-		q = uint32(tab[q<<8|uint32(text[i+1])])
-		q = uint32(tab[q<<8|uint32(text[i+2])])
-		q = uint32(tab[q<<8|uint32(text[i+3])])
-	}
-	for ; i < len(text); i++ {
-		q = uint32(tab[q<<8|uint32(text[i])])
-	}
-	return int32(q)
-}
-
-func run256I32(tab []int32, start int32, text []byte) int32 {
-	q := uint32(start)
+// run256 is the hot loop of Algorithm 5 (and of Algorithm 3's per-state
+// simulation) over a 256-wide table of any entry width: one load per
+// byte, with the byte loop unrolled 4× so that loop control and bounds
+// checks amortize over four lookups between iterations of the serial
+// load-to-load chain. Each width compiles to its own instance.
+func run256[T uint8 | uint16 | int32](tab []T, start int32, text []byte) int32 {
+	q := uint32(T(start))
 	i := 0
 	for ; i+4 <= len(text); i += 4 {
 		q = uint32(tab[q<<8|uint32(text[i])])
@@ -216,11 +181,11 @@ type tables struct {
 func (t *tables) run(layout TableLayout, start int32, chunk []byte) int32 {
 	switch layout {
 	case LayoutU8:
-		return run256U8(t.u8, start, chunk)
+		return run256(t.u8, start, chunk)
 	case LayoutU16:
-		return run256U16(t.u16, start, chunk)
+		return run256(t.u16, start, chunk)
 	default:
-		return run256I32(t.i32, start, chunk)
+		return run256(t.i32, start, chunk)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dfa"
-	"repro/internal/nfa"
 	"repro/internal/syntax"
 )
 
@@ -75,14 +74,6 @@ func TestLayoutsAndPoolingAgreeWithOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		a, err := nfa.Glushkov(node)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ns, err := core.BuildNSFA(a, 500_000)
-		if err != nil {
-			t.Fatal(err)
-		}
 
 		// Inputs: random words over a small alphabet, several shorter
 		// than the largest thread count so empty chunks are exercised.
@@ -109,7 +100,6 @@ func TestLayoutsAndPoolingAgreeWithOracle(t *testing.T) {
 						NewSFAParallel(s, p, ReduceSequential, opts...),
 						NewSFAParallel(s, p, ReduceTree, opts...),
 						NewDFASpeculative(d, p, ReduceTree, opts...),
-						NewNSFAParallel(ns, p, ReduceSequential, opts...),
 					}
 					for _, in := range inputs {
 						want := oracle.Match(in)

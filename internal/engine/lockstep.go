@@ -109,7 +109,7 @@ func lockstepRun(ms []*MultiSFA, known bool, text []byte, out []int32, stride in
 			return
 		default:
 			t0, s0 := ms[0].walkTable(known)
-			out[0] = run256U16(t0, s0, text)
+			out[0] = run256(t0, s0, text)
 			return
 		}
 	}

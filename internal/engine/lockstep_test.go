@@ -67,7 +67,7 @@ func TestLockstepAgreesWithSingleWalks(t *testing.T) {
 				if mixed {
 					// Auto leaves the small engines in u8; the rest cover
 					// the other walks a pass must fall back to.
-					opts = [][]Option{nil, {WithLayout(LayoutI32)}, nil, nil, {WithClassTable()}, nil, {WithSpawn()}}[i%7]
+					opts = [][]Option{nil, {WithLayout(LayoutI32)}, nil, nil, {WithLayout(LayoutClass)}, nil, {WithSpawn()}}[i%7]
 				}
 				all = append(all, lockstepEngine(t, p, threads, opts...))
 			}
@@ -160,7 +160,7 @@ func TestLockstepAccounts(t *testing.T) {
 		lockstepEngine(t, lockstepPatterns[0], 1, WithLayout(LayoutU16)),
 		lockstepEngine(t, lockstepPatterns[1], 1, WithLayout(LayoutU16)),
 		lockstepEngine(t, lockstepPatterns[2], 1, WithLayout(LayoutU16)),
-		lockstepEngine(t, lockstepPatterns[3], 1, WithClassTable()),
+		lockstepEngine(t, lockstepPatterns[3], 1, WithLayout(LayoutClass)),
 	}
 	g := NewLockstep([]ShardEngine{ms[0], ms[1], ms[2], ms[3]})
 	text, _ := textgen.Traffic{}.Generate(64<<10, 1)

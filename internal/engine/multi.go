@@ -136,7 +136,7 @@ type multiCtx struct {
 	m      *MultiSFA
 	text   []byte
 	locals []int32
-	ar     reduceArena16
+	ar     reduceArena[int16]
 }
 
 // runChunk is lines 1–5 of Algorithm 5 for chunk i: fi ← fI, then one
@@ -188,7 +188,7 @@ func (m *MultiSFA) runDFA(text []byte) int32 {
 	if m.dtab == nil {
 		return m.s.D.Run(m.s.D.Start, text)
 	}
-	return run256U16(m.dtab, m.s.D.Start, text)
+	return run256(m.dtab, m.s.D.Start, text)
 }
 
 // sequential reports whether a walk of n bytes runs as one chunk on the
@@ -223,7 +223,7 @@ func (m *MultiSFA) reduce(c *multiCtx) int32 {
 	for i, f := range c.locals {
 		vecs[i] = m.s.Map(f)
 	}
-	return int32(treeReduce16(vecs, m.s.D.NumStates, &c.ar)[m.s.D.Start])
+	return int32(treeReduce(vecs, m.s.D.NumStates, &c.ar)[m.s.D.Start])
 }
 
 // run is Algorithm 5 with p chunks — every chunk but the first starts at

@@ -26,9 +26,9 @@ func (c *counters) load() int64 {
 }
 
 func (c *counters) torn() int64 {
-	c.misses++ // want `plain access to atomic field a\.counters\.misses`
+	c.misses++  // want `plain access to atomic field a\.counters\.misses`
 	x := c.hits // want `plain access to atomic field a\.counters\.hits`
-	y := c.gen // want `plain access to atomic field a\.counters\.gen`
+	y := c.gen  // want `plain access to atomic field a\.counters\.gen`
 	c.plain = 7
 	return x + y + c.plain
 }

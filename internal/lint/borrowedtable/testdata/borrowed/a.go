@@ -24,14 +24,14 @@ func reads(maps []int16) int16 {
 
 //sfa:borrowed maps
 func mutates(maps []int16, v int16) {
-	maps[0] = v           // want `write through borrowed parameter maps`
-	_ = append(maps, v)   // want `append to borrowed parameter maps`
-	copy(maps, maps[1:])  // want `copy into borrowed parameter maps`
+	maps[0] = v          // want `write through borrowed parameter maps`
+	_ = append(maps, v)  // want `append to borrowed parameter maps`
+	copy(maps, maps[1:]) // want `copy into borrowed parameter maps`
 }
 
 //sfa:borrowed maps
 func retains(t *table, maps []int16) {
-	t.maps = maps   // want `borrowed parameter maps stored into a field`
+	t.maps = maps    // want `borrowed parameter maps stored into a field`
 	published = maps // want `borrowed parameter maps stored in package variable published`
 }
 
@@ -76,7 +76,7 @@ func adoptStillNoMutation(t *table, maps []int16) {
 
 //sfa:borrowed maps
 func leaks(maps []int16) int {
-	use(maps)    // want `borrowed parameter maps passed to use`
+	use(maps)     // want `borrowed parameter maps passed to use`
 	use(maps[1:]) // want `borrowed parameter maps passed to use`
 	return sum(maps) + len(maps)
 }

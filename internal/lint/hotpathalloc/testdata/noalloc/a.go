@@ -39,10 +39,10 @@ func allocates(p []byte) []byte {
 	s := make([]byte, 8) // want `make allocates`
 	q := new(buf)        // want `new allocates`
 	q.data = s
-	t := []byte{1, 2} // want `slice literal allocates`
+	t := []byte{1, 2}  // want `slice literal allocates`
 	m := map[int]int{} // want `map literal allocates`
 	m[0] = 1
-	u := &buf{} // want `escapes to the heap`
+	u := &buf{}              // want `escapes to the heap`
 	r := append(s[:4], p...) // want `append may grow`
 	_ = u
 	_ = t
@@ -51,9 +51,9 @@ func allocates(p []byte) []byte {
 
 //sfa:noalloc
 func converts(p []byte, s string) int {
-	a := string(p) // want `conversion \[\]byte → string allocates`
-	b := []byte(s) // want `conversion string → \[\]byte allocates`
-	c := a + s // want `string concatenation allocates`
+	a := string(p)      // want `conversion \[\]byte → string allocates`
+	b := []byte(s)      // want `conversion string → \[\]byte allocates`
+	c := a + s          // want `string concatenation allocates`
 	fmt.Println(len(c)) // want `fmt\.Println allocates` `int boxed into interface argument allocates`
 	return len(b)
 }
@@ -78,7 +78,7 @@ func closes(p []byte) func() int {
 		n++
 		return n
 	}
-	g := func(x int) int { return x + 1 } // capture-free: static closure
+	g := func(x int) int { return x + 1 }   // capture-free: static closure
 	return func() int { return f() + g(1) } // want `closure captures f by reference and allocates`
 }
 

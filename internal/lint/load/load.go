@@ -38,16 +38,16 @@ import (
 
 // listPkg is the subset of `go list -json` output the loader consumes.
 type listPkg struct {
-	Dir        string
-	ImportPath string
-	ForTest    string // set on test variants: the package under test
-	Export     string // export-data file (from -export)
-	GoFiles    []string
-	CgoFiles   []string
+	Dir         string
+	ImportPath  string
+	ForTest     string // set on test variants: the package under test
+	Export      string // export-data file (from -export)
+	GoFiles     []string
+	CgoFiles    []string
 	TestGoFiles []string
-	ImportMap  map[string]string // source import path → resolved path
-	Module     *struct{ Path, Dir string }
-	Standard   bool
+	ImportMap   map[string]string // source import path → resolved path
+	Module      *struct{ Path, Dir string }
+	Standard    bool
 }
 
 // Unit is one type-checked collection of files, ready for analysis.

@@ -34,15 +34,17 @@ import (
 // (k + classes) words of tuples and transitions, independent of |D|, and
 // so does a merged candidate the planner throws away.
 //
-// Tuple identity is an over-approximation of vector identity: two
-// distinct tuples can induce the same transformation on every
-// *reachable* product state (the unreachable disagreements were cut by
-// reachability and mask-aware minimization). The tuple automaton
-// therefore has at least as many states as the vector-interned one and
-// accepts byte-identical verdicts — the oracle tests gate on MatchMask
-// equality, never on state counts, and the sfabench ruleset table
-// reports the Σ|Sd| delta. Budgets are enforced on the tuple count,
-// which makes them conservative in exactly the safe direction.
+// Tuple identity is vector identity, so the tuple automaton has exactly
+// as many states as the vector-interned one. Two tuples that differ
+// differ in some rule i's component: two states of rule i's D-SFA, which
+// send some state q of rule i's DFA to two different states. That DFA is
+// minimal, so those two states have different futures in rule i's
+// language; q occurs in some reachable product state, and mask-aware
+// minimization keeps product states with different rule-i futures apart.
+// So the two tuples send that product state to two different states of
+// D. TestDerivedVectorsMatchConstruction checks the equality (and |S_d|
+// = |M(D)|, Sect. VII-A) on generated sets and the SNORT sample.
+// Budgets are enforced on the tuple count, which is the state count.
 
 // tupleDSFA builds the combined D-SFA for a shard directly over
 // reachable tuples of component D-SFA states. comps[i] is rule i's own

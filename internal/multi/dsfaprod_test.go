@@ -14,10 +14,9 @@ import (
 
 // The tuple-interned construction's correctness contract: byte-identical
 // MatchMask and streaming verdicts versus core.BuildDSFA's vector-
-// interned construction over the same product DFA. State counts are
-// deliberately NOT compared — tuple identity over-approximates vector
-// identity, so the tuple automaton may be larger; only verdicts are
-// gated.
+// interned construction over the same product DFA. Tuple identity is
+// vector identity (dsfaprod.go), so the state counts agree too;
+// TestDerivedVectorsMatchConstruction and the budget test check that.
 
 // checkMaskAgreement scans every input through both sets and demands
 // word-identical global masks, plus chunked-stream agreement with the
@@ -208,15 +207,14 @@ func TestTupleDSFABudgetError(t *testing.T) {
 			t.Fatalf("input %q: tuple D-SFA disagrees with product DFA", in)
 		}
 	}
-	// Tuple identity over-approximates vector identity: never fewer
-	// states than the vector-interned automaton over the same DFA.
+	// Tuple identity is vector identity: exactly the states of the
+	// vector-interned automaton over the same DFA.
 	vec, err := core.BuildDSFA(d, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if full.NumStates < vec.NumStates {
-		t.Fatalf("tuple automaton has %d states, vector has %d — tuple interning must be an upper bound",
-			full.NumStates, vec.NumStates)
+	if full.NumStates != vec.NumStates {
+		t.Fatalf("tuple automaton has %d states, vector has %d", full.NumStates, vec.NumStates)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dfa"
+	"repro/internal/monoid"
 	"repro/internal/regen"
 	"repro/internal/snort"
 	"repro/internal/syntax"
@@ -92,7 +93,8 @@ func checkDerived(t *testing.T, what string, s *core.DSFA) bool {
 // TestDerivedVectorsMatchConstruction: both constructions — the
 // vector-interning core.BuildDSFA and the tuple-interning tupleDSFA —
 // release their vectors, and what a reader derives later is what the
-// vectors are, with Accept and EmptyID unchanged. Generated rule sets
+// vectors are, with Accept and EmptyID unchanged. Both build the same
+// number of states, and a shard's |S_d| is |M(D)|. Generated rule sets
 // and the curated SNORT sample, compiled whole (D has a dead state) and
 // for search (where D has one only if a rule is anchored).
 func TestDerivedVectorsMatchConstruction(t *testing.T) {
@@ -150,6 +152,10 @@ func TestDerivedVectorsMatchConstruction(t *testing.T) {
 				t.Fatal(err)
 			}
 			count(checkDerived(t, what+" vector", vs))
+			// Equal, not merely ≥: see dsfaprod.go's note on tuple identity.
+			if ts.NumStates != vs.NumStates {
+				t.Fatalf("%s: tuple D-SFA has %d states, vector D-SFA %d", what, ts.NumStates, vs.NumStates)
+			}
 		}
 	}
 	rules := snort.ScanSample(8)
@@ -166,7 +172,19 @@ func TestDerivedVectorsMatchConstruction(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, sh := range s.shards {
-			count(checkDerived(t, fmt.Sprintf("snort search=%v shard %d (%d rules)", search, i, len(sh.rules)), eagerEngine(sh.m).SFA()))
+			what := fmt.Sprintf("snort search=%v shard %d (%d rules)", search, i, len(sh.rules))
+			sd := eagerEngine(sh.m).SFA()
+			count(checkDerived(t, what, sd))
+			// The states of a D-SFA are the elements of D's transition
+			// monoid (Sect. VII-A), which monoid.Transition enumerates on
+			// its own.
+			m, err := monoid.Transition(sd.D, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sd.NumStates != m.Size() {
+				t.Fatalf("%s: |S_d| = %d, |M(D)| = %d", what, sd.NumStates, m.Size())
+			}
 		}
 	}
 	if withDead == 0 || withoutDead == 0 {

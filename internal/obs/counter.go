@@ -39,6 +39,7 @@ func stripe() int {
 
 // Add adds n to the counter. n must be ≥ 0 (Counter is monotone; use
 // Gauge for values that go down).
+//
 //sfa:noalloc
 func (c *Counter) Add(n int64) {
 	c.shards[stripe()].v.Add(n)

@@ -22,6 +22,7 @@ type Histogram struct {
 }
 
 // Observe records one value. Negative values clamp to 0.
+//
 //sfa:noalloc
 func (h *Histogram) Observe(v int64) {
 	if v < 0 {

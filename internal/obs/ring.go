@@ -19,8 +19,12 @@ type ScanRecord struct {
 	// Seq is the monotonically increasing scan sequence number,
 	// assigned by Record. Gaps in a snapshot mean records were
 	// overwritten between reads, never silently reordered.
-	Seq        uint64 `json:"seq"`
-	UnixNano   int64  `json:"unix_nano"`
+	Seq      uint64 `json:"seq"`
+	UnixNano int64  `json:"unix_nano"`
+	// Status is the HTTP status the scan was answered with: 200 for a
+	// served scan; a rejected one carries only Tenant, UnixNano and its
+	// error status.
+	Status     int    `json:"status"`
 	Tenant     string `json:"tenant"`
 	Generation int64  `json:"generation"`
 	Bytes      int64  `json:"bytes"`
@@ -50,6 +54,7 @@ type ScanRecord struct {
 type ringSlot struct {
 	seq        atomic.Uint64
 	unixNano   atomic.Int64
+	status     atomic.Int64
 	generation atomic.Int64
 	bytes      atomic.Int64
 	chunks     atomic.Int64
@@ -102,6 +107,7 @@ func (g *Ring) Cap() int {
 // the sequence number it was assigned (0 if the ring is nil). The
 // record's own Seq field is ignored. Zero allocations; safe from any
 // number of concurrent goroutines.
+//
 //sfa:noalloc
 func (g *Ring) Record(r ScanRecord) uint64 {
 	if g == nil {
@@ -111,6 +117,7 @@ func (g *Ring) Record(r ScanRecord) uint64 {
 	slot := &g.slots[(s-1)&g.mask]
 	slot.seq.Store(0) // invalidate while rewriting
 	slot.unixNano.Store(r.UnixNano)
+	slot.status.Store(int64(r.Status))
 	slot.generation.Store(r.Generation)
 	slot.bytes.Store(r.Bytes)
 	slot.chunks.Store(r.Chunks)
@@ -167,6 +174,7 @@ func (sl *ringSlot) read(want uint64) (ScanRecord, bool) {
 	r := ScanRecord{
 		Seq:                want,
 		UnixNano:           sl.unixNano.Load(),
+		Status:             int(sl.status.Load()),
 		Generation:         sl.generation.Load(),
 		Bytes:              sl.bytes.Load(),
 		Chunks:             sl.chunks.Load(),

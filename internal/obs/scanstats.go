@@ -19,6 +19,7 @@ type ScanStats struct {
 
 // RecordChunk records one composed chunk of n bytes that took ns
 // nanoseconds.
+//
 //sfa:noalloc
 func (s *ScanStats) RecordChunk(n int, ns int64) {
 	s.Chunks.Inc()

@@ -31,6 +31,7 @@ type StateFreq struct {
 }
 
 // Record counts one occurrence of state.
+//
 //sfa:noalloc
 func (f *StateFreq) Record(state int32) {
 	k := int64(state) + 1

@@ -60,7 +60,7 @@ func TestServeFlightAndAttribution(t *testing.T) {
 		if rec.Matches != wantMatches[j] {
 			t.Errorf("record %d matches %d, want %d", i, rec.Matches, wantMatches[j])
 		}
-		if rec.Chunks < 1 || rec.UnixNano == 0 || rec.Seq == 0 {
+		if rec.Chunks < 1 || rec.UnixNano == 0 || rec.Seq == 0 || rec.Status != http.StatusOK {
 			t.Errorf("record %d missing fields: %+v", i, rec)
 		}
 		if rec.ReadNs < 0 || rec.PrefilterNs < 0 || rec.ComposeNs < 0 || rec.MatchNs < 0 {

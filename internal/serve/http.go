@@ -518,14 +518,15 @@ func NewHandler(h *Hub, opts ...HandlerOption) http.Handler {
 	})
 	mux.HandleFunc("POST /v1/tenants/{tenant}/scan", func(w http.ResponseWriter, r *http.Request) {
 		name := r.PathValue("tenant")
+		start := time.Now()
 		b, ok := h.Tenant(name)
 		if !ok {
-			rejectScan(w, h, http.StatusNotFound, fmt.Errorf("no tenant %q", name))
+			rejectScan(w, h, name, start, http.StatusNotFound, fmt.Errorf("no tenant %q", name))
 			return
 		}
 		st, err := b.NewStream()
 		if err != nil {
-			rejectScan(w, h, http.StatusUnprocessableEntity, err)
+			rejectScan(w, h, name, start, http.StatusUnprocessableEntity, err)
 			return
 		}
 		defer st.Close()
@@ -537,7 +538,6 @@ func NewHandler(h *Hub, opts ...HandlerOption) http.Handler {
 		// matchNs is time inside the engine — the split that tells a slow
 		// uploader from a slow rule set. The pprof label makes on-CPU
 		// samples of this request attributable to the tenant in profiles.
-		start := time.Now()
 		var readNs, matchNs int64
 		var matches []string
 		var bad bool
@@ -557,9 +557,9 @@ func NewHandler(h *Hub, opts ...HandlerOption) http.Handler {
 					}
 					var mbe *http.MaxBytesError
 					if errors.As(err, &mbe) {
-						rejectScan(w, h, http.StatusRequestEntityTooLarge, err)
+						rejectScan(w, h, name, start, http.StatusRequestEntityTooLarge, err)
 					} else {
-						rejectScan(w, h, http.StatusBadRequest, fmt.Errorf("reading body: %w", err))
+						rejectScan(w, h, name, start, http.StatusBadRequest, fmt.Errorf("reading body: %w", err))
 					}
 					bad = true
 					return
@@ -589,6 +589,7 @@ func NewHandler(h *Hub, opts ...HandlerOption) http.Handler {
 		// prefilter/compose columns partition the streaming work.
 		h.Flight().Record(sfa.ScanRecord{
 			UnixNano:           start.UnixNano(),
+			Status:             http.StatusOK,
 			Tenant:             name,
 			Generation:         int64(st.Generation()),
 			Bytes:              st.Bytes(),
@@ -675,8 +676,10 @@ func httpError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
 }
 
-// rejectScan answers a scan request with an error and counts it.
-func rejectScan(w http.ResponseWriter, h *Hub, code int, err error) {
+// rejectScan answers a scan request with an error, counts it, and
+// leaves a flight record of who was turned away, when, and why.
+func rejectScan(w http.ResponseWriter, h *Hub, tenant string, start time.Time, code int, err error) {
 	h.Metrics().rejectScan(code)
+	h.Flight().Record(sfa.ScanRecord{UnixNano: start.UnixNano(), Status: code, Tenant: tenant})
 	httpError(w, code, err)
 }

@@ -163,6 +163,25 @@ func TestScanRejectedCounted(t *testing.T) {
 	if len(reply.Tenants) != 1 {
 		t.Errorf("tenant rows %v, want only web", reply.Tenants)
 	}
+	// Every scan, rejected or served, leaves a flight record, newest first.
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/scans", nil))
+	var fl FlightReply
+	if err := json.Unmarshal(rec.Body.Bytes(), &fl); err != nil {
+		t.Fatal(err)
+	}
+	want := []struct {
+		tenant string
+		status int
+	}{{"web", 200}, {"web", 400}, {"web", 413}, {"nobody2", 404}, {"nobody", 404}}
+	if len(fl.Records) != len(want) {
+		t.Fatalf("%d flight records, want %d: %+v", len(fl.Records), len(want), fl.Records)
+	}
+	for i, r := range fl.Records {
+		if r.Tenant != want[i].tenant || r.Status != want[i].status || r.UnixNano == 0 {
+			t.Errorf("flight record %d = %+v, want tenant %q status %d", i, r, want[i].tenant, want[i].status)
+		}
+	}
 }
 
 // TestMetricCatalogue holds docs/observability.md's catalogue to the
