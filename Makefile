@@ -17,9 +17,10 @@
 # testing.AllocsPerRun tests, which skip under -race, so `make ci` runs
 # `make test` as well as `make race`. `make examples-smoke` runs five of
 # the examples (quickstart, streaming, monoidlab, logscan, warmstart),
-# each of which exits non-zero on an error (warmstart also on a verdict
-# divergence); idsscan and idsserve take about a minute each and stay
-# out.
+# each of which exits non-zero on an error; quickstart, streaming,
+# logscan and warmstart also on a wrong verdict (quickstart's probes,
+# streamed = composed = one-shot, the corrupted input rejected);
+# idsscan and idsserve take about a minute each and stay out.
 # `make bench-check`
 # keeps the repo's benchmark (bench/, its own module, which tier-1 does
 # not build) compiling, its unit tests and input pins green, and one
@@ -29,8 +30,8 @@
 # no-prefilter twin's set-up), stream_chunks (the in-order stream),
 # stream_compose (the one workload whose Compose consumes full carried
 # mappings, out-of-order segments folded together), serve_large (the
-# real server at p = GOMAXPROCS, the one workload whose walks start
-# unknown and so derive the D-SFAs' mapping vectors) and build (the only
+# real server at p = GOMAXPROCS, whose windows of 4 KiB and more are cut
+# into overlapping sub-chunks that start at D's start state) and build (the only
 # window that checks the masks of sets that were built, saved, loaded
 # and rebuilt) verified against the isolated-rule oracle — so a change
 # that breaks the benchmark, drops a literal hit, breaks a lazy verdict,
@@ -77,9 +78,11 @@ race:
 
 # Exercise the fuzz corpora for a few seconds so the oracle cross-checks
 # actually run somewhere — every fuzz target in the module, 10 s each:
-# FuzzMatch (combined vs isolated vs derivative oracle, and a fresh
-# p = 2 set, whose scan of the input repeated past 4 KiB derives its
-# D-SFAs' mapping vectors, vs its p = 1 twin), FuzzEngineAgreement
+# FuzzMatch (combined vs isolated vs derivative oracle, a fresh
+# whole-input p = 2 set, whose scan of the input repeated past 4 KiB
+# derives its D-SFAs' mapping vectors, vs its p = 1 twin, and the
+# prefiltered search set on that repetition vs its isolated rules),
+# FuzzEngineAgreement
 # (the single-pattern engine vs the derivative oracle, and its known-start
 # DFA walk vs its D-SFA walk; the lazy engine vs both, one-shot and in
 # p = 2 chunks, also capped so that its walks cross evictions), FuzzPrefilter
@@ -120,7 +123,8 @@ serve-smoke:
 snapshot-smoke:
 	$(GO) test -race -run 'TestRuleSetSnapshotRoundTrip|TestLoadRuleSetRejectsCorruption|TestShardCacheWarmsRepeatedBuilds|TestWarmRestartSmoke|TestStatePersistAndWarmRestore|TestStoreConcurrent|TestStoreEviction' ./sfa ./cmd/sfaserve ./internal/serve ./internal/snapshot
 
-# Examples smoke: each example below must run to completion.
+# Examples smoke: each example below must run to completion, and
+# quickstart, streaming, logscan and warmstart must give the right verdicts.
 examples-smoke:
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/streaming
@@ -132,8 +136,9 @@ examples-smoke:
 # full-length runs), then one 1-second window each of the two eager scan
 # workloads, the lazy one, stream_chunks (one stream written in order),
 # stream_compose (segments on their own streams, folded with Compose),
-# serve_large (256 KiB bodies through the real sfaserve, whose p > 1
-# walks of 4 KiB and more start unknown) and build (cold build, Save,
+# serve_large (256 KiB bodies through the real sfaserve at p > 1, whose
+# window walks of 4 KiB and more are cut into overlapping known-start
+# sub-chunks) and build (cold build, Save,
 # snapshot loads and one-rule Rebuilds, each resulting set's mask
 # checked) through the same entry point the benchmark's runs use —
 # every op and spot slice checked by the bench's isolated-rule oracle.

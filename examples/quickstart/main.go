@@ -28,9 +28,17 @@ func main() {
 	fmt.Printf("SFA states   %d live (paper: 109)\n", sizes.SFALive)
 	fmt.Printf("byte classes %d\n\n", sizes.Classes)
 
-	// Small checks.
-	for _, probe := range []string{"", "0123456789", "0123456789012", "5012345678"} {
-		fmt.Printf("Match(%-15q) = %v\n", probe, re.MatchString(probe))
+	// Small checks, each against the verdict the pattern defines.
+	probes := []struct {
+		in   string
+		want bool
+	}{{"", true}, {"0123456789", true}, {"0123456789012", false}, {"5012345678", false}}
+	for _, p := range probes {
+		got := re.MatchString(p.in)
+		fmt.Printf("Match(%-15q) = %v\n", p.in, got)
+		if got != p.want {
+			log.Fatalf("Match(%q) = %v, want %v", p.in, got, p.want)
+		}
 	}
 
 	// A 64 MiB accepted input, matched in parallel: the input is split at
@@ -43,6 +51,9 @@ func main() {
 	elapsed := time.Since(start)
 	fmt.Printf("\nparallel match of %d MiB: %v in %v (%.2f GB/s)\n",
 		len(text)>>20, ok, elapsed, float64(len(text))/elapsed.Seconds()/1e9)
+	if !ok {
+		log.Fatal("the parallel match rejected an accepted input")
+	}
 
 	// The same input through the sequential DFA baseline (Algorithm 2).
 	seq, err := sfa.Compile("([0-4]{5}[5-9]{5})*", sfa.WithEngine(sfa.EngineDFA))
@@ -50,7 +61,11 @@ func main() {
 		log.Fatal(err)
 	}
 	start = time.Now()
-	seq.Match(text)
+	seqOK := seq.Match(text)
+	elapsed = time.Since(start)
 	fmt.Printf("sequential DFA baseline:       %v (%.2f GB/s)\n",
-		time.Since(start), float64(len(text))/time.Since(start).Seconds()/1e9)
+		elapsed, float64(len(text))/elapsed.Seconds()/1e9)
+	if seqOK != ok {
+		log.Fatalf("sequential DFA %v, parallel SFA %v", seqOK, ok)
+	}
 }

@@ -36,6 +36,10 @@ func main() {
 	}
 	fmt.Printf("streamed %d MiB in %v → accepted=%v (state carried: one mapping of %d entries)\n",
 		stream.Bytes()>>20, time.Since(start), stream.Accepted(), re.Sizes().DFATotal)
+	want := re.Match(data)
+	if stream.Accepted() != want {
+		log.Fatalf("streamed verdict %v, one-shot Match %v", stream.Accepted(), want)
+	}
 
 	// 2. Out-of-order processing: split the input into four segments,
 	//    scan them in scrambled order on separate streams, then compose
@@ -62,6 +66,9 @@ func main() {
 	}
 	fmt.Printf("out-of-order segments composed → accepted=%v (%d bytes)\n",
 		total.Accepted(), total.Bytes())
+	if total.Accepted() != want {
+		log.Fatalf("composed verdict %v, one-shot Match %v", total.Accepted(), want)
+	}
 
 	// 3. A corrupted chunk flips the verdict, wherever it lands.
 	bad, _ := re.NewStream()
@@ -69,6 +76,9 @@ func main() {
 	bad.Write([]byte("not digits"))
 	bad.Write(data[1<<20:])
 	fmt.Printf("with a corrupted middle chunk → accepted=%v\n", bad.Accepted())
+	if bad.Accepted() {
+		log.Fatal("the corrupted stream was accepted")
+	}
 }
 
 // writerOnly hides Stream's non-Writer methods from io.CopyBuffer so it

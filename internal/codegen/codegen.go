@@ -58,7 +58,7 @@ func Generate(w io.Writer, s *core.DSFA, opts Options) error {
 	fmt.Fprintf(&sb, "import \"sync\"\n\n")
 
 	// Transition table, 256-wide.
-	tab := s.Table256()
+	tab := core.DSFATable256[int32](s)
 	fmt.Fprintf(&sb, "// %sNext is the SFA transition table, 256 entries per state.\n", strings.ToLower(p))
 	fmt.Fprintf(&sb, "var %sNext = [...]int32{", lower(p))
 	for i, v := range tab {

@@ -380,7 +380,7 @@ func TestBuildDSFACap(t *testing.T) {
 
 func TestTable256MatchesClassTable(t *testing.T) {
 	s := buildDSFA(t, "(ab|cd)*x?")
-	tab := s.Table256()
+	tab := DSFATable256[int32](s)
 	q1, q2 := s.Start, s.Start
 	for _, b := range []byte("abcdxq") {
 		q1 = s.NextByte(q1, b)

@@ -11,7 +11,10 @@
 // int32 layout the paper used.
 package core
 
-import "repro/internal/dfa"
+import (
+	"repro/internal/dfa"
+	"repro/internal/nfa"
+)
 
 // FitsU8 reports whether every id of an automaton with n states fits in a
 // uint8 table entry.
@@ -20,54 +23,37 @@ func FitsU8(n int) bool { return n <= 1<<8 }
 // FitsU16 reports whether every id fits in a uint16 table entry.
 func FitsU16(n int) bool { return n <= 1<<16 }
 
-// table256 expands a class-indexed successor table into the flat
-// 256-wide layout with entries of type T. Each row is built by a typed
-// loop: a state's successors are narrowed once into a 256-entry array
-// indexed by class, then the row is filled through the class map.
-func table256[T uint8 | uint16 | int32](numStates, classes int, classOf *[256]uint8, nextC []int32) []T {
+// Table256 expands a class-indexed successor table — numStates rows of
+// bc.Count entries — into the flat 256-wide layout with entries of type
+// T, which must hold every state id (FitsU8 / FitsU16 for the narrow
+// widths). Each row is built by a typed loop: a state's successors are
+// narrowed once into a 256-entry array indexed by class, then the row is
+// filled through the class map. Every 256-wide table is built here: D's
+// own (DFATable256) and the D-SFA's (DSFATable256).
+func Table256[T uint8 | uint16 | int32](numStates int, bc *nfa.ByteClasses, nextC []int32) []T {
 	t := make([]T, numStates*256)
 	var succ [256]T
 	for q := 0; q < numStates; q++ {
-		for c, to := range nextC[q*classes : (q+1)*classes] {
+		for c, to := range nextC[q*bc.Count : (q+1)*bc.Count] {
 			succ[uint8(c)] = T(to)
 		}
 		row := (*[256]T)(t[q*256:])
-		for b, c := range classOf {
+		for b, c := range &bc.Of {
 			row[b] = succ[c]
 		}
 	}
 	return t
 }
 
-// DFATable256 materializes DFA d's own flat 256-wide table with entries
-// of type T, which must hold every state id (FitsU8 / FitsU16 for the
-// narrow widths). It is the one builder of DFA tables: the sequential
-// and speculative baselines and the known-start walk of the SFA engines
-// all expand d.NextC through it.
+// DFATable256 materializes DFA d's own 256-wide table: the sequential and
+// speculative baselines and the known-start walk of the SFA engines.
 func DFATable256[T uint8 | uint16 | int32](d *dfa.DFA) []T {
-	return table256[T](d.NumStates, d.BC.Count, &d.BC.Of, d.NextC)
+	return Table256[T](d.NumStates, d.BC, d.NextC)
 }
 
-// Table256U8 materializes the flat 256-wide table with uint8 entries
-// (256 B per SFA state). It panics unless FitsU8(s.NumStates).
-func (s *DSFA) Table256U8() []uint8 {
-	if !FitsU8(s.NumStates) {
-		panic("core: Table256U8 needs ≤ 256 states")
-	}
-	return table256[uint8](s.NumStates, s.D.BC.Count, &s.D.BC.Of, s.NextC)
-}
-
-// Table256U16 materializes the flat 256-wide table with uint16 entries
-// (512 B per SFA state). It panics unless FitsU16(s.NumStates).
-func (s *DSFA) Table256U16() []uint16 {
-	if !FitsU16(s.NumStates) {
-		panic("core: Table256U16 needs ≤ 65536 states")
-	}
-	return table256[uint16](s.NumStates, s.D.BC.Count, &s.D.BC.Of, s.NextC)
-}
-
-// Table256 materializes the flat 256-wide int32 table (1 KB per SFA
-// state, the layout whose cache behaviour Fig. 8 studies).
-func (s *DSFA) Table256() []int32 {
-	return table256[int32](s.NumStates, s.D.BC.Count, &s.D.BC.Of, s.NextC)
+// DSFATable256 materializes the D-SFA's 256-wide table: 256 B per state
+// as uint8, 512 B as uint16, 1 KB as int32 (the layout whose cache
+// behaviour Fig. 8 studies).
+func DSFATable256[T uint8 | uint16 | int32](s *DSFA) []T {
+	return Table256[T](s.NumStates, s.D.BC, s.NextC)
 }

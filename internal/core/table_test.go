@@ -45,11 +45,11 @@ func TestDSFAWidthTablesAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wide := s.Table256()
-		t16 := s.Table256U16()
+		wide := DSFATable256[int32](s)
+		t16 := DSFATable256[uint16](s)
 		var t8 []uint8
 		if FitsU8(s.NumStates) {
-			t8 = s.Table256U8()
+			t8 = DSFATable256[uint8](s)
 		}
 		for i := range wide {
 			if int32(t16[i]) != wide[i] {
@@ -60,24 +60,4 @@ func TestDSFAWidthTablesAgree(t *testing.T) {
 			}
 		}
 	}
-}
-
-func TestTablePanicsWhenTooWide(t *testing.T) {
-	// A DSFA never has > 256 states for these tiny patterns, so assert
-	// the guard directly through the predicate contract instead: the
-	// panic paths fire on misuse.
-	d := dfa.MustCompilePattern("([0-4]{3}[5-9]{3})*")
-	s, err := BuildDSFA(d, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if FitsU8(s.NumStates) {
-		t.Skip("automaton fits u8; panic path not reachable here")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Table256U8 did not panic for too-wide automaton")
-		}
-	}()
-	s.Table256U8()
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/core"
 	"repro/internal/dfa"
 )
 
@@ -22,7 +21,7 @@ type DFASpeculative struct {
 	threads int
 	red     Reduction
 	layout  TableLayout
-	tab     tables
+	tab     *tables
 	spawn   bool
 	pool    *Pool
 	ctxs    sync.Pool // of *specCtx
@@ -43,14 +42,7 @@ func NewDFASpeculative(d *dfa.DFA, threads int, red Reduction, opts ...Option) *
 		spawn:   o.spawn,
 		pool:    o.pool,
 	}
-	switch m.layout {
-	case LayoutU8:
-		m.tab.u8 = core.DFATable256[uint8](d)
-	case LayoutU16:
-		m.tab.u16 = core.DFATable256[uint16](d)
-	case LayoutI32:
-		m.tab.i32 = core.DFATable256[int32](d)
-	}
+	m.tab = newTables(m.layout, d.NumStates, d.BC, d.NextC)
 	m.ctxs.New = func() any {
 		return &specCtx{m: m, maps: make([]int32, m.threads*d.NumStates)}
 	}

@@ -130,8 +130,10 @@ func checkKnownStart(t *testing.T, m *MultiSFA, d *dfa.DFA, texts [][]byte, what
 
 // checkKnownStartLockstep runs pairs of u16 engines of s through a
 // lock-step pass, where the mask forms walk D from D.Start below the
-// threshold and the D-SFA above it, and compares each with the D-SFA
-// reference.
+// threshold and MatchMasks the D-SFA above it, and compares each with
+// the D-SFA reference. s need not be bounded or search-bracketed, so
+// OrMasks is told an occurrence may span the whole text, which keeps
+// it one chunk (TestOrMasksOverlapAgreesWithOneWalk covers the split).
 func checkKnownStartLockstep(t *testing.T, s *core.DSFA, texts [][]byte, what string) {
 	t.Helper()
 	for _, p := range []int{1, 2, 4} {
@@ -144,7 +146,7 @@ func checkKnownStartLockstep(t *testing.T, s *core.DSFA, texts [][]byte, what st
 			got := [][]uint64{{0xdead}, {0xdead}}
 			g.MatchMasks(sel, text, got)
 			or := [][]uint64{{0}, {0}}
-			g.OrMasks(sel, text, or)
+			g.OrMasks(sel, text, len(text), or)
 			for i := range sel {
 				if got[i][0] != want || or[i][0] != want {
 					t.Fatalf("%q p=%d len=%d engine %d: lock-step mask %x, or-mask %x, D-SFA %x",

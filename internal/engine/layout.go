@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/nfa"
 	"repro/internal/obs"
 )
 
@@ -175,6 +176,21 @@ type tables struct {
 	u8  []uint8
 	u16 []uint16
 	i32 []int32
+}
+
+// newTables expands a class-indexed successor table — n rows over bc's
+// classes — into the 256-wide table of layout l (none for LayoutClass).
+func newTables(l TableLayout, n int, bc *nfa.ByteClasses, nextC []int32) *tables {
+	t := &tables{}
+	switch l {
+	case LayoutU8:
+		t.u8 = core.Table256[uint8](n, bc, nextC)
+	case LayoutU16:
+		t.u16 = core.Table256[uint16](n, bc, nextC)
+	case LayoutI32:
+		t.i32 = core.Table256[int32](n, bc, nextC)
+	}
+	return t
 }
 
 // run walks a chunk through whichever table is materialized.

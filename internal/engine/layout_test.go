@@ -125,16 +125,16 @@ func TestWidthTablesMatchWideTable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wide := s.Table256()
+		wide := core.DSFATable256[int32](s)
 		if core.FitsU8(s.NumStates) {
-			narrow := s.Table256U8()
+			narrow := core.DSFATable256[uint8](s)
 			for i := range wide {
 				if int32(narrow[i]) != wide[i] {
 					t.Fatalf("%s: u8 table diverges at %d", pat, i)
 				}
 			}
 		}
-		narrow16 := s.Table256U16()
+		narrow16 := core.DSFATable256[uint16](s)
 		for i := range wide {
 			if int32(narrow16[i]) != wide[i] {
 				t.Fatalf("%s: u16 table diverges at %d", pat, i)

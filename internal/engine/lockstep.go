@@ -12,12 +12,18 @@ import (
 // address is the previous lookup's result — so one walk is bound by
 // load latency and leaves the load ports idle. Every walk here starts
 // from a state known without looking at the input — D.Start for a walk
-// of the whole slice, the D-SFA's identity for a p > 1 sub-chunk or a
-// carried-mapping chunk — so the k shards of a rule set give k
-// *independent* chains over the same byte: their loads overlap, and k
-// shards cost little more than one (the idea Ko et al. apply to k
-// speculative start states of one DFA, applied here to k automata with
-// one certain start each).
+// of the whole slice or for a candidate window's p > 1 sub-chunk, the
+// D-SFA's identity for any other p > 1 sub-chunk or a carried-mapping
+// chunk — so the k shards of a rule set give k *independent* chains over
+// the same byte: their loads overlap, and k shards cost little more than
+// one (the idea Ko et al. apply to k speculative start states of one
+// DFA, applied here to k automata with one certain start each).
+//
+// A candidate window needs no unknown start even when it is cut: its
+// shards' occurrences are bounded (the window contract of
+// internal/multi/prefilter.go), so OrMasks overlaps its p > 1 sub-chunks
+// by them and walks each from D.Start (walk). No window walk reads the
+// D-SFA, at any p.
 //
 // The kernels are specialised for the u16 layout — the only layout a
 // shard of more than 256 states resolves to under the default shard
@@ -204,13 +210,15 @@ func (g *Lockstep) Threads() int { return g.threads }
 // lockCtx is one pass's scratch: the engines walking together, their
 // indices, and the k×p chunk-final states, engine-major, so that engine
 // j's are the contiguous locals the single-engine folds take. known is
-// set when the pass walked D from D.Start as one chunk, so each engine's
-// one local is already its final DFA state.
+// set when every chunk of the pass walked D from D.Start, so each local
+// is a final DFA state: of the whole text at p = 1, of a sub-chunk that
+// re-walks the back bytes before its cut at p > 1 (OrMasks only).
 type lockCtx struct {
 	job    jobState
 	text   []byte
 	p      int
 	known  bool
+	back   int
 	ms     []*MultiSFA
 	idx    []int
 	locals []int32
@@ -218,7 +226,10 @@ type lockCtx struct {
 
 func (c *lockCtx) runChunk(i int) {
 	lo, hi := span(len(c.text), c.p, i)
-	lockstepRun(c.ms, false, c.text[lo:hi], c.locals[i:], c.p)
+	if c.known {
+		lo = max(lo-c.back, 0)
+	}
+	lockstepRun(c.ms, c.known, c.text[lo:hi], c.locals[i:], c.p)
 }
 
 // pick selects the members of sel that walk together into c.ms / c.idx
@@ -240,19 +251,36 @@ func (g *Lockstep) pick(c *lockCtx, sel []int) bool {
 	return len(c.idx) > 0
 }
 
-// walk runs the picked engines over text, cut into c.p sub-chunks. With
-// known set (the mask forms) a walk that runs as one chunk is D's own
-// from D.Start; ComposeChunks needs the chunk's mapping, so it always
-// walks the D-SFA.
+// unknownSplit is the overlap of a walk whose p > 1 sub-chunks start
+// unknown: they walk the D-SFA from its identity.
+const unknownSplit = -1
+
+// walk runs the picked engines over text: as one chunk at p = 1 or
+// below streamSequentialMax — D's own walk from D.Start when known is
+// set (the mask forms), the D-SFA's for ComposeChunks, which needs the
+// mapping — else in the engines' p sub-chunks on the pool. These start
+// unknown when overlap is unknownSplit. Otherwise no occurrence is
+// longer than overlap, so each sub-chunk backs up the overlap−1 bytes
+// an occurrence crossing its cut can begin in and walks D from D.Start:
+// every occurrence lies inside some sub-chunk, every sub-chunk inside
+// text, and the automata are search-bracketed. An overlap that is not
+// small against a sub-chunk (8·overlap > len/p) walks as one chunk.
 //
 //sfa:noalloc
-func (g *Lockstep) walk(c *lockCtx, text []byte, known bool) {
-	if g.threads < 2 || len(text) < streamSequentialMax {
-		c.p, c.known = 1, known
+func (g *Lockstep) walk(c *lockCtx, text []byte, known bool, overlap int) {
+	c.p, c.known, c.back = 1, known, 0
+	switch p := g.threads; {
+	case p < 2 || len(text) < streamSequentialMax:
+	case overlap == unknownSplit:
+		c.p, c.known = p, false
+	case 8*overlap <= len(text)/p:
+		c.p, c.back = p, max(overlap-1, 0)
+	}
+	if c.p == 1 {
 		lockstepRun(c.ms, known, text, c.locals, 1)
 		return
 	}
-	c.p, c.known, c.text = g.threads, false, text
+	c.text = text
 	dispatchChunks(c, &c.job, g.pool, false, c.p)
 	c.text = nil
 }
@@ -261,7 +289,8 @@ func (g *Lockstep) walk(c *lockCtx, text []byte, known bool) {
 func (c *lockCtx) localsOf(j int) []int32 { return c.locals[j*c.p : (j+1)*c.p] }
 
 // final returns the DFA state the j-th picked engine m reached from
-// D.Start over the pass's whole text.
+// D.Start over the pass's whole text (a MatchMasks walk, which is known
+// only as one chunk).
 func (c *lockCtx) final(j int, m *MultiSFA) int32 {
 	if c.known {
 		return c.locals[j]
@@ -306,7 +335,7 @@ func (g *Lockstep) MatchMasks(sel []int, text []byte, dsts [][]uint64) {
 	c := g.get()
 	if g.pick(c, sel) {
 		start := time.Now()
-		g.walk(c, text, true)
+		g.walk(c, text, true, unknownSplit)
 		for j, i := range c.idx {
 			m := g.eager[i]
 			copy(dsts[i][:m.words], m.row(c.final(j, m)))
@@ -326,19 +355,23 @@ func (g *Lockstep) MatchMasks(sel []int, text []byte, dsts [][]uint64) {
 
 // OrMasks is engines[i].OrMask(text, dsts[i]) for every i in sel: the
 // candidate-window primitive, for a window every selected engine must
-// verify. Like OrMask it books nothing: the caller times and counts the
-// block's windows.
+// verify, where no occurrence any of them must find is longer than
+// overlap bytes. Every sub-chunk's final mask row is ORed in (walk).
+// Like OrMask it books nothing: the caller times and counts the block's
+// windows.
 //
 //sfa:noalloc
-func (g *Lockstep) OrMasks(sel []int, text []byte, dsts [][]uint64) {
+func (g *Lockstep) OrMasks(sel []int, text []byte, overlap int, dsts [][]uint64) {
 	c := g.get()
 	if g.pick(c, sel) {
-		g.walk(c, text, true)
+		g.walk(c, text, true, overlap)
 		for j, i := range c.idx {
 			m := g.eager[i]
 			dst := dsts[i]
-			for w, bits := range m.row(c.final(j, m)) {
-				dst[w] |= bits
+			for _, q := range c.localsOf(j) {
+				for w, bits := range m.row(q) {
+					dst[w] |= bits
+				}
 			}
 		}
 	}
@@ -363,7 +396,7 @@ func (g *Lockstep) ComposeChunks(sel []int, curs, tmps [][]int16, chunk []byte) 
 	c := g.get()
 	if g.pick(c, sel) {
 		start := time.Now()
-		g.walk(c, chunk, false)
+		g.walk(c, chunk, false, unknownSplit)
 		for j, i := range c.idx {
 			m := g.eager[i]
 			curs[i], tmps[i] = composeLocals(m.s, curs[i], tmps[i], c.localsOf(j))

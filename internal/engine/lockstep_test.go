@@ -1,13 +1,16 @@
 package engine
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/dfa"
+	"repro/internal/regen"
 	"repro/internal/syntax"
 	"repro/internal/textgen"
 )
@@ -121,7 +124,7 @@ func checkLockstep(t *testing.T, g *Lockstep, ms []*MultiSFA, sel []int, in []by
 		wantCur[i] = slices.Clone(curs[i])
 	}
 	g.MatchMasks(sel, in, got)
-	g.OrMasks(sel, in, or)
+	g.OrMasks(sel, in, len(in), or)
 	g.ComposeChunks(sel, curs, tmps, in)
 	picked := make([]bool, k)
 	for _, i := range sel {
@@ -145,6 +148,116 @@ func checkLockstep(t *testing.T, g *Lockstep, ms []*MultiSFA, sel []int, in []by
 		if !slices.Equal(curs[i], c) {
 			t.Fatalf("%s: engine %d ComposeChunks mapping differs from the single fold", what, i)
 		}
+	}
+}
+
+// shortestOccurrence returns the shortest substring of w that d (a
+// whole-input DFA) accepts: an occurrence no proper substring of which is
+// an occurrence.
+func shortestOccurrence(d *dfa.DFA, w []byte) []byte {
+	for n := 0; n <= len(w); n++ {
+		for i := 0; i+n <= len(w); i++ {
+			if d.Accepts(w[i : i+n]) {
+				return w[i : i+n]
+			}
+		}
+	}
+	return nil
+}
+
+// TestOrMasksOverlapAgreesWithOneWalk is the overlapped split's
+// contract. Bounded regen patterns, search-bracketed, are given
+// occurrences with no shorter occurrence inside them; each is planted
+// in text of a byte no pattern matches, at every offset across every
+// sub-chunk cut, so it is the only occurrence there. For k ∈ {2, …, 5}
+// engines, p ∈ {2, 4}, lengths around 4 KiB and overlaps around the
+// one-chunk rule (8·overlap > len/p), OrMasks must give each engine the
+// mask of one walk of D over the whole text, split exactly when the
+// rule says so; with the overlap the longest occurrence, a sub-chunk
+// that re-walked one byte less would miss the occurrence ending at its
+// cut. No engine builds its D-SFA table or derives a mapping vector.
+func TestOrMasksOverlapAgreesWithOneWalk(t *testing.T) {
+	gen := regen.New(regen.Config{Alphabet: "abc", AllowClasses: true, AllowCounts: true}, 41)
+	var pats []string
+	var occs [][]byte
+	for len(pats) < 5 {
+		pat := gen.Pattern()
+		if strings.ContainsAny(pat, "*+") {
+			continue // unbounded
+		}
+		member, ok := gen.Member(syntax.MustParse(pat, 0), 64)
+		if !ok {
+			continue
+		}
+		if w := shortestOccurrence(dfa.MustCompilePattern(pat), member); len(w) >= 3 {
+			pats, occs = append(pats, pat), append(occs, w)
+		}
+	}
+	longest := 0
+	for _, w := range occs {
+		longest = max(longest, len(w))
+	}
+	verdicts := [2]int{}
+	for _, p := range []int{2, 4} {
+		pool := NewPool(2)
+		tasks := func() int64 { st := pool.Stats(); return st.Submitted + st.Inline }
+		ms := make([]*MultiSFA, len(pats))
+		engines := make([]ShardEngine, len(pats))
+		for i, pat := range pats {
+			ms[i] = lockstepEngine(t, pat, p, WithLayout(LayoutU16), WithPool(pool))
+			engines[i] = ms[i]
+		}
+		g := NewLockstep(engines)
+		for _, n := range []int{streamSequentialMax - 1, streamSequentialMax, streamSequentialMax + 1, 10007} {
+			overlaps := []int{longest}
+			if edge := n / p / 8; edge > longest {
+				overlaps = append(overlaps, edge, edge+1)
+			}
+			for j, w := range occs {
+				for i := 1; i < p; i++ {
+					cut, _ := span(n, p, i)
+					for at := cut - len(w); at <= cut; at++ {
+						text := bytes.Repeat([]byte{'x'}, n)
+						copy(text[at:], w)
+						for _, overlap := range overlaps {
+							split := n >= streamSequentialMax && 8*overlap <= n/p
+							for k := max(2, j+1); k <= len(ms); k++ {
+								sel := make([]int, k)
+								dsts := make([][]uint64, len(ms))
+								for e := range sel {
+									sel[e] = e
+									dsts[e] = []uint64{0}
+								}
+								before := tasks()
+								g.OrMasks(sel, text, overlap, dsts)
+								if ran := tasks() > before; ran != split {
+									t.Fatalf("p=%d len=%d overlap=%d: split %v, want %v", p, n, overlap, ran, split)
+								}
+								for e, m := range ms[:k] {
+									want := m.row(m.runDFA(text))[0]
+									if dsts[e][0] != want {
+										t.Fatalf("p=%d k=%d len=%d overlap=%d: %q planted at %d (cut %d), engine %d (%q): OrMasks %x, one walk %x",
+											p, k, n, overlap, w, at, cut, e, pats[e], dsts[e][0], want)
+									}
+									verdicts[want]++
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+		for i, m := range ms {
+			if tb, d := m.TableBytes(), int64(len(m.dtab))*2; tb != d {
+				t.Fatalf("p=%d engine %d: TableBytes %d, want D's table %d", p, i, tb, d)
+			}
+			if m.s.MemoryBytes() > int64(len(m.s.NextC))*4 {
+				t.Fatalf("p=%d engine %d derived its D-SFA's mapping vectors", p, i)
+			}
+		}
+	}
+	if verdicts[0] == 0 || verdicts[1] == 0 {
+		t.Fatalf("verdicts (reject, accept) = %v: the texts do not exercise both", verdicts)
 	}
 }
 
@@ -178,7 +291,7 @@ func TestLockstepAccounts(t *testing.T) {
 	}
 	g.MatchMasks([]int{0, 2, 3}, text, bufs)    // 0 and 2 walk together, 3 falls back
 	g.ComposeChunks([]int{1}, curs, tmps, text) // 1 alone: its own call
-	g.OrMasks([]int{0, 1, 2, 3}, text[:100], bufs)
+	g.OrMasks([]int{0, 1, 2, 3}, text[:100], 100, bufs)
 	for i, m := range ms {
 		inf := m.Info()
 		if inf.ScanChunks != 1 || inf.ScanBytes != int64(len(text)) || inf.CandWindows != 0 || inf.ComposeNs <= 0 {
@@ -209,9 +322,13 @@ func TestLockstepZeroAllocSteadyState(t *testing.T) {
 			curs[i], tmps[i] = make([]int16, m.MappingLen()), make([]int16, m.MappingLen())
 			m.InitMapping(curs[i])
 		}
+		// Engine 1's rule is unbounded; the others' occurrences are at
+		// most 47 bytes, so at p = 4 their 64 KiB window is split.
+		bounded := []int{0, 2, 3, 4}
 		pass := func() {
 			g.MatchMasks(sel, text, bufs)
-			g.OrMasks(sel, text[:300], bufs)
+			g.OrMasks(sel, text[:300], 300, bufs)
+			g.OrMasks(bounded, text, 47, bufs)
 			g.ComposeChunks(sel, curs, tmps, text)
 		}
 		pass() // warm the context pools

@@ -168,16 +168,7 @@ func (m *MultiSFA) sfaTables() *tables {
 		return t
 	}
 	m.sfaOnce.Do(func() {
-		t := &tables{}
-		switch m.layout {
-		case LayoutU8:
-			t.u8 = m.s.Table256U8()
-		case LayoutU16:
-			t.u16 = m.s.Table256U16()
-		case LayoutI32:
-			t.i32 = m.s.Table256()
-		}
-		m.sfaTab.Store(t)
+		m.sfaTab.Store(newTables(m.layout, m.s.NumStates, m.s.D.BC, m.s.NextC))
 	})
 	return m.sfaTab.Load()
 }

@@ -37,7 +37,6 @@ const (
 // interface.
 type shardEngine interface {
 	engine.ShardEngine // MatchMask, OrMask, ComposeChunk, Charge: what a lock-step pass falls back to, and the account it books
-	Match(text []byte) bool
 	Words() int
 
 	MappingLen() int

@@ -59,6 +59,16 @@ import (
 // literal prefixes are everywhere. The arm is chosen per block from
 // the measured cost of each (armCosts).
 //
+// The same contract lets a window be cut. At p > 1 threads a window of
+// 4 KiB or more — on the whole arm, every block — is walked by
+// engine.Lockstep.OrMasks in the engines' p sub-chunks, each backed up
+// over the bytes an occurrence crossing its cut can begin in (it is at
+// most maxLen long) and walked from D's start state. Every occurrence
+// then lies inside some sub-chunk and every sub-chunk inside the
+// window, so ORing the sub-chunks' verdicts is the window's: no window
+// walk starts unknown, at any p, and a set of window and prefix shards
+// never builds or reads a D-SFA table.
+//
 // A window shard whose engine is lazy is verified per rule, which is the
 // window contract instantiated for one rule at a time (k = 1). An
 // occurrence of rule r contains one of r's own literals, at some position
@@ -694,7 +704,8 @@ func (p *setPre) cascade(w *winState, gate []bool, tail, cur []byte, blo, bhi in
 // walk verifies the candidate spans in w.newsp[i] on every shard of sel
 // — shard i alone on the cascade arm, all window shards in one
 // lock-step pass on the whole arm — ORing verdicts into w.acc. maxLen
-// bounds an occurrence of any rule of those shards.
+// bounds an occurrence of any rule of those shards: it is also how far
+// a p > 1 lock-step pass overlaps the sub-chunks it cuts a window into.
 //
 //sfa:noalloc
 func (p *setPre) walk(s *Set, w *winState, tail, cur []byte, ahead, i int, sel []int, maxLen int) {
@@ -723,7 +734,7 @@ func (p *setPre) walk(s *Set, w *winState, tail, cur []byte, ahead, i int, sel [
 			if len(sel) == 1 {
 				s.shards[i].m.OrMask(piece, w.acc[i])
 			} else {
-				s.lock.OrMasks(sel, piece, w.acc)
+				s.lock.OrMasks(sel, piece, maxLen, w.acc)
 			}
 			for _, j := range sel {
 				w.walked[j] += int64(len(piece))

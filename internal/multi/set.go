@@ -2,6 +2,7 @@ package multi
 
 import (
 	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -80,6 +81,7 @@ func newSet(shards []*shard, rules int, pool *engine.Pool) *Set {
 		c := &scanCtx{
 			gate: make([]bool, len(shards)),
 			sel:  make([]int, 0, len(shards)),
+			mask: make([]uint64, s.words),
 		}
 		c.win.init(s)
 		c.win.acc = make([][]uint64, len(shards))
@@ -100,6 +102,7 @@ type scanCtx struct {
 	win  winState
 	gate []bool
 	sel  []int
+	mask []uint64 // Any's verdict, Words() long
 }
 
 // reset clears what a previous scan left behind.
@@ -131,12 +134,21 @@ func (s *Set) Words() int { return s.words }
 // value fans them out over up to that many pool workers (0 = all of
 // them; never fresh goroutines) at the cost of a few small allocations.
 func (s *Set) Scan(data []byte, workers int, dst []uint64) []uint64 {
+	c := s.ctxs.Get().(*scanCtx)
+	dst = s.scan(c, data, workers, dst)
+	s.ctxs.Put(c)
+	s.recordHeat(dst)
+	return dst
+}
+
+// scan is Scan on context c, without booking the verdict to the rule
+// heat.
+func (s *Set) scan(c *scanCtx, data []byte, workers int, dst []uint64) []uint64 {
 	dst = dst[:s.words]
 	clear(dst)
 	if workers <= 0 || workers > s.pool.Workers() {
 		workers = s.pool.Workers()
 	}
-	c := s.ctxs.Get().(*scanCtx)
 	c.reset()
 	p := s.pre
 	if p.active() {
@@ -169,8 +181,6 @@ func (s *Set) Scan(data []byte, workers int, dst []uint64) []uint64 {
 		}
 		sh.merge(dst, c.win.acc[i])
 	}
-	s.ctxs.Put(c)
-	s.recordHeat(dst)
 	return dst
 }
 
@@ -258,18 +268,15 @@ func (sh *shard) merge(dst, local []uint64) {
 	}
 }
 
-// Any reports whether any rule matches, scanning shards sequentially
-// with an early exit (each shard's pass is still chunk-parallel).
+// Any reports whether any rule matches: a Scan on the calling goroutine
+// into the context's own mask, so the prefilter applies and window and
+// prefix shards walk from known starts, that books nothing to the rule
+// heat.
 func (s *Set) Any(data []byte) bool {
-	for _, sh := range s.shards {
-		start := time.Now()
-		ok := sh.m.Match(data)
-		sh.charge(start, len(data))
-		if ok {
-			return true
-		}
-	}
-	return false
+	c := s.ctxs.Get().(*scanCtx)
+	hit := slices.ContainsFunc(s.scan(c, data, 1, c.mask), func(w uint64) bool { return w != 0 })
+	s.ctxs.Put(c)
+	return hit
 }
 
 // charge books one direct walk of n bytes by the shard's engine, begun at

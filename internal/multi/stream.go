@@ -317,7 +317,7 @@ func (st *SetStream) composeWindows(t *SetStream) {
 	}
 	if len(jbuf) > 0 {
 		p.candBytes.Add(int64(len(jbuf) * len(p.eagerWin)))
-		st.set.lock.OrMasks(p.eagerWin, jbuf, w.acc)
+		st.set.lock.OrMasks(p.eagerWin, jbuf, p.maxSpan/2, w.acc)
 		for _, i := range p.eagerWin {
 			st.set.shards[i].m.Charge(engine.Cost{Bytes: int64(len(jbuf)), Windows: 1})
 		}

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/prefilter"
 	"repro/internal/syntax"
 )
@@ -21,15 +22,16 @@ func dfaTableBytes(s *Set) int64 {
 	return n
 }
 
-// TestKnownStartSetHoldsOnlyDFATables: a p = 1 set whose shards are all
-// window or prefix shards never walks from an unknown start, so it builds
-// no D-SFA table and derives no D-SFA mapping vector — TableBytes stays
-// at Σ D tables and no shard's D-SFA holds vectors through one-shot scans
-// (in order and block-parallel), streamed writes, masks and resets, a
-// Compose tree, Shards and BuildReport; after a snapshot round trip the
-// tables stay D's. The verdicts stay the reference DFAs'. The same rules
-// at p = 2, scanned whole in blocks of 4 KiB or more, walk unknown
-// starts: the window shards derive their vectors then, once.
+// TestKnownStartSetHoldsOnlyDFATables: a set whose shards are all window
+// or prefix shards never walks from an unknown start, so it builds no
+// D-SFA table and derives no D-SFA mapping vector — TableBytes stays at
+// Σ D tables and no shard's D-SFA holds vectors through one-shot scans
+// (in order and block-parallel), Any, streamed writes, masks and resets,
+// a Compose tree, Shards and BuildReport; after a snapshot round trip the
+// tables stay D's. The verdicts stay the reference DFAs'. That holds at
+// p = 1 and at p = 2 with every block on the whole arm, where the window
+// shards' blocks of 4 KiB or more are cut into two sub-chunks that
+// overlap by the longest occurrence and start at D's start state.
 func TestKnownStartSetHoldsOnlyDFATables(t *testing.T) {
 	pats := armPool[:10] // windowable and begin-anchored rules only
 	a := compileArmSet(t, pats, Options{Threads: 1})
@@ -64,7 +66,10 @@ func TestKnownStartSetHoldsOnlyDFATables(t *testing.T) {
 				t.Fatalf("%s: Scan(workers=%d) %x, want %x", when, workers, m, want)
 			}
 		}
-		check(s, when+": Scan")
+		if hit := s.Any(in); hit != slices.ContainsFunc(want, func(w uint64) bool { return w != 0 }) {
+			t.Fatalf("%s: Any %v, want mask %x", when, hit, want)
+		}
+		check(s, when+": Scan and Any")
 		st := s.NewStream()
 		streamIn(st, in, sizes)
 		if m := st.Mask(got); !slices.Equal(m, want) {
@@ -90,32 +95,15 @@ func TestKnownStartSetHoldsOnlyDFATables(t *testing.T) {
 	scan(s, "built")
 
 	// p = 2, every block on the whole arm: the window shards walk blocks
-	// of 4 KiB or more in two chunks, and the reduction derives each one's
-	// vectors on the first; later scans reuse them.
-	p2 := compileArmSet(t, pats, Options{Threads: 2}).set
+	// of 4 KiB or more in two overlapping known-start sub-chunks on the
+	// pool, so nothing changes but the pool's task count.
+	pool := engine.NewPool(2)
+	p2 := compileArmSet(t, pats, Options{Threads: 2, Pool: pool}).set
 	p2.ForceArm(func(int64) bool { return true })
 	check(p2, "p = 2 build")
-	got := make([]uint64, p2.Words())
-	first := make(map[int]*int16)
-	for round := 0; round < 3; round++ {
-		if m := p2.Scan(in, 1, got); !slices.Equal(m, want) {
-			t.Fatalf("p = 2 scan %d: %x, want %x", round, m, want)
-		}
-		for _, i := range p2.pre.win {
-			ds := eagerEngine(p2.shards[i].m).SFA()
-			if !vectorsResident(ds) {
-				t.Fatalf("p = 2 scan %d: window shard %d derived no vectors", round, i)
-			}
-			v := &ds.Map(ds.Start)[0]
-			if round == 0 {
-				first[i] = v
-			} else if first[i] != v {
-				t.Fatalf("p = 2 scan %d: window shard %d derived its vectors again", round, i)
-			}
-		}
-	}
-	if len(first) == 0 {
-		t.Fatal("fixture has no window shards at p = 2")
+	scan(p2, "p = 2")
+	if st := pool.Stats(); st.Submitted+st.Inline == 0 {
+		t.Fatal("p = 2: no window walk was cut into sub-chunks")
 	}
 
 	keys := codecKeys(pats)
@@ -136,4 +124,12 @@ func TestKnownStartSetHoldsOnlyDFATables(t *testing.T) {
 	vectors = false // a decoded D-SFA keeps the vectors it decoded
 	check(loaded, "snapshot load")
 	scan(loaded, "loaded")
+	o.Threads, o.Pool = 2, pool
+	loaded2, err := DecodeSet(bytes.NewReader(buf.Bytes()), keys, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded2.ForceArm(func(int64) bool { return true })
+	check(loaded2, "p = 2 snapshot load")
+	scan(loaded2, "p = 2 loaded")
 }

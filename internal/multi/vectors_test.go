@@ -194,7 +194,8 @@ func TestDerivedVectorsMatchConstruction(t *testing.T) {
 
 // TestSaveBytesIndependentOfDerivation: a set saves the same bytes
 // whether its vectors were derived by its first Save or earlier by a
-// p = 2 scan, and both are the bytes TestConstructionGolden pins.
+// p = 2 scan (which derives them once: a second scan reuses them), and
+// both are the bytes TestConstructionGolden pins.
 func TestSaveBytesIndependentOfDerivation(t *testing.T) {
 	for _, g := range goldenSets {
 		t.Run(g.name, func(t *testing.T) {
@@ -231,9 +232,18 @@ func TestSaveBytesIndependentOfDerivation(t *testing.T) {
 			}
 			in := bytes.Repeat([]byte("GET /a.php?id=12 ababc union select 555-1234 x--y "), 200)
 			scanned.Scan(in, 1, make([]uint64, scanned.Words()))
+			first := make([]*int16, len(scanned.shards))
 			for i, sh := range scanned.shards {
-				if !vectorsResident(eagerEngine(sh.m).SFA()) {
+				ds := eagerEngine(sh.m).SFA()
+				if !vectorsResident(ds) {
 					t.Fatalf("shard %d: a p = 2 scan of %d bytes derived no vectors", i, len(in))
+				}
+				first[i] = &ds.Map(ds.Start)[0]
+			}
+			scanned.Scan(in, 1, make([]uint64, scanned.Words()))
+			for i, sh := range scanned.shards {
+				if ds := eagerEngine(sh.m).SFA(); &ds.Map(ds.Start)[0] != first[i] {
+					t.Fatalf("shard %d: a second p = 2 scan derived its vectors again", i)
 				}
 			}
 			if got := save(cold); got != g.sha {

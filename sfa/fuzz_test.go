@@ -15,15 +15,17 @@ import (
 // RuleSet, and the combined automaton's Scan must agree rule-for-rule
 // with the isolated per-rule engines — and, for the fuzzed rule itself,
 // with the Brzozowski-derivative oracle. The input repeated past 4 KiB
-// must then give the p = 2 set, whose first such scan derives its
-// D-SFAs' mapping vectors, the mask of a p = 1 twin. The same rules are then
+// must then give the p = 2 set, whose whole-input shards walk it in two
+// chunks from unknown starts (its first such scan derives their D-SFAs'
+// mapping vectors), the mask of a p = 1 twin. The same rules are then
 // compiled for substring search, where the literal prefilter arms and
 // the fixed rules land in window shards, and scanned and streamed with
 // the block driver forced through the arm schedule the arms byte spells
 // (bit b%8 set: block b bypasses the cascade and walks the window shards
 // whole; its high bits also size the stream's writes): the prefiltered
 // set must agree with the isolated engines whichever arm each block
-// takes.
+// takes, on the input and on the repetition (a window walk never starts
+// unknown; the isolated engines' p = 2 walks of the repetition do).
 func FuzzMatch(f *testing.F) {
 	f.Add("(ab)*", "abab", byte(0))
 	f.Add("a[ab]*b", "aabb", byte(0xff))
@@ -110,6 +112,13 @@ func FuzzMatch(f *testing.F) {
 		}
 		if m := st.Mask(make([]uint64, searched.MaskWords())); !reflect.DeepEqual(m, wantMask) {
 			t.Fatalf("pattern %q input %q arms %08b: streamed mask %x, isolated %x", pattern, input, arms, m, wantMask)
+		}
+		if len(in) > 0 {
+			long := bytes.Repeat(in, 4096/len(in)+1)
+			wantLong := oracle.MatchMask(long, make([]uint64, oracle.MaskWords()))
+			if m := searched.MatchMask(long, make([]uint64, searched.MaskWords())); !reflect.DeepEqual(m, wantLong) {
+				t.Fatalf("pattern %q input %q ×%d arms %08b: search mask %x, isolated %x", pattern, input, len(long)/len(in), arms, m, wantLong)
+			}
 		}
 	})
 }

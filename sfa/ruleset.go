@@ -582,9 +582,9 @@ func (rs *RuleSet) isolatedHits(data []byte, workers int) []bool {
 	return hits
 }
 
-// Any reports whether at least one rule matches. Combined shards carry
-// an any-rule accept bit, so this needs no mask handling and stops at
-// the first matching shard.
+// Any reports whether at least one rule matches. In combined mode it is
+// a MatchMask with any bit set, through the same prefilter and walks,
+// that books nothing to the rule heat.
 func (rs *RuleSet) Any(data []byte) bool {
 	if rs.isolated == nil {
 		return rs.set.Any(data)
