@@ -78,11 +78,9 @@ race:
 
 # Exercise the fuzz corpora for a few seconds so the oracle cross-checks
 # actually run somewhere — every fuzz target in the module, 10 s each:
-# FuzzMatch (combined vs isolated vs derivative oracle, a fresh
+# FuzzMatch (combined vs isolated vs derivative oracle, and a fresh
 # whole-input p = 2 set, whose scan of the input repeated past 4 KiB
-# derives its D-SFAs' mapping vectors, vs its p = 1 twin, and the
-# prefiltered search set on that repetition vs its isolated rules),
-# FuzzEngineAgreement
+# derives its D-SFAs' mapping vectors, vs its p = 1 twin), FuzzEngineAgreement
 # (the single-pattern engine vs the derivative oracle, and its known-start
 # DFA walk vs its D-SFA walk; the lazy engine vs both, one-shot and in
 # p = 2 chunks, also capped so that its walks cross evictions), FuzzPrefilter

@@ -263,8 +263,9 @@ const unknownSplit = -1
 // longer than overlap, so each sub-chunk backs up the overlap−1 bytes
 // an occurrence crossing its cut can begin in and walks D from D.Start:
 // every occurrence lies inside some sub-chunk, every sub-chunk inside
-// text, and the automata are search-bracketed. An overlap that is not
-// small against a sub-chunk (8·overlap > len/p) walks as one chunk.
+// text, and the automata are search-bracketed. A back-up that reaches
+// past the start of text clamps to it, so the bound needs no relation
+// to the sub-chunk length: at worst the sub-chunks re-walk prefixes.
 //
 //sfa:noalloc
 func (g *Lockstep) walk(c *lockCtx, text []byte, known bool, overlap int) {
@@ -273,7 +274,7 @@ func (g *Lockstep) walk(c *lockCtx, text []byte, known bool, overlap int) {
 	case p < 2 || len(text) < streamSequentialMax:
 	case overlap == unknownSplit:
 		c.p, c.known = p, false
-	case 8*overlap <= len(text)/p:
+	default:
 		c.p, c.back = p, max(overlap-1, 0)
 	}
 	if c.p == 1 {

@@ -268,15 +268,34 @@ func (sh *shard) merge(dst, local []uint64) {
 	}
 }
 
-// Any reports whether any rule matches: a Scan on the calling goroutine
-// into the context's own mask, so the prefilter applies and window and
-// prefix shards walk from known starts, that books nothing to the rule
-// heat.
+// Any reports whether any rule matches, booking nothing to the rule
+// heat. A set with window or prefix shards answers with a Scan on the
+// calling goroutine into the context's own mask, so those shards walk
+// only their windows and prefixes, from known starts. In any other set
+// every shard is a gate or full shard, whose walk covers the whole
+// input (a gate saves it only where none of its literals occur, for
+// the price of a matcher pass everywhere), so the shards walk one at a
+// time, each chunk-parallel, and the first that matches ends the call.
 func (s *Set) Any(data []byte) bool {
 	c := s.ctxs.Get().(*scanCtx)
-	hit := slices.ContainsFunc(s.scan(c, data, 1, c.mask), func(w uint64) bool { return w != 0 })
-	s.ctxs.Put(c)
-	return hit
+	defer s.ctxs.Put(c)
+	if p := s.pre; p != nil && (len(p.win) > 0 || p.prefix > 0) {
+		return anyBit(s.scan(c, data, 1, c.mask))
+	}
+	for i, sh := range s.shards {
+		start := time.Now()
+		hit := anyBit(sh.m.MatchMask(data, c.win.acc[i]))
+		sh.charge(start, len(data))
+		if hit {
+			return true
+		}
+	}
+	return false
+}
+
+// anyBit reports whether mask has a bit set.
+func anyBit(mask []uint64) bool {
+	return slices.ContainsFunc(mask, func(w uint64) bool { return w != 0 })
 }
 
 // charge books one direct walk of n bytes by the shard's engine, begun at

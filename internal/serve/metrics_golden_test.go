@@ -52,7 +52,11 @@ func goldenHub(t *testing.T) http.Handler {
 		}
 	}
 	do("PUT", "/v1/tenants/web", rulesText(t, promTestDefs()), http.StatusCreated)
-	do("PUT", "/v1/tenants/gaps", rulesText(t, lazyGapDefs(6)), http.StatusCreated)
+	// gapopen is unbounded, so it gates rather than windows: a payload
+	// that holds its literal walks its shard whole through the lazy
+	// tuple, which fills under the tenant's budget.
+	gaps := append(lazyGapDefs(6), sfa.RuleDef{Name: "gapopen", Pattern: "q00.{0,8}z00 +/etc"})
+	do("PUT", "/v1/tenants/gaps", rulesText(t, gaps), http.StatusCreated)
 	do("PUT", "/v1/tenants/gone", rulesText(t, stateDefs()), http.StatusCreated)
 	payload := strings.Repeat("innocent traffic ", 200) + "evil42payload beacon-host q00aaaaz00 /etc/passwd"
 	for i := 0; i < 3; i++ {
@@ -60,9 +64,8 @@ func goldenHub(t *testing.T) http.Handler {
 			do("POST", "/v1/tenants/"+name+"/scan", payload, http.StatusOK)
 		}
 	}
-	// Any is a scan behind the prefilter: the lazy tenant's rules are
-	// windowed and verified one at a time, so it builds no tuple and its
-	// budget stays empty.
+	// Any is a scan behind the prefilter: the windowed gap rules are
+	// verified one at a time, the gate shard walks the tuple again.
 	b, _ := hub.Tenant("gaps")
 	if !b.RuleSet().Any([]byte(payload)) {
 		t.Fatal("lazy tenant matched nothing")

@@ -582,9 +582,11 @@ func (rs *RuleSet) isolatedHits(data []byte, workers int) []bool {
 	return hits
 }
 
-// Any reports whether at least one rule matches. In combined mode it is
-// a MatchMask with any bit set, through the same prefilter and walks,
-// that books nothing to the rule heat.
+// Any reports whether at least one rule matches, booking nothing to the
+// rule heat. In combined mode a set with window or prefix shards
+// answers with a MatchMask through the same prefilter and walks; any
+// other set walks its shards one at a time and stops at the first that
+// matches.
 func (rs *RuleSet) Any(data []byte) bool {
 	if rs.isolated == nil {
 		return rs.set.Any(data)
