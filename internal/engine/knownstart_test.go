@@ -131,9 +131,11 @@ func checkKnownStart(t *testing.T, m *MultiSFA, d *dfa.DFA, texts [][]byte, what
 // checkKnownStartLockstep runs pairs of u16 engines of s through a
 // lock-step pass, where the mask forms walk D from D.Start below the
 // threshold and MatchMasks the D-SFA above it, and compares each with
-// the D-SFA reference. OrMasks is checked only where it is one walk of
-// D: its p > 1 split of 4 KiB or more needs search-bracketed automata,
-// which s need not be (TestOrMasksOverlapAgreesWithOneWalk covers it).
+// the D-SFA reference. OrMasks is checked only where every piece it
+// walks is the whole text — below 4 KiB, and at p = 1, where an overlap
+// of len(text) makes each quarter all of it: its p > 1 split of 4 KiB
+// or more needs search-bracketed automata, which s need not be
+// (TestOrMasksOverlapAgreesWithOneWalk covers it).
 func checkKnownStartLockstep(t *testing.T, s *core.DSFA, texts [][]byte, what string) {
 	t.Helper()
 	for _, p := range []int{1, 2, 4} {

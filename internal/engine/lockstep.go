@@ -6,38 +6,52 @@ import (
 	"time"
 )
 
-// Lock-step walking: k table walks over one byte slice in a single loop.
+// Lock-step walking: several table walks in a single loop.
 //
 // A table walk is a serial load-to-load chain — the next lookup's
 // address is the previous lookup's result — so one walk is bound by
 // load latency and leaves the load ports idle. Every walk here starts
 // from a state known without looking at the input — D.Start for a walk
-// of the whole slice or for a candidate window's p > 1 sub-chunk, the
-// D-SFA's identity for any other p > 1 sub-chunk or a carried-mapping
-// chunk — so the k shards of a rule set give k *independent* chains over
-// the same byte: their loads overlap, and k shards cost little more than
-// one (the idea Ko et al. apply to k speculative start states of one
-// DFA, applied here to k automata with one certain start each).
+// of the whole slice or of a bounded pass's piece, the D-SFA's identity
+// for any other p > 1 sub-chunk or a carried-mapping chunk — so the k
+// shards of a rule set give k *independent* chains over the same byte:
+// their loads overlap, and k shards cost little more than one (the idea
+// Ko et al. apply to k speculative start states of one DFA, applied
+// here to k automata with one certain start each).
 //
-// A candidate window needs no unknown start even when it is cut: its
-// shards' occurrences are bounded (the window contract of
-// internal/multi/prefilter.go), so OrMasks overlaps its p > 1 sub-chunks
-// by them and walks each from D.Start (walk). No window walk reads the
-// D-SFA, at any p.
+// A bounded pass (OrMasks: a candidate window, where no occurrence is
+// longer than the caller's overlap — the window contract of
+// internal/multi/prefilter.go) needs no unknown start even when it is
+// cut, and cuts twice. At p > 1 a window of 4 KiB or more is split into
+// the engines' p sub-chunks, each backed up over the overlap−1 bytes an
+// occurrence crossing its cut can begin in and walked from D.Start on
+// the pool. Inside each such piece — the whole window at p = 1 — the
+// engines walk in groups of four over the same bytes, and each engine
+// left over walks four overlapped quarters of the piece in one loop
+// (quarterRun): four chains again, so three live shards cost what
+// three-quarters of one four-wide pass does rather than a whole
+// three-wide one, and a lone shard a quarter of its own walk. Groups of
+// four keep the one-text kernel, which loads one byte per step where
+// the quartered kernel loads four. No bounded pass reads the D-SFA, at
+// any p.
 //
-// The kernels are specialised for the u16 layout — the only layout a
+// Every engine with D's 256-wide table (every layout but the class
+// table) joins bounded passes, since those walk only D. Passes that may
+// start unknown — MatchMasks, whose p > 1 sub-chunks walk the D-SFA,
+// and ComposeChunks — are specialised for the u16 layout, the only one a
 // shard of more than 256 states resolves to under the default shard
-// budget — at widths 2, 3 and 4; more than four engines take ⌈k/4⌉
-// passes. Everything else (lazy engines, other layouts, spawn mode, a
-// lone engine) falls back to that engine's own single walk, so a
-// Lockstep pass is always verdict-identical to the k separate calls it
-// replaces: the kernels only produce final DFA states (a walk of D from
-// D.Start) or chunk-final D-SFA states, and the mask-row / ApplyVec /
-// ComposeVec steps that consume them are the ones the single-engine
-// paths run.
+// budget, at widths 2, 3 and 4, with ⌈k/4⌉ passes for more than four
+// engines. Everything else (lazy engines, the class table, spawn mode, a
+// lone engine of an unbounded pass) falls back to that engine's own
+// single walk, so a Lockstep pass is always verdict-identical to the k
+// separate calls it replaces: the kernels only produce final DFA states
+// (a walk of D from D.Start) or chunk-final D-SFA states, and the
+// mask-row / ApplyVec / ComposeVec steps that consume them are the ones
+// the single-engine paths run.
 
-// lockstepWidth is the widest kernel: how many engines one pass of the
-// byte slice advances (BenchmarkLockstepWalk_k*, README).
+// lockstepWidth is the widest kernel: how many chains one pass of the
+// byte slice advances — engines over one text, or quarters of one
+// engine's text (BenchmarkLockstepWalk_k*, README).
 const lockstepWidth = 4
 
 func run256U16x2(t0, t1 []uint16, s0, s1 int32, text []byte) (int32, int32) {
@@ -74,6 +88,57 @@ func run256U16x4(t0, t1, t2, t3 []uint16, s0, s1, s2, s3 int32, text []byte) (in
 	return int32(q0), int32(q1), int32(q2), int32(q3)
 }
 
+// run256U16Quarters is four chains through one table, each over its
+// own text, the texts of equal length: lane l walks x_l from s. The
+// loop is unrolled twice; one table keeps every live value in a
+// register, where a table per lane spills to the stack.
+func run256U16Quarters(t []uint16, s int32, x0, x1, x2, x3 []byte) (int32, int32, int32, int32) {
+	q0 := uint32(uint16(s))
+	q1, q2, q3 := q0, q0, q0
+	n := len(x0)
+	x1, x2, x3 = x1[:n], x2[:n], x3[:n]
+	i := 0
+	for ; i+2 <= n; i += 2 {
+		q0 = uint32(t[q0<<8|uint32(x0[i])])
+		q1 = uint32(t[q1<<8|uint32(x1[i])])
+		q2 = uint32(t[q2<<8|uint32(x2[i])])
+		q3 = uint32(t[q3<<8|uint32(x3[i])])
+		q0 = uint32(t[q0<<8|uint32(x0[i+1])])
+		q1 = uint32(t[q1<<8|uint32(x1[i+1])])
+		q2 = uint32(t[q2<<8|uint32(x2[i+1])])
+		q3 = uint32(t[q3<<8|uint32(x3[i+1])])
+	}
+	if i < n {
+		q0 = uint32(t[q0<<8|uint32(x0[i])])
+		q1 = uint32(t[q1<<8|uint32(x1[i])])
+		q2 = uint32(t[q2<<8|uint32(x2[i])])
+		q3 = uint32(t[q3<<8|uint32(x3[i])])
+	}
+	return int32(q0), int32(q1), int32(q2), int32(q3)
+}
+
+// quarterRun walks m's D from D.Start over text as four overlapped
+// quarters in one loop and stores quarter l's final state in out[l].
+// Quarter l ends where the l-th of four even spans of text ends, hi_l,
+// and all four are L = min(n, ⌈n/4⌉ + back) bytes long — text[hi_l−L :
+// hi_l], or text[:L] where hi_l < L — so each reaches back bytes before
+// its span and no pass is longer than the unsplit walk. An occurrence at
+// most back+1 bytes long lies inside the quarter whose span holds its
+// last byte.
+//
+//sfa:noalloc
+func quarterRun(m *MultiSFA, text []byte, back int, out []int32) {
+	n := len(text)
+	l := min(n, (n+lockstepWidth-1)/lockstepWidth+back)
+	var x [lockstepWidth][]byte
+	for i := range x {
+		_, hi := span(n, lockstepWidth, i)
+		lo := max(hi-l, 0)
+		x[i] = text[lo : lo+l]
+	}
+	out[0], out[1], out[2], out[3] = run256U16Quarters(m.dtab, m.s.D.Start, x[0], x[1], x[2], x[3])
+}
+
 // walkTable is the u16 table and start state of one engine's walk: D's
 // own from D.Start when the start is known, else the D-SFA's from its
 // identity.
@@ -84,10 +149,10 @@ func (m *MultiSFA) walkTable(known bool) ([]uint16, int32) {
 	return m.sfaTables().u16, m.s.Start
 }
 
-// lockstepRun walks every engine of ms (all LayoutU16) over text,
-// lockstepWidth at a time, and stores engine j's final state in
-// out[j*stride]: the DFA state text reaches from D.Start when known is
-// set, else the chunk-final D-SFA state.
+// lockstepRun walks every engine of ms over text, lockstepWidth at a
+// time, and stores engine j's final state in out[j*stride]: the DFA
+// state text reaches from D.Start when known is set, else the
+// chunk-final D-SFA state (the engines are then all LayoutU16).
 //
 //sfa:noalloc
 func lockstepRun(ms []*MultiSFA, known bool, text []byte, out []int32, stride int) {
@@ -148,7 +213,10 @@ type ShardEngine interface {
 // for every engine at once.
 type Lockstep struct {
 	engines []ShardEngine
-	eager   []*MultiSFA // eager[i] != nil iff engine i can join a lock-step walk
+	// eager[i] != nil iff engine i can join a lock-step walk: a bounded
+	// pass (D only) when it has D's 256-wide table, any pass when it is
+	// also LayoutU16.
+	eager   []*MultiSFA
 	threads int
 	pool    *Pool
 	// Pass scratch. spare keeps one context out of the garbage
@@ -160,14 +228,16 @@ type Lockstep struct {
 }
 
 // NewLockstep groups engines for lock-step passes. An engine joins the
-// shared walk when it is an eager MultiSFA in the u16 layout on the
-// pooled dispatch path, with the same thread count and pool as the
-// first such engine; every other engine is served by its own methods.
+// shared walk when it is an eager MultiSFA with D's 256-wide table on
+// the pooled dispatch path, with the same thread count and pool as the
+// first such engine — of the passes that may start unknown, only when
+// it is in the u16 layout; every other engine is served by its own
+// methods.
 func NewLockstep(engines []ShardEngine) *Lockstep {
 	g := &Lockstep{engines: engines, eager: make([]*MultiSFA, len(engines))}
 	for i, e := range engines {
 		m, ok := e.(*MultiSFA)
-		if !ok || m.layout != LayoutU16 || m.spawn {
+		if !ok || m.dtab == nil || m.spawn {
 			continue
 		}
 		if g.pool == nil {
@@ -185,7 +255,7 @@ func NewLockstep(engines []ShardEngine) *Lockstep {
 		return &lockCtx{
 			ms:     make([]*MultiSFA, 0, k),
 			idx:    make([]int, 0, k),
-			locals: make([]int32, k*p),
+			locals: make([]int32, k*p*lockstepWidth),
 		}
 	}
 	return g
@@ -208,20 +278,26 @@ func (g *Lockstep) put(c *lockCtx) {
 func (g *Lockstep) Threads() int { return g.threads }
 
 // lockCtx is one pass's scratch: the engines walking together, their
-// indices, and the k×p chunk-final states, engine-major, so that engine
-// j's are the contiguous locals the single-engine folds take. known is
-// set when every chunk of the pass walked D from D.Start, so each local
-// is a final DFA state: of the whole text at p = 1, of a sub-chunk that
-// re-walks the back bytes before its cut at p > 1 (OrMasks only).
+// indices, and their final states, engine-major — engine j's p×lanes
+// states, lanes per chunk, so that with one lane they are the contiguous
+// chunk locals the single-engine folds take. known is set when every
+// chunk of the pass walked D from D.Start, so each local is a final DFA
+// state: of the whole text at p = 1, of a sub-chunk that re-walks the
+// back bytes before its cut at p > 1 (OrMasks only). In a quartered pass
+// (lanes = lockstepWidth) the first grouped engines walk each chunk in
+// groups of four and write lane 0 of it; every later one walks it as
+// four quarters (quarterRun), one per lane.
 type lockCtx struct {
-	job    jobState
-	text   []byte
-	p      int
-	known  bool
-	back   int
-	ms     []*MultiSFA
-	idx    []int
-	locals []int32
+	job     jobState
+	text    []byte
+	p       int
+	known   bool
+	back    int
+	lanes   int
+	grouped int
+	ms      []*MultiSFA
+	idx     []int
+	locals  []int32
 }
 
 func (c *lockCtx) runChunk(i int) {
@@ -229,23 +305,29 @@ func (c *lockCtx) runChunk(i int) {
 	if c.known {
 		lo = max(lo-c.back, 0)
 	}
-	lockstepRun(c.ms, c.known, c.text[lo:hi], c.locals[i:], c.p)
+	text, out, stride := c.text[lo:hi], c.locals[i*c.lanes:], c.p*c.lanes
+	lockstepRun(c.ms[:c.grouped], c.known, text, out, stride)
+	for j := c.grouped; j < len(c.ms); j++ {
+		quarterRun(c.ms[j], text, c.back, out[j*stride:])
+	}
 }
 
 // pick selects the members of sel that walk together into c.ms / c.idx
-// — none when fewer than two can, since a lone engine's own walk is the
-// same loop — and reports whether there are any.
+// and reports whether there are any. A bounded pass takes every eager
+// engine, even a lone one, which it walks as quarters; any other pass
+// takes the u16 ones, and none when fewer than two can, since a lone
+// engine's own walk is the same loop.
 //
 //sfa:noalloc
-func (g *Lockstep) pick(c *lockCtx, sel []int) bool {
+func (g *Lockstep) pick(c *lockCtx, sel []int, bounded bool) bool {
 	c.ms, c.idx = c.ms[:0], c.idx[:0]
 	for _, i := range sel {
-		if m := g.eager[i]; m != nil {
+		if m := g.eager[i]; m != nil && (bounded || m.layout == LayoutU16) {
 			c.ms = append(c.ms, m)
 			c.idx = append(c.idx, i)
 		}
 	}
-	if len(c.ms) < 2 {
+	if !bounded && len(c.ms) < 2 {
 		c.ms, c.idx = c.ms[:0], c.idx[:0]
 	}
 	return len(c.idx) > 0
@@ -255,39 +337,49 @@ func (g *Lockstep) pick(c *lockCtx, sel []int) bool {
 // unknown: they walk the D-SFA from its identity.
 const unknownSplit = -1
 
-// walk runs the picked engines over text: as one chunk at p = 1 or
-// below streamSequentialMax — D's own walk from D.Start when known is
-// set (the mask forms), the D-SFA's for ComposeChunks, which needs the
-// mapping — else in the engines' p sub-chunks on the pool. These start
-// unknown when overlap is unknownSplit. Otherwise no occurrence is
-// longer than overlap, so each sub-chunk backs up the overlap−1 bytes
-// an occurrence crossing its cut can begin in and walks D from D.Start:
-// every occurrence lies inside some sub-chunk, every sub-chunk inside
-// text, and the automata are search-bracketed. A back-up that reaches
-// past the start of text clamps to it, so the bound needs no relation
-// to the sub-chunk length: at worst the sub-chunks re-walk prefixes.
+// walk runs the picked engines over text. Below streamSequentialMax it
+// is one chunk on the calling goroutine — D's own walk from D.Start when
+// known is set (the mask forms), the D-SFA's for ComposeChunks, which
+// needs the mapping — and so is an unbounded pass (overlap unknownSplit)
+// at p = 1; at p > 1 that one cuts text into the engines' p sub-chunks,
+// which start unknown. A bounded pass of 4 KiB or more has no occurrence
+// longer than overlap: it cuts text into the p sub-chunks (one at p = 1),
+// each backed up over the overlap−1 bytes an occurrence crossing its cut
+// can begin in and walked from D.Start, and quarters each the same way
+// for the engines outside the groups of four (runChunk). Every
+// occurrence lies inside some piece, every piece inside text, and the
+// automata are search-bracketed. A back-up that reaches past the start
+// of text clamps to it, so the bound needs no relation to the piece
+// length: at worst the pieces re-walk prefixes.
 //
 //sfa:noalloc
 func (g *Lockstep) walk(c *lockCtx, text []byte, known bool, overlap int) {
-	c.p, c.known, c.back = 1, known, 0
+	c.p, c.known, c.back, c.lanes, c.grouped = 1, known, 0, 1, len(c.ms)
 	switch p := g.threads; {
-	case p < 2 || len(text) < streamSequentialMax:
+	case len(text) < streamSequentialMax:
 	case overlap == unknownSplit:
-		c.p, c.known = p, false
+		if p > 1 {
+			c.p, c.known = p, false
+		}
 	default:
-		c.p, c.back = p, max(overlap-1, 0)
-	}
-	if c.p == 1 {
-		lockstepRun(c.ms, known, text, c.locals, 1)
-		return
+		c.p, c.back, c.lanes = p, max(overlap-1, 0), lockstepWidth
+		c.grouped -= len(c.ms) % lockstepWidth
 	}
 	c.text = text
-	dispatchChunks(c, &c.job, g.pool, false, c.p)
+	if c.p == 1 {
+		c.runChunk(0)
+	} else {
+		dispatchChunks(c, &c.job, g.pool, false, c.p)
+	}
 	c.text = nil
 }
 
-// localsOf returns the sub-chunk states of the j-th picked engine.
-func (c *lockCtx) localsOf(j int) []int32 { return c.locals[j*c.p : (j+1)*c.p] }
+// localsOf returns the states of the j-th picked engine: its sub-chunk
+// states, lanes apiece.
+func (c *lockCtx) localsOf(j int) []int32 {
+	n := c.p * c.lanes
+	return c.locals[j*n : (j+1)*n]
+}
 
 // final returns the DFA state the j-th picked engine m reached from
 // D.Start over the pass's whole text (a MatchMasks walk, which is known
@@ -334,7 +426,7 @@ func (g *Lockstep) MatchMasks(sel []int, text []byte, dsts [][]uint64) {
 		return
 	}
 	c := g.get()
-	if g.pick(c, sel) {
+	if g.pick(c, sel, false) {
 		start := time.Now()
 		g.walk(c, text, true, unknownSplit)
 		for j, i := range c.idx {
@@ -357,20 +449,28 @@ func (g *Lockstep) MatchMasks(sel []int, text []byte, dsts [][]uint64) {
 // OrMasks is engines[i].OrMask(text, dsts[i]) for every i in sel: the
 // candidate-window primitive, for a window every selected engine must
 // verify, where no occurrence any of them must find is longer than
-// overlap bytes. Every sub-chunk's final mask row is ORed in (walk).
-// Like OrMask it books nothing: the caller times and counts the block's
-// windows.
+// overlap bytes. The final mask row of every piece the window was cut
+// into is ORed in (walk). A lone engine's window under 4 KiB is its own
+// OrMask, called directly. Like OrMask it books nothing: the caller
+// times and counts the block's windows.
 //
 //sfa:noalloc
 func (g *Lockstep) OrMasks(sel []int, text []byte, overlap int, dsts [][]uint64) {
+	if len(sel) == 1 && len(text) < streamSequentialMax {
+		g.engines[sel[0]].OrMask(text, dsts[sel[0]])
+		return
+	}
 	c := g.get()
-	if g.pick(c, sel) {
+	if g.pick(c, sel, true) {
 		g.walk(c, text, true, overlap)
 		for j, i := range c.idx {
-			m := g.eager[i]
-			dst := dsts[i]
-			for _, q := range c.localsOf(j) {
-				for w, bits := range m.row(q) {
+			m, dst, step := g.eager[i], dsts[i], 1
+			if j < c.grouped {
+				step = c.lanes // a grouped engine wrote lane 0 of each chunk
+			}
+			qs := c.localsOf(j)
+			for x := 0; x < len(qs); x += step {
+				for w, bits := range m.row(qs[x]) {
 					dst[w] |= bits
 				}
 			}
@@ -395,7 +495,7 @@ func (g *Lockstep) ComposeChunks(sel []int, curs, tmps [][]int16, chunk []byte) 
 		return
 	}
 	c := g.get()
-	if g.pick(c, sel) {
+	if g.pick(c, sel, false) {
 		start := time.Now()
 		g.walk(c, chunk, false, unknownSplit)
 		for j, i := range c.idx {

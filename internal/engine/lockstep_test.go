@@ -53,11 +53,11 @@ func lockstepEngine(t testing.TB, pattern string, threads int, opts ...Option) *
 }
 
 // TestLockstepAgreesWithSingleWalks is the kernel's contract: for k in
-// 1…9 engines — all u16, or mixed with u8, i32, class-table and
-// spawn-mode engines that must fall back — every subset selection gives
-// exactly what k single MatchMask / OrMask / ComposeChunk calls give,
-// at every thread count and for inputs on both sides of the sequential
-// threshold.
+// 1…9 engines — all u16, or mixed with u8 and i32 engines, which join
+// only bounded passes, and class-table and spawn-mode engines, which
+// always fall back — every subset selection gives exactly what k single
+// MatchMask / OrMask / ComposeChunk calls give, at every thread count
+// and for inputs on both sides of the sequential threshold.
 func TestLockstepAgreesWithSingleWalks(t *testing.T) {
 	traffic, _ := textgen.Traffic{SuspiciousPerMille: 30}.Generate(40<<10, 5)
 	inputs := [][]byte{nil, traffic[:1], traffic[:97], traffic[:4095], traffic[:4097], traffic}
@@ -167,22 +167,55 @@ func shortestOccurrence(d *dfa.DFA, w []byte) []byte {
 	return nil
 }
 
-// TestOrMasksOverlapAgreesWithOneWalk is the overlapped split's
-// contract. Bounded regen patterns, search-bracketed, are given
-// occurrences with no shorter occurrence inside them; each is planted
-// in text of a byte no pattern matches, at every offset across every
-// sub-chunk cut, so it is the only occurrence there. For k ∈ {2, …, 5}
-// engines, p ∈ {2, 4} and lengths around 4 KiB, OrMasks must give each
-// engine the mask of one walk of D over the whole text, split from
-// 4 KiB on. With the overlap the longest occurrence, a sub-chunk that
-// re-walked one byte less would miss the occurrence ending at its cut;
-// with the overlap the whole text, every back-up clamps at the start.
-// No engine builds its D-SFA table or derives a mapping vector.
+// quarteredEngines is how many engines g's last pass walked as
+// quarters: the lane count a test can see at p = 1, where no pool task
+// shows the cut.
+func quarteredEngines(g *Lockstep) int {
+	c := g.spare.Load()
+	if c == nil || c.lanes != lockstepWidth {
+		return 0
+	}
+	return len(c.ms) - c.grouped
+}
+
+// boundedCuts lists every place a bounded pass over n bytes at p
+// threads with the given back-up cuts its text: the p sub-chunk cuts
+// and, inside each backed-up sub-chunk, the three quarter cuts.
+func boundedCuts(n, p, back int) []int {
+	var cuts []int
+	for i := 0; i < p; i++ {
+		lo, hi := span(n, p, i)
+		if i > 0 {
+			cuts = append(cuts, lo)
+		}
+		lo = max(lo-back, 0)
+		for l := 0; l < lockstepWidth-1; l++ {
+			_, q := span(hi-lo, lockstepWidth, l)
+			cuts = append(cuts, lo+q)
+		}
+	}
+	return cuts
+}
+
+// TestOrMasksOverlapAgreesWithOneWalk is the bounded pass's contract.
+// Bounded regen patterns and Host's, search-bracketed, are given
+// occurrences with no shorter occurrence inside them (3 to 47 bytes);
+// each is planted in text of a byte no pattern matches, at every offset
+// across every cut — sub-chunk and quarter. For k ∈ {1, 2, 3, 5, 6}
+// engines (groups of four and engines left over, with the planted
+// pattern's engine among the grouped and among the quartered), p ∈ {1,
+// 2, 4} and lengths around 4 KiB and past 64 KiB, OrMasks must give each
+// engine the mask of one walk of D over the whole text, cut from 4 KiB
+// on (pool tasks at p > 1, quartered engines at every p). With the
+// overlap the longest occurrence, a piece that re-walked one byte less
+// would miss the occurrence ending just past its cut; with the overlap
+// the whole text, every back-up clamps at the start. No engine builds
+// its D-SFA table or derives a mapping vector.
 func TestOrMasksOverlapAgreesWithOneWalk(t *testing.T) {
 	gen := regen.New(regen.Config{Alphabet: "abc", AllowClasses: true, AllowCounts: true}, 41)
 	var pats []string
 	var occs [][]byte
-	for len(pats) < 5 {
+	for len(pats) < 6 {
 		pat := gen.Pattern()
 		if strings.ContainsAny(pat, "*+") {
 			continue // unbounded
@@ -195,12 +228,16 @@ func TestOrMasksOverlapAgreesWithOneWalk(t *testing.T) {
 			pats, occs = append(pats, pat), append(occs, w)
 		}
 	}
+	// The regen occurrences are a few bytes long; Host's is 47, so its
+	// back-up is long against a quarter (1 KiB of a 4 KiB window).
+	pats = append(pats, lockstepPatterns[0])
+	occs = append(occs, []byte("Host: "+strings.Repeat("a", 40)+"\n"))
 	longest := 0
 	for _, w := range occs {
 		longest = max(longest, len(w))
 	}
 	verdicts := [2]int{}
-	for _, p := range []int{2, 4} {
+	for _, p := range []int{1, 2, 4} {
 		pool := NewPool(2)
 		tasks := func() int64 { st := pool.Stats(); return st.Submitted + st.Inline }
 		ms := make([]*MultiSFA, len(pats))
@@ -210,34 +247,63 @@ func TestOrMasksOverlapAgreesWithOneWalk(t *testing.T) {
 			engines[i] = ms[i]
 		}
 		g := NewLockstep(engines)
-		for _, n := range []int{streamSequentialMax - 1, streamSequentialMax, streamSequentialMax + 1, 10007} {
-			split := n >= streamSequentialMax
+		lengths := []int{streamSequentialMax - 1, streamSequentialMax, 64<<10 + 298}
+		if p > 1 {
+			lengths = []int{streamSequentialMax - 1, streamSequentialMax, streamSequentialMax + 1, 10007}
+		}
+		for _, n := range lengths {
+			cut := n >= streamSequentialMax
 			for j, w := range occs {
-				for i := 1; i < p; i++ {
-					cut, _ := span(n, p, i)
-					for at := cut - len(w); at <= cut; at++ {
+				if raceEnabled && len(w) < longest {
+					continue // the tight back-up alone: -race runs ten times slower
+				}
+				for _, at0 := range boundedCuts(n, p, longest-1) {
+					for at := max(at0-len(w), 0); at <= min(at0, n-len(w)); at++ {
 						text := bytes.Repeat([]byte{'x'}, n)
 						copy(text[at:], w)
-						for _, overlap := range []int{longest, n} {
-							for k := max(2, j+1); k <= len(ms); k++ {
-								sel := make([]int, k)
-								dsts := make([][]uint64, len(ms))
-								for e := range sel {
-									sel[e] = e
-									dsts[e] = []uint64{0}
+						want := make([]uint64, len(ms))
+						for e, m := range ms {
+							want[e] = m.row(m.runDFA(text))[0]
+						}
+						overlaps := []int{longest}
+						if at == at0 {
+							overlaps = append(overlaps, n) // once per cut: every piece is the whole text
+						}
+						for _, overlap := range overlaps {
+							for _, k := range []int{1, 2, 3, 5, 6} {
+								// Engine j first (grouped when k > 4) and, when
+								// that is another place, last (quartered).
+								orders := []bool{false}
+								if k > lockstepWidth {
+									orders = append(orders, true)
 								}
-								before := tasks()
-								g.OrMasks(sel, text, overlap, dsts)
-								if ran := tasks() > before; ran != split {
-									t.Fatalf("p=%d len=%d overlap=%d: split %v, want %v", p, n, overlap, ran, split)
-								}
-								for e, m := range ms[:k] {
-									want := m.row(m.runDFA(text))[0]
-									if dsts[e][0] != want {
-										t.Fatalf("p=%d k=%d len=%d overlap=%d: %q planted at %d (cut %d), engine %d (%q): OrMasks %x, one walk %x",
-											p, k, n, overlap, w, at, cut, e, pats[e], dsts[e][0], want)
+								for _, last := range orders {
+									sel := make([]int, k)
+									for e := range sel {
+										sel[e] = (j + e) % len(ms)
 									}
-									verdicts[want]++
+									if last {
+										slices.Reverse(sel)
+									}
+									dsts := make([][]uint64, len(ms))
+									for e := range dsts {
+										dsts[e] = []uint64{0}
+									}
+									before := tasks()
+									g.OrMasks(sel, text, overlap, dsts)
+									if ran := tasks() > before; ran != (cut && p > 1) {
+										t.Fatalf("p=%d len=%d overlap=%d: split %v, want %v", p, n, overlap, ran, cut && p > 1)
+									}
+									if q, want := quarteredEngines(g), k%lockstepWidth; cut && q != want || !cut && q != 0 {
+										t.Fatalf("p=%d k=%d len=%d: %d engines walked as quarters", p, k, n, q)
+									}
+									for _, e := range sel {
+										if dsts[e][0] != want[e] {
+											t.Fatalf("p=%d k=%d sel=%v len=%d overlap=%d: %q planted at %d (cut %d), engine %d (%q): OrMasks %x, one walk %x",
+												p, k, sel, n, overlap, w, at, at0, e, pats[e], dsts[e][0], want[e])
+										}
+										verdicts[want[e]]++
+									}
 								}
 							}
 						}
@@ -259,11 +325,69 @@ func TestOrMasksOverlapAgreesWithOneWalk(t *testing.T) {
 	}
 }
 
+// TestBoundedPassTakesEveryEagerEngine: a bounded pass takes a lone
+// engine, and engines of every layout with D's 256-wide table, into its
+// cut — one u16 engine, u8 engines, an i32 engine beside a u16 one —
+// at p = 1 (the lane count shows the quarters) and p = 2 (the pool
+// shows the sub-chunks), with each engine's verdict that of one walk of
+// D over a 64 KiB window.
+func TestBoundedPassTakesEveryEagerEngine(t *testing.T) {
+	// Every pattern but Content-Length's is bounded; Host's occurrences
+	// are the longest, 47 bytes.
+	text, _ := textgen.Traffic{SuspiciousPerMille: 30}.Generate(64<<10, 3)
+	for _, p := range []int{1, 2} {
+		pool := NewPool(2)
+		tasks := func() int64 { st := pool.Stats(); return st.Submitted + st.Inline }
+		sets := []struct {
+			name   string
+			pats   []int
+			layout []TableLayout
+		}{
+			{"one u16", []int{0}, []TableLayout{LayoutU16}},
+			{"u8", []int{3, 5, 8}, []TableLayout{LayoutU8, LayoutU8, LayoutU8}},
+			{"i32 and u16", []int{2, 7}, []TableLayout{LayoutI32, LayoutU16}},
+		}
+		for _, set := range sets {
+			var engines []ShardEngine
+			var ms []*MultiSFA
+			sel := make([]int, len(set.pats))
+			for e, pi := range set.pats {
+				m := lockstepEngine(t, lockstepPatterns[pi], p, WithLayout(set.layout[e]), WithPool(pool))
+				if m.Layout() != set.layout[e] {
+					t.Fatalf("%s: engine %d resolved to %s", set.name, e, m.Layout())
+				}
+				engines, ms, sel[e] = append(engines, m), append(ms, m), e
+			}
+			g := NewLockstep(engines)
+			dsts := make([][]uint64, len(ms))
+			for e := range dsts {
+				dsts[e] = []uint64{0}
+			}
+			before := tasks()
+			g.OrMasks(sel, text, 47, dsts)
+			if ran := tasks() > before; ran != (p > 1) {
+				t.Fatalf("p=%d %s: pool tasks ran %v", p, set.name, ran)
+			}
+			if q := quarteredEngines(g); q != len(ms) {
+				t.Fatalf("p=%d %s: %d of %d engines walked as quarters", p, set.name, q, len(ms))
+			}
+			for e, m := range ms {
+				if want := m.row(m.runDFA(text))[0]; dsts[e][0] != want {
+					t.Fatalf("p=%d %s engine %d: OrMasks %x, one walk %x", p, set.name, e, dsts[e][0], want)
+				}
+				if tb, d := m.TableBytes(), int64(len(m.dtab))*2; tb != d {
+					t.Fatalf("p=%d %s engine %d: TableBytes %d, want D's table %d", p, set.name, e, tb, d)
+				}
+			}
+		}
+	}
+}
+
 // TestLockstepAccounts pins who books what. The engines read no clock;
 // a pass books every engine it ran: the engines of a shared walk the
 // chunk, the bytes and an even share of the time, an engine that fell
 // back to its own call (the class-table one, or the only eligible engine
-// of a selection) the same for its own timed call. OrMasks books nothing
+// of an unbounded selection) the same for its own timed call. OrMasks books nothing
 // — the caller counts and times its windows — and neither do direct
 // engine calls.
 func TestLockstepAccounts(t *testing.T) {
@@ -321,13 +445,19 @@ func TestLockstepZeroAllocSteadyState(t *testing.T) {
 			m.InitMapping(curs[i])
 		}
 		// Engine 1's rule is unbounded; the others' occurrences are at
-		// most 47 bytes, so at p = 4 their 64 KiB window is split.
-		bounded := []int{0, 2, 3, 4}
+		// most 47 bytes, so at p = 4 their 64 KiB window is split, and
+		// three of them walk it as quarters.
+		bounded, quartered := []int{0, 2, 3, 4}, []int{0, 2, 3}
 		pass := func() {
 			g.MatchMasks(sel, text, bufs)
 			g.OrMasks(sel, text[:300], 300, bufs)
 			g.OrMasks(bounded, text, 47, bufs)
+			g.OrMasks(quartered, text, 47, bufs)
 			g.ComposeChunks(sel, curs, tmps, text)
+		}
+		g.OrMasks(quartered, text, 47, bufs)
+		if q := quarteredEngines(g); q != len(quartered) {
+			t.Fatalf("p=%d: %d engines walked as quarters, want %d", threads, q, len(quartered))
 		}
 		pass() // warm the context pools
 		if avg := testing.AllocsPerRun(20, pass); avg != 0 {
@@ -339,13 +469,22 @@ func TestLockstepZeroAllocSteadyState(t *testing.T) {
 // BenchmarkLockstepWalk_k* measure one lock-step pass of k engines over
 // 4 MiB of traffic against k = 1 (a single walk): the per-byte cost of
 // adding a shard to the pass, which is what chose lockstepWidth. k = 8
-// is two 4-wide passes.
-func benchLockstepWalk(b *testing.B, k int) {
+// is two 4-wide passes. The _quartered forms are the bounded pass
+// (OrMasks at p = 1) of k engines with bounded occurrences, each walked
+// as four overlapped quarters: k = 1 is one engine's four chains, k = 3
+// the three shards a group of four leaves over when one has settled.
+func benchLockstepWalk(b *testing.B, k int, quartered bool) {
+	pats := lockstepPatterns[:k]
+	if quartered {
+		// Every pattern but Content-Length's has occurrences of at most
+		// 47 bytes (Host's).
+		pats = slices.Delete(slices.Clone(lockstepPatterns), 1, 2)[:k]
+	}
 	var engines []ShardEngine
 	sel := make([]int, k)
 	bufs := make([][]uint64, k)
-	for i := 0; i < k; i++ {
-		engines = append(engines, lockstepEngine(b, lockstepPatterns[i], 1, WithLayout(LayoutU16)))
+	for i, p := range pats {
+		engines = append(engines, lockstepEngine(b, p, 1, WithLayout(LayoutU16)))
 		sel[i] = i
 		bufs[i] = make([]uint64, 1)
 	}
@@ -354,12 +493,18 @@ func benchLockstepWalk(b *testing.B, k int) {
 	b.SetBytes(int64(len(text)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.MatchMasks(sel, text, bufs)
+		if quartered {
+			g.OrMasks(sel, text, 47, bufs)
+		} else {
+			g.MatchMasks(sel, text, bufs)
+		}
 	}
 }
 
-func BenchmarkLockstepWalk_k1(b *testing.B) { benchLockstepWalk(b, 1) }
-func BenchmarkLockstepWalk_k2(b *testing.B) { benchLockstepWalk(b, 2) }
-func BenchmarkLockstepWalk_k3(b *testing.B) { benchLockstepWalk(b, 3) }
-func BenchmarkLockstepWalk_k4(b *testing.B) { benchLockstepWalk(b, 4) }
-func BenchmarkLockstepWalk_k8(b *testing.B) { benchLockstepWalk(b, 8) }
+func BenchmarkLockstepWalk_k1(b *testing.B)           { benchLockstepWalk(b, 1, false) }
+func BenchmarkLockstepWalk_k1_quartered(b *testing.B) { benchLockstepWalk(b, 1, true) }
+func BenchmarkLockstepWalk_k2(b *testing.B)           { benchLockstepWalk(b, 2, false) }
+func BenchmarkLockstepWalk_k3(b *testing.B)           { benchLockstepWalk(b, 3, false) }
+func BenchmarkLockstepWalk_k3_quartered(b *testing.B) { benchLockstepWalk(b, 3, true) }
+func BenchmarkLockstepWalk_k4(b *testing.B)           { benchLockstepWalk(b, 4, false) }
+func BenchmarkLockstepWalk_k8(b *testing.B)           { benchLockstepWalk(b, 8, false) }

@@ -662,10 +662,11 @@ func TestPerRuleVerificationInvariance(t *testing.T) {
 					t.Fatalf("%s: compose split %d: mask %x, want %x", what, k, m, want)
 				}
 			}
-			if lazyWindowShards(t, what, a.set) == 0 {
+			lazyWin := lazyWindowShards(t, what, a.set)
+			if lazyWin == 0 {
 				t.Fatalf("%s: no lazy window shard planned: %+v", what, a.set.Shards())
 			}
-			if pf := a.set.PrefilterStats(); si > 0 && (pf.PrefixShards == 0 || len(a.set.pre.eagerWin) == 0) {
+			if pf := a.set.PrefilterStats(); si > 0 && (pf.PrefixShards == 0 || pf.WindowShards == lazyWin) {
 				t.Fatalf("%s: the mixed set has no eager window or no prefix shard: %+v", what, pf)
 			}
 			o := gapOptions(threads)
@@ -818,7 +819,7 @@ func TestPerRuleConcurrentStreams(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	patterns := append(gapSet(r, 20), `SeCrEt`, `id=[0-9]{1,6}'`, `needle[0-9]{1,8}x`, `^h0[0-9]`)
 	a := compileArmSet(t, patterns, gapOptions(2))
-	if pf := a.set.PrefilterStats(); lazyWindowShards(t, "fixture", a.set) == 0 || len(a.set.pre.eagerWin) == 0 || pf.PrefixShards == 0 {
+	if pf, lazyWin := a.set.PrefilterStats(), lazyWindowShards(t, "fixture", a.set); lazyWin == 0 || pf.WindowShards == lazyWin || pf.PrefixShards == 0 {
 		t.Fatalf("fixture is not mixed: %+v", pf)
 	}
 	streamAndScanConcurrently(t, "mixed set", a, gapTraffic(r, patterns, 150<<10, scanBlock))
@@ -1001,6 +1002,170 @@ func TestWindowExtentsAtTheLiteral(t *testing.T) {
 		}
 		if walked := p.candBytes.Load() - before; walked != int64(c.back+c.fwd) {
 			t.Fatalf("%s: a lone hit walked %d bytes, want %d", c.name, walked, c.back+c.fwd)
+		}
+	}
+}
+
+// armOccurrences are occurrences of the first eight armPool rules, the
+// windowable ones, by rule index.
+var armOccurrences = []string{
+	"needle12345x", "Host: a-b.example.com\r\n", "GET /search.php", "SeCrEt",
+	"id=4711'", "command.exe", "select name from", "X-Fwd: 10.0.0.1;",
+}
+
+// settleTraffic is size bytes of filler that begins with an occurrence
+// of every armPool rule in head and carries occurrences of the rules in
+// plant at random and across every scanBlock edge.
+func settleTraffic(r *rand.Rand, size int, head, plant []int) []byte {
+	var out []byte
+	for _, ri := range head {
+		out = append(out, armOccurrences[ri]+" "...)
+	}
+	filler := []string{"GET /img/logo.png HTTP/1.1\n", "User-Agent: curl/8.1\n", "QUJDREVGR0g=\n", "zzzzzzzzzzzzzzzz\n", "Hos", "nee"}
+	for len(out) < size {
+		if len(plant) > 0 && r.Intn(40) == 0 {
+			out = append(out, armOccurrences[plant[r.Intn(len(plant))]]...)
+		} else {
+			out = append(out, filler[r.Intn(len(filler))]...)
+		}
+	}
+	out = out[:size]
+	for e := scanBlock; len(plant) > 0 && e < size; e += scanBlock {
+		p := armOccurrences[plant[r.Intn(len(plant))]]
+		if at := e - r.Intn(len(p)+1); at+len(p) <= size {
+			copy(out[at:], p)
+		}
+	}
+	return out
+}
+
+// TestSettledShardLeavesTheWalk: a window shard verified whole whose
+// rules have all matched in a scan or stream takes no further walk —
+// on either arm, in one-shot scans and stream writes and at a Compose
+// junction, until Reset — and every verdict stays the reference DFAs'.
+// The fixture's shard of two rules settles in the first bytes, while
+// shards whose rules never occur keep walking.
+func TestSettledShardLeavesTheWalk(t *testing.T) {
+	r := rand.New(rand.NewSource(17))
+	for _, threads := range []int{1, 2} {
+		a := compileArmSet(t, armPool, Options{Threads: threads, SFABudget: 600})
+		x, live := -1, -1
+		for i, sh := range a.set.Shards() {
+			switch {
+			case sh.Prefilter != "window":
+			case len(sh.Rules) > 1:
+				x = i
+			case sh.Rules[0] == 1: // Host, never planted
+				live = i
+			}
+		}
+		if x < 0 || live < 0 {
+			t.Fatalf("p=%d: no window shard of two rules, or none for Host: %+v", threads, a.set.Shards())
+		}
+		rules := a.set.Shards()[x].Rules
+		in := settleTraffic(r, 300<<10, rules, []int{0, 2, rules[0]})
+		// After a Reset the shard's rules occur only at the very end.
+		late := settleTraffic(r, 200<<10, nil, []int{0})
+		for _, ri := range rules {
+			late = append(late, armOccurrences[ri]...)
+		}
+		walked := func(i int) int64 { return a.set.Shards()[i].ScanBytes }
+		got := make([]uint64, a.set.Words())
+		for _, sched := range []string{"cascade", "whole", "alternating"} {
+			a.set.ForceArm(armSchedules[sched])
+			what := fmt.Sprintf("p=%d %s", threads, sched)
+			checkEveryPath(t, what, a.set, r, in, a.want(in))
+			// In a one-shot scan at p = 1 (64 KiB blocks) and in a stream of
+			// 64 KiB writes the shard walks the first block and nothing after.
+			bound := int64(scanBlock + a.set.pre.maxSpan)
+			if threads == 1 {
+				before := walked(x)
+				if m := a.set.Scan(in, 1, got); !slices.Equal(m, a.want(in)) {
+					t.Fatalf("%s: Scan %x, want %x", what, m, a.want(in))
+				}
+				if n := walked(x) - before; n == 0 || n > bound {
+					t.Fatalf("%s: the settled shard walked %d bytes of a %d-byte scan, want 1…%d", what, n, len(in), bound)
+				}
+			}
+			var sts [2]*SetStream
+			for k := range sts {
+				before := walked(x)
+				sts[k] = a.set.NewStream()
+				streamIn(sts[k], in, []int{64 << 10})
+				if n := walked(x) - before; n == 0 || n > bound {
+					t.Fatalf("%s: the settled shard walked %d bytes of a %d-byte stream, want 1…%d", what, n, len(in), bound)
+				}
+			}
+			// The junction of two settled streams is walked by the live
+			// shards only.
+			x0, live0 := walked(x), walked(live)
+			if err := sts[0].Compose(sts[1]); err != nil {
+				t.Fatal(err)
+			}
+			if walked(x) != x0 || walked(live) == live0 {
+				t.Fatalf("%s: Compose walked %d junction bytes on the settled shard, %d on a live one", what, walked(x)-x0, walked(live)-live0)
+			}
+			if m, want := sts[0].Mask(got), a.want(slices.Concat(in, in)); !slices.Equal(m, want) {
+				t.Fatalf("%s: composed mask %x, want %x", what, m, want)
+			}
+			// Reset forgets the settled shard.
+			st := sts[1]
+			st.Reset()
+			streamIn(st, late, []int{64 << 10})
+			if m, want := st.Mask(got), a.want(late); !slices.Equal(m, want) || ones(want) < len(rules) {
+				t.Fatalf("%s: after Reset, mask %x, want %x with the shard's rules", what, m, want)
+			}
+		}
+	}
+}
+
+// TestAnyStopsAtTheFirstMatch: Any over input whose first block matches
+// walks that block only — the matcher, the window shards and the gates
+// see nothing past it — and a set whose prefix shard matches walks no
+// block at all; input that matches nothing is walked whole.
+func TestAnyStopsAtTheFirstMatch(t *testing.T) {
+	r := rand.New(rand.NewSource(23))
+	// All but [a-p]{10}, which the filler's runs of "nee" match.
+	a := compileArmSet(t, armPool[:len(armPool)-1], Options{Threads: 1})
+	p := a.set.pre
+	if len(p.win) == 0 || p.prefix == 0 || len(p.gates) == 0 {
+		t.Fatalf("fixture lacks a window, prefix or gate shard: %+v", a.set.PrefilterStats())
+	}
+	early := settleTraffic(r, 1<<20, []int{2}, nil)
+	none := settleTraffic(r, 1<<20, nil, nil)
+	prefixed := append([]byte("HDR/42 "), none...)
+	cases := []struct {
+		name   string
+		in     []byte
+		hit    bool
+		blocks int64 // bytes of input the block driver sweeps
+	}{
+		{"first block matches", early, true, scanBlock},
+		{"prefix matches", prefixed, true, 0},
+		{"nothing matches", none, false, int64(len(none))},
+	}
+	for _, c := range cases {
+		for _, sched := range []string{"cascade", "whole"} {
+			a.set.ForceArm(armSchedules[sched])
+			if want := ones(a.want(c.in)) > 0; want != c.hit {
+				t.Fatalf("%s: fixture matches %v (%x)", c.name, want, a.want(c.in))
+			}
+			before := a.set.PrefilterStats()
+			if got := a.set.Any(c.in); got != c.hit {
+				t.Fatalf("%s %s: Any %v, want %v", c.name, sched, got, c.hit)
+			}
+			after := a.set.PrefilterStats()
+			swept := after.MatcherBytes - before.MatcherBytes + after.BypassedBytes - before.BypassedBytes
+			total := after.TotalBytes - before.TotalBytes
+			// The prefix shards come first, the gates only after every block.
+			want := c.blocks*int64(len(p.win)) + int64(len(c.in)*p.prefix)
+			if !c.hit {
+				want += int64(len(c.in) * len(p.gates))
+			}
+			// The matcher sweeps a literal's length past each block's end.
+			if swept < c.blocks || swept > c.blocks+c.blocks/scanBlock*int64(p.litMax) || total != want {
+				t.Fatalf("%s %s: swept %d bytes, counted %d shard bytes; want %d and %d", c.name, sched, swept, total, c.blocks, want)
+			}
 		}
 	}
 }

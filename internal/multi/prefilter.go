@@ -59,15 +59,17 @@ import (
 // literal prefixes are everywhere. The arm is chosen per block from
 // the measured cost of each (armCosts).
 //
-// The same contract lets a window be cut. At p > 1 threads a window of
-// 4 KiB or more — on the whole arm, every block — is walked by
-// engine.Lockstep.OrMasks in the engines' p sub-chunks, each backed up
-// over the bytes an occurrence crossing its cut can begin in (it is at
-// most maxLen long) and walked from D's start state. Every occurrence
-// then lies inside some sub-chunk and every sub-chunk inside the
-// window, so ORing the sub-chunks' verdicts is the window's: no window
-// walk starts unknown, at any p, and a set of window and prefix shards
-// never builds or reads a D-SFA table.
+// The same contract lets a window be cut. A window of 4 KiB or more —
+// on the whole arm, every block — is walked by engine.Lockstep.OrMasks
+// in pieces, each backed up over the bytes an occurrence crossing its
+// cut can begin in (it is at most maxLen long) and walked from D's start
+// state: at p > 1 the engines' p sub-chunks, and inside each (the whole
+// window at p = 1) four quarters for every shard left over when the
+// shards are taken four at a time, so that a pass always advances four
+// independent walks. Every occurrence then lies inside some piece and
+// every piece inside the window, so ORing the pieces' verdicts is the
+// window's: no window walk starts unknown, at any p, and a set of window
+// and prefix shards never builds or reads a D-SFA table.
 //
 // A window shard whose engine is lazy is verified per rule, which is the
 // window contract instantiated for one rule at a time (k = 1). An
@@ -95,12 +97,17 @@ import (
 // Reset, so no later window of that rule can change a verdict: in a shard
 // verified per rule, addSpans drops the hits of a rule whose bit is set,
 // closeRules drops its open window unwalked, and Compose neither walks
-// its junction nor keeps its windows once either side has it. The
-// matcher still sweeps every byte — gate shards need its hits — and a
-// shard verified whole keeps walking its windows: its blocks would
-// otherwise time as nearly free and mislead the arm choice. Settled bits
-// live in the scan context or stream, so nothing crosses scans, the
-// contexts of a block-parallel Scan, or a Reset.
+// its junction nor keeps its windows once either side has it. A shard
+// verified whole leaves the walk once every one of its rules has settled
+// (liveWin): neither arm walks it, it keeps no pending window, and a
+// Compose junction skips it. The matcher still sweeps every byte — gate
+// shards and the live shards need its hits. Blocks keep being timed for
+// the arm choice while any window shard is live: both arms drop the
+// settled shards, so their costs still compare the same work, and a
+// block with no live window shard is not recorded, since neither arm
+// walks anything in it. Settled bits live in the scan context or stream,
+// so nothing crosses scans, the contexts of a block-parallel Scan, or a
+// Reset.
 
 type shardMode uint8
 
@@ -145,14 +152,11 @@ type setPre struct {
 	targets [][]litTarget // by global literal id
 	shards  []shardPre
 	win     []int // window-mode shard indices
-	// eagerWin is the part of win verified a shard at a time — all of it
-	// but the lazy shards, which are verified per rule (shardPre.rules).
-	eagerWin []int
-	gates    []int // gate-mode shard indices
-	prefix   int   // number of prefix-mode shards
-	litMax   int   // longest literal (stream boundary-carry width)
-	maxSpan  int   // max window-shard span length, 2×maxLen (stream buffers)
-	maxPre   int   // max prefix-shard scan length (stream head sizing)
+	gates   []int // gate-mode shard indices
+	prefix  int   // number of prefix-mode shards
+	litMax  int   // longest literal (stream boundary-carry width)
+	maxSpan int   // max window-shard span length, 2×maxLen (stream buffers)
+	maxPre  int   // max prefix-shard scan length (stream head sizing)
 	// lazyWin: some window shard is lazy, verified per rule. The whole arm
 	// would walk its combined automaton over every block (and materialize
 	// states no window reaches); such sets keep every block on the cascade
@@ -227,8 +231,6 @@ func (s *Set) armPrefilter(infos []prefilter.Rule) {
 				for k, ri := range sh.rules {
 					sp.ruleMax[k] = infos[ri].MaxLen
 				}
-			} else {
-				pre.eagerWin = append(pre.eagerWin, si)
 			}
 			if 2*maxLen > pre.maxSpan {
 				pre.maxSpan = 2 * maxLen
@@ -429,8 +431,9 @@ type winState struct {
 	// (lo == hi: none) — within a block the window later hits may still
 	// extend, between blocks the window that awaits input.
 	open    [][]span
-	walked  []int64 // bytes each shard walked in the block
-	windows []int64 // windows each shard verified in the block
+	walked  []int // bytes each shard walked in the block
+	windows []int // windows each shard verified in the block
+	live    []int // the window shards a block or junction walks (block, composeWindows)
 	hits    []prefilter.Hit
 	wbuf    []byte // junction materialization (streams)
 }
@@ -440,8 +443,8 @@ func (w *winState) init(s *Set) {
 	shards := len(s.shards)
 	spans := make([][]span, 3*shards)
 	w.pending, w.newsp, w.open = spans[:shards:shards], spans[shards:2*shards:2*shards], spans[2*shards:]
-	counts := make([]int64, 2*shards)
-	w.walked, w.windows = counts[:shards:shards], counts[shards:]
+	counts := make([]int, 3*shards)
+	w.walked, w.windows, w.live = counts[:shards:shards], counts[shards:2*shards:2*shards], counts[2*shards:2*shards]
 	if s.pre == nil {
 		return
 	}
@@ -467,6 +470,40 @@ func (w *winState) reset(p *setPre) {
 //sfa:noalloc
 func (w *winState) settled(i, r int32) bool {
 	return w.acc[i][r>>6]&(1<<(r&63)) != 0
+}
+
+// done reports whether every one of the n rules of shard i has matched:
+// a shard verified whole, none of whose windows can change a verdict any
+// more.
+//
+//sfa:noalloc
+func (w *winState) done(i, n int) bool {
+	for j, bits := range w.acc[i] {
+		if r := n - j<<6; r < 64 {
+			return bits == 1<<r-1
+		}
+		if bits != ^uint64(0) {
+			return false
+		}
+	}
+	return true
+}
+
+// liveWin collects in w.live the window shards of the block: every one
+// but the shards verified whole that are done. A done shard's waiting
+// windows are dropped.
+//
+//sfa:noalloc
+func (p *setPre) liveWin(s *Set, w *winState) []int {
+	w.live = w.live[:0]
+	for _, i := range p.win {
+		if p.shards[i].rules == nil && w.done(i, len(s.shards[i].rules)) {
+			w.pending[i] = w.pending[i][:0]
+			continue
+		}
+		w.live = append(w.live, i)
+	}
+	return w.live
 }
 
 // addSpans turns the block's literal hits (w.hits, buffer-relative) into
@@ -534,7 +571,7 @@ func (p *setPre) verify(w *winState, tail, cur []byte, i, r int, sp span) {
 	if len(b) > 0 {
 		sh.rules.OrRule(r, b, w.acc[i])
 	}
-	w.walked[i] += int64(len(a) + len(b))
+	w.walked[i] += len(a) + len(b)
 	w.windows[i]++
 }
 
@@ -574,16 +611,18 @@ func (p *setPre) closeRules(w *winState, tail, cur []byte, i int) {
 // far past len(cur) a window may wait for input — 0 in a one-shot scan,
 // where the part walked now is all there will ever be, the stream's
 // tail capacity otherwise — and the waiting remainder is left in
-// w.pending (w.open for shards verified per rule). Each window shard's
-// cost account is charged the windows and bytes it walked and, for a
-// timed block, its share of the walk time. It returns how many window
-// shards had candidate work and how many had none.
+// w.pending (w.open for shards verified per rule). A shard verified
+// whole whose rules have all matched is not walked (liveWin). Each
+// window shard's cost account is charged the windows and bytes it
+// walked and, for a timed block, its share of the walk time. It returns
+// how many window shards had candidate work and how many had none.
 //
 //sfa:noalloc
 func (p *setPre) block(s *Set, w *winState, gate []bool, tail, cur []byte, blo, bhi, ahead int) (scanned, skipped int64) {
 	n := bhi - blo
+	live := p.liveWin(s, w)
 	whole := p.pick(n, gate)
-	timed := n >= armMinBytes && len(p.win) > 0
+	timed := n >= armMinBytes && len(live) > 0
 	var t0, walk0 time.Time
 	if timed {
 		t0 = time.Now()
@@ -593,15 +632,15 @@ func (p *setPre) block(s *Set, w *winState, gate []bool, tail, cur []byte, blo, 
 		w.newsp[i] = w.newsp[i][:0]
 		w.walked[i], w.windows[i] = 0, 0
 	}
+	skipped = int64(len(p.win) - len(live))
 	if whole {
-		// One window for every shard: the block, widened by the longest
-		// occurrence any window shard has. Whatever earlier blocks left
-		// pending lies inside it or inside what it leaves pending in turn.
+		// One window for every live shard: the block, widened by the
+		// longest occurrence any window shard has. Whatever earlier blocks
+		// left pending lies inside it or inside what it leaves pending in
+		// turn.
 		p.bypassBlocks.Add(1)
 		p.bypassBytes.Add(int64(n))
-		reach, first := p.maxSpan/2, p.win[0]
-		w.newsp[first] = append(w.newsp[first], span{blo - reach, bhi + reach})
-		for _, i := range p.win {
+		for _, i := range live {
 			w.pending[i] = w.pending[i][:0]
 		}
 		if gate != nil {
@@ -609,15 +648,19 @@ func (p *setPre) block(s *Set, w *winState, gate []bool, tail, cur []byte, blo, 
 				gate[g] = true // unknowable without the matcher
 			}
 		}
-		p.walk(s, w, tail, cur, ahead, first, p.win, reach)
-		scanned = int64(len(p.win))
+		if len(live) > 0 {
+			reach, first := p.maxSpan/2, live[0]
+			w.newsp[first] = append(w.newsp[first], span{blo - reach, bhi + reach})
+			p.walk(s, w, tail, cur, ahead, first, live, reach)
+		}
+		scanned = int64(len(live))
 	} else {
 		p.cascade(w, gate, tail, cur, blo, bhi)
 		if timed {
 			walk0 = time.Now()
 		}
 		p.addSpans(w, tail, cur, ahead)
-		for k, i := range p.win {
+		for k, i := range live {
 			if p.shards[i].rules != nil {
 				p.closeRules(w, tail, cur, i)
 				if w.windows[i] == 0 {
@@ -634,12 +677,12 @@ func (p *setPre) block(s *Set, w *winState, gate []bool, tail, cur []byte, blo, 
 				continue
 			}
 			scanned++
-			p.walk(s, w, tail, cur, ahead, i, p.win[k:k+1], p.shards[i].maxLen)
+			p.walk(s, w, tail, cur, ahead, i, live[k:k+1], p.shards[i].maxLen)
 		}
 	}
 	var total int64
-	for _, i := range p.win {
-		total += w.walked[i]
+	for _, i := range live {
+		total += int64(w.walked[i])
 	}
 	p.totalBytes.Add(int64(n * len(p.win)))
 	p.candBytes.Add(total)
@@ -651,9 +694,9 @@ func (p *setPre) block(s *Set, w *winState, gate []bool, tail, cur []byte, blo, 
 		p.arms.record(whole, n, end.Sub(t0).Nanoseconds())
 		walkNs = end.Sub(walk0).Nanoseconds()
 	}
-	for _, i := range p.win {
+	for _, i := range live {
 		if w.windows[i] > 0 {
-			s.shards[i].m.Charge(engine.Cost{Ns: walkNs * w.walked[i] / total, Bytes: w.walked[i], Windows: w.windows[i]})
+			s.shards[i].m.Charge(engine.Cost{Ns: walkNs * int64(w.walked[i]) / total, Bytes: int64(w.walked[i]), Windows: int64(w.windows[i])})
 		}
 	}
 	return scanned, skipped
@@ -702,10 +745,10 @@ func (p *setPre) cascade(w *winState, gate []bool, tail, cur []byte, blo, bhi in
 }
 
 // walk verifies the candidate spans in w.newsp[i] on every shard of sel
-// — shard i alone on the cascade arm, all window shards in one
+// — shard i alone on the cascade arm, every live window shard in one
 // lock-step pass on the whole arm — ORing verdicts into w.acc. maxLen
 // bounds an occurrence of any rule of those shards: it is also how far
-// a p > 1 lock-step pass overlaps the sub-chunks it cuts a window into.
+// the lock-step pass overlaps the pieces it cuts a window into.
 //
 //sfa:noalloc
 func (p *setPre) walk(s *Set, w *winState, tail, cur []byte, ahead, i int, sel []int, maxLen int) {
@@ -731,13 +774,9 @@ func (p *setPre) walk(s *Set, w *winState, tail, cur []byte, ahead, i int, sel [
 			if len(piece) == 0 {
 				continue
 			}
-			if len(sel) == 1 {
-				s.shards[i].m.OrMask(piece, w.acc[i])
-			} else {
-				s.lock.OrMasks(sel, piece, maxLen, w.acc)
-			}
+			s.lock.OrMasks(sel, piece, maxLen, w.acc)
 			for _, j := range sel {
-				w.walked[j] += int64(len(piece))
+				w.walked[j] += len(piece)
 				w.windows[j]++
 			}
 		}

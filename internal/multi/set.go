@@ -81,7 +81,6 @@ func newSet(shards []*shard, rules int, pool *engine.Pool) *Set {
 		c := &scanCtx{
 			gate: make([]bool, len(shards)),
 			sel:  make([]int, 0, len(shards)),
-			mask: make([]uint64, s.words),
 		}
 		c.win.init(s)
 		c.win.acc = make([][]uint64, len(shards))
@@ -102,7 +101,6 @@ type scanCtx struct {
 	win  winState
 	gate []bool
 	sel  []int
-	mask []uint64 // Any's verdict, Words() long
 }
 
 // reset clears what a previous scan left behind.
@@ -150,10 +148,45 @@ func (s *Set) scan(c *scanCtx, data []byte, workers int, dst []uint64) []uint64 
 		workers = s.pool.Workers()
 	}
 	c.reset()
-	p := s.pre
-	if p.active() {
+	s.scanPrefixes(c, data)
+	if s.pre.active() {
 		s.scanBlocks(c, data, workers)
 	}
+	s.scanCarried(c, data)
+	for i, sh := range s.shards {
+		sh.merge(dst, c.win.acc[i])
+	}
+	return dst
+}
+
+// scanPrefixes walks every prefix shard over the first maxLen bytes of
+// data into its mask and reports whether any of them matched: a
+// begin-anchored shard's occurrences start at byte 0 and the trailing
+// .* bracket absorbs the rest, so that prefix decides the verdict.
+func (s *Set) scanPrefixes(c *scanCtx, data []byte) (hit bool) {
+	p := s.pre
+	if p == nil || p.prefix == 0 {
+		return false
+	}
+	for i, sh := range s.shards {
+		if p.shards[i].mode != prePrefix {
+			continue
+		}
+		k := min(p.shards[i].maxLen, len(data))
+		p.totalBytes.Add(int64(len(data)))
+		p.candBytes.Add(int64(k))
+		start := time.Now()
+		hit = anyBit(sh.m.MatchMask(data[:k], c.win.acc[i])) || hit
+		sh.charge(start, k)
+	}
+	return hit
+}
+
+// scanCarried walks every shard that must see the whole input — all of
+// them without a prefilter, else the full shards and the gate shards a
+// literal opened — in one lock-step pass into its mask.
+func (s *Set) scanCarried(c *scanCtx, data []byte) {
+	p := s.pre
 	c.sel = c.sel[:0]
 	for _, i := range s.carry {
 		if p.active() && p.shards[i].mode == preGate {
@@ -167,21 +200,15 @@ func (s *Set) scan(c *scanCtx, data []byte, workers int, dst []uint64) []uint64 
 		c.sel = append(c.sel, i)
 	}
 	s.lock.MatchMasks(c.sel, data, c.win.acc)
-	for i, sh := range s.shards {
-		if p != nil && p.shards[i].mode == prePrefix {
-			// Begin-anchored shard: the verdict is decided by the first
-			// maxLen bytes (occurrences start at byte 0 and the trailing .*
-			// bracket absorbs the rest).
-			k := min(p.shards[i].maxLen, len(data))
-			p.totalBytes.Add(int64(len(data)))
-			p.candBytes.Add(int64(k))
-			start := time.Now()
-			sh.m.MatchMask(data[:k], c.win.acc[i])
-			sh.charge(start, k)
-		}
-		sh.merge(dst, c.win.acc[i])
+}
+
+// blockSize is the size of the blocks a one-shot scan cuts its input
+// into: scanBlock, or p × scanBlockPerThread at p > 1 threads.
+func (s *Set) blockSize() int {
+	if p := s.lock.Threads(); p > 1 {
+		return p * scanBlockPerThread
 	}
-	return dst
+	return scanBlock
 }
 
 // scanBlocks runs the block driver over data: in order on the calling
@@ -190,10 +217,7 @@ func (s *Set) scan(c *scanCtx, data []byte, workers int, dst []uint64) []uint64 
 // to `workers` pool workers, each with its own context, OR-reduced into
 // c afterwards (window verdicts and gate flags are both ORs).
 func (s *Set) scanBlocks(c *scanCtx, data []byte, workers int) {
-	size := scanBlock
-	if p := s.lock.Threads(); p > 1 {
-		size = p * scanBlockPerThread
-	}
+	size := s.blockSize()
 	blocks := (len(data) + size - 1) / size
 	if workers = min(workers, blocks); workers < 2 {
 		for b := 0; b < blocks; b++ {
@@ -269,18 +293,37 @@ func (sh *shard) merge(dst, local []uint64) {
 }
 
 // Any reports whether any rule matches, booking nothing to the rule
-// heat. A set with window or prefix shards answers with a Scan on the
-// calling goroutine into the context's own mask, so those shards walk
-// only their windows and prefixes, from known starts. In any other set
-// every shard is a gate or full shard, whose walk covers the whole
-// input (a gate saves it only where none of its literals occur, for
-// the price of a matcher pass everywhere), so the shards walk one at a
-// time, each chunk-parallel, and the first that matches ends the call.
+// heat. A set with window or prefix shards answers like a Scan on the
+// calling goroutine, so those shards walk only their windows and
+// prefixes, from known starts — and stops at the first hit: the prefix
+// shards first, then block by block, each block ending the call if a
+// window shard matched in it; only input with no such match reaches the
+// gate and full shards' whole-input pass. In any other set every shard
+// is a gate or full shard, whose walk covers the whole input (a gate
+// saves it only where none of its literals occur, for the price of a
+// matcher pass everywhere), so the shards walk one at a time, each
+// chunk-parallel, and the first that matches ends the call.
 func (s *Set) Any(data []byte) bool {
 	c := s.ctxs.Get().(*scanCtx)
 	defer s.ctxs.Put(c)
 	if p := s.pre; p != nil && (len(p.win) > 0 || p.prefix > 0) {
-		return anyBit(s.scan(c, data, 1, c.mask))
+		c.reset()
+		if s.scanPrefixes(c, data) {
+			return true
+		}
+		if p.active() {
+			size := s.blockSize()
+			for lo := 0; lo < len(data); lo += size {
+				s.scanBlock(c, data, lo, size)
+				for _, i := range p.win {
+					if anyBit(c.win.acc[i]) {
+						return true
+					}
+				}
+			}
+		}
+		s.scanCarried(c, data)
+		return slices.ContainsFunc(c.win.acc, anyBit)
 	}
 	for i, sh := range s.shards {
 		start := time.Now()

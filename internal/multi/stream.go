@@ -2,6 +2,7 @@ package multi
 
 import (
 	"errors"
+	"slices"
 	"time"
 
 	"repro/internal/engine"
@@ -315,10 +316,18 @@ func (st *SetStream) composeWindows(t *SetStream) {
 		}
 		w.hits = kept
 	}
-	if len(jbuf) > 0 {
-		p.candBytes.Add(int64(len(jbuf) * len(p.eagerWin)))
-		st.set.lock.OrMasks(p.eagerWin, jbuf, p.maxSpan/2, w.acc)
-		for _, i := range p.eagerWin {
+	for _, i := range p.win {
+		for j, bits := range t.win.acc[i] {
+			w.acc[i][j] |= bits
+		}
+	}
+	// The shards verified whole that either side has not finished walk
+	// the junction.
+	live := slices.DeleteFunc(p.liveWin(st.set, w), func(i int) bool { return p.shards[i].rules != nil })
+	if len(jbuf) > 0 && len(live) > 0 {
+		p.candBytes.Add(int64(len(jbuf) * len(live)))
+		st.set.lock.OrMasks(live, jbuf, p.maxSpan/2, w.acc)
+		for _, i := range live {
 			st.set.shards[i].m.Charge(engine.Cost{Bytes: int64(len(jbuf)), Windows: 1})
 		}
 	}
@@ -326,9 +335,6 @@ func (st *SetStream) composeWindows(t *SetStream) {
 	// reaches past it. Per rule that is at most one window — every window
 	// that reaches past the end contains it.
 	for _, i := range p.win {
-		for j, bits := range t.win.acc[i] {
-			w.acc[i][j] |= bits
-		}
 		w.newsp[i] = w.newsp[i][:0]
 		for _, sp := range w.pending[i] {
 			w.newsp[i] = append(w.newsp[i], span{sp.lo - shift, sp.hi - shift})
@@ -374,7 +380,7 @@ func (st *SetStream) composeWindows(t *SetStream) {
 			}
 		}
 	}
-	for _, i := range p.eagerWin {
+	for _, i := range live {
 		w.pending[i] = w.pending[i][:0]
 		for _, sp := range mergeSpans(w.newsp[i], -st.tailCap, st.tailCap) {
 			if sp.hi > 0 {

@@ -257,7 +257,7 @@ func analyzeAlt(subs []*syntax.Node, lead, trail bool) lang {
 		allExact = allExact && v.exact
 		pre, fwd = max(pre, v.pre), max(fwd, v.fwd)
 	}
-	if len(dedup(merged)) > maxLits {
+	if len(dedup(slices.Clone(merged))) > maxLits {
 		merged = shrinkToCap(merged)
 		allExact = false
 	}

@@ -65,6 +65,10 @@ func TestExtract(t *testing.T) {
 		{name: "fold case expands variants", pattern: `cmd`, flags: syntax.FoldCase, search: true,
 			covered: true, window: true, maxLen: 3,
 			lits: []string{"CMD", "CMd", "CmD", "Cmd", "cMD", "cMd", "cmD", "cmd"}},
+		{name: "alternation then literal", pattern: `(login|session|shell) `, search: true,
+			covered: true, window: true, maxLen: 8, lits: []string{"login ", "session ", "shell "}},
+		{name: "duplicated branch keeps the literals", pattern: `(login|session|shell|login) `, search: true,
+			covered: true, window: true, maxLen: 8, lits: []string{"login ", "session ", "shell "}},
 		{name: "pathological alternation degrades gracefully",
 			pattern: `([^a]{4}|[^b]{4}|[^c]{4})`, search: true,
 			covered: false, window: false, maxLen: 4},

@@ -64,8 +64,9 @@ func goldenHub(t *testing.T) http.Handler {
 			do("POST", "/v1/tenants/"+name+"/scan", payload, http.StatusOK)
 		}
 	}
-	// Any is a scan behind the prefilter: the windowed gap rules are
-	// verified one at a time, the gate shard walks the tuple again.
+	// Any is a scan behind the prefilter that stops at the first block
+	// with a match: the windowed gap rules are verified one at a time and
+	// match in the payload's one block, so the gate shard is not walked.
 	b, _ := hub.Tenant("gaps")
 	if !b.RuleSet().Any([]byte(payload)) {
 		t.Fatal("lazy tenant matched nothing")

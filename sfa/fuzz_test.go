@@ -24,7 +24,12 @@ import (
 // (bit b%8 set: block b bypasses the cascade and walks the window shards
 // whole; its high bits also size the stream's writes): the prefiltered
 // set must agree with the isolated engines whichever arm each block
-// takes.
+// takes — on the input and on the repetition, which the p = 2 set also
+// walks on the whole arm: one window of the whole block, cut into two
+// sub-chunks from D's start state and each walked as four overlapped
+// quarters by every window shard (three rules plan at most three, one
+// short of a group of four). When every shard is a window shard, that
+// pass is the only pool work of the scan, so the pool must show it.
 func FuzzMatch(f *testing.F) {
 	f.Add("(ab)*", "abab", byte(0))
 	f.Add("a[ab]*b", "aabb", byte(0xff))
@@ -111,6 +116,22 @@ func FuzzMatch(f *testing.F) {
 		}
 		if m := st.Mask(make([]uint64, searched.MaskWords())); !reflect.DeepEqual(m, wantMask) {
 			t.Fatalf("pattern %q input %q arms %08b: streamed mask %x, isolated %x", pattern, input, arms, m, wantMask)
+		}
+		if len(in) > 0 {
+			long := bytes.Repeat(in, 4096/len(in)+1)
+			wantLong := oracle.MatchMask(long, make([]uint64, oracle.MaskWords()))
+			if m := searched.MatchMask(long, make([]uint64, searched.MaskWords())); !reflect.DeepEqual(m, wantLong) {
+				t.Fatalf("pattern %q input %q ×%d arms %08b: search mask %x, isolated %x", pattern, input, len(long)/len(in), arms, m, wantLong)
+			}
+			searched.set.ForceArm(func(int64) bool { return true })
+			tasks := func() int64 { st := engine.DefaultPool().Stats(); return st.Submitted + st.Inline }
+			before := tasks()
+			if m := searched.MatchMask(long, make([]uint64, searched.MaskWords())); !reflect.DeepEqual(m, wantLong) {
+				t.Fatalf("pattern %q input %q ×%d, whole arm: search mask %x, isolated %x", pattern, input, len(long)/len(in), m, wantLong)
+			}
+			if pf := searched.PrefilterStats(); pf.WindowShards == searched.NumShards() && tasks() == before {
+				t.Fatalf("pattern %q input %q ×%d: %d window shards walked a %d-byte window at p = 2 without cutting it", pattern, input, len(long)/len(in), pf.WindowShards, len(long))
+			}
 		}
 	})
 }
