@@ -29,7 +29,9 @@
 # (lazy shards behind the prefilter, and the lazy tuple in its
 # no-prefilter twin's set-up), stream_chunks (the in-order stream),
 # stream_compose (the one workload whose Compose consumes full carried
-# mappings, out-of-order segments folded together), serve_large (the
+# mappings, out-of-order segments folded together), serve_small (the
+# real server on 512 B requests, each of whose stream Mask walks the
+# prefix shards over the stream's head), serve_large (the
 # real server at p = GOMAXPROCS, whose windows of 4 KiB and more are cut
 # into overlapping sub-chunks that start at D's start state) and build (the only
 # window that checks the masks of sets that were built, saved, loaded
@@ -136,6 +138,8 @@ examples-smoke:
 # full-length runs), then one 1-second window each of the two eager scan
 # workloads, the lazy one, stream_chunks (one stream written in order),
 # stream_compose (segments on their own streams, folded with Compose),
+# serve_small (512 B bodies through the real sfaserve, each Mask walking
+# the prefix shards over the stream's head),
 # serve_large (256 KiB bodies through the real sfaserve at p > 1, whose
 # window walks of 4 KiB and more are cut into overlapping known-start
 # sub-chunks) and build (cold build, Save,
@@ -150,6 +154,7 @@ bench-check:
 	bash bench/run.sh -workload scan_lazy -seconds 1
 	bash bench/run.sh -workload stream_chunks -seconds 1
 	bash bench/run.sh -workload stream_compose -seconds 1
+	bash bench/run.sh -workload serve_small -seconds 1
 	bash bench/run.sh -workload serve_large -seconds 1
 	bash bench/run.sh -workload build -seconds 1
 

@@ -41,7 +41,7 @@ func sfaReference(m *MultiSFA, text []byte) int32 {
 // for regen patterns (whole-input and search-bracketed), every layout,
 // p ∈ {1, 2, 4}, spawn on and off, and lengths on both sides of 4 KiB,
 // D's own walk from D.Start, the chunked D-SFA walk and the class-table
-// DFA walk reach the same DFA state, and MatchMask, OrMask, Match and a
+// DFA walk reach the same DFA state, and MatchMask, Match and a
 // lock-step pass give the same verdict.
 func TestKnownStartAgreesWithSFAWalk(t *testing.T) {
 	gen := regen.New(regen.Config{Alphabet: "abc", AllowClasses: true, AllowCounts: true}, 31)
@@ -117,10 +117,6 @@ func checkKnownStart(t *testing.T, m *MultiSFA, d *dfa.DFA, texts [][]byte, what
 		}
 		if got := m.MatchMask(text, dst)[0] != 0; got != acc {
 			t.Fatalf("%s len=%d: MatchMask %v, DFA accepts %v", what, len(text), got, acc)
-		}
-		dst[0] = 0
-		if m.OrMask(text, dst); (dst[0] != 0) != acc {
-			t.Fatalf("%s len=%d: OrMask %v, DFA accepts %v", what, len(text), dst[0] != 0, acc)
 		}
 		if got := m.Match(text); got != acc {
 			t.Fatalf("%s len=%d: Match %v, DFA accepts %v", what, len(text), got, acc)

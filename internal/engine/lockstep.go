@@ -35,19 +35,26 @@ import (
 // the quartered kernel loads four. No bounded pass reads the D-SFA, at
 // any p.
 //
-// Every engine with D's 256-wide table (every layout but the class
-// table) joins bounded passes, since those walk only D. Passes that may
-// start unknown — MatchMasks, whose p > 1 sub-chunks walk the D-SFA,
-// and ComposeChunks — are specialised for the u16 layout, the only one a
-// shard of more than 256 states resolves to under the default shard
-// budget, at widths 2, 3 and 4, with ⌈k/4⌉ passes for more than four
-// engines. Everything else (lazy engines, the class table, spawn mode, a
-// lone engine of an unbounded pass) falls back to that engine's own
-// single walk, so a Lockstep pass is always verdict-identical to the k
-// separate calls it replaces: the kernels only produce final DFA states
-// (a walk of D from D.Start) or chunk-final D-SFA states, and the
-// mask-row / ApplyVec / ComposeVec steps that consume them are the ones
-// the single-engine paths run.
+// Which engines a pass takes depends only on whether its walks start
+// known, and begin decides that once per pass. A pass whose walks all
+// start at D.Start — OrMasks, and MatchMasks run as one chunk (p = 1, or
+// under 4 KiB) — walks only D, so it takes every MultiSFA with D's
+// 256-wide table: every layout but the class table, spawn mode included.
+// A pass that may start unknown — MatchMasks cut into p > 1 sub-chunks,
+// and ComposeChunks, which needs the mapping — walks the D-SFA's table
+// and is specialised for the u16 layout, the only one a shard of more
+// than 256 states resolves to under the default shard budget: it takes
+// the pooled u16 engines, a lone one included. Kernels are 1 to 4 wide,
+// with ⌈k/4⌉ passes for more than four engines. MatchMasks and
+// ComposeChunks hand every engine they did not take (a lazy engine, the
+// class table, another layout or spawn mode on an unknown start) to its
+// own single walk; OrMasks has no such fallback, since its callers give
+// it only eager engines (the window shards of internal/multi verified
+// whole). A pass is verdict-identical to the k separate walks it
+// replaces: the kernels only produce final DFA states (a walk of D from
+// D.Start) or chunk-final D-SFA states, and the mask-row / ApplyVec /
+// ComposeVec steps that consume them are the ones the single-engine
+// paths run.
 
 // lockstepWidth is the widest kernel: how many chains one pass of the
 // byte slice advances — engines over one text, or quarters of one
@@ -187,11 +194,11 @@ func lockstepRun(ms []*MultiSFA, known bool, text []byte, out []int32, stride in
 }
 
 // ShardEngine is what a Lockstep pass needs of each engine it is given:
-// the single-engine calls a pass falls back to, plus the cost account
-// the pass books them to. MultiSFA and LazyMultiSFA implement it.
+// the single-engine calls MatchMasks and ComposeChunks fall back to,
+// plus the cost account the pass books them to. MultiSFA and
+// LazyMultiSFA implement it.
 type ShardEngine interface {
 	MatchMask(text []byte, dst []uint64) []uint64
-	OrMask(text []byte, dst []uint64)
 	ComposeChunk(cur, tmp []int16, chunk []byte) ([]int16, []int16)
 	Charge(c Cost)
 }
@@ -213,10 +220,12 @@ type ShardEngine interface {
 // for every engine at once.
 type Lockstep struct {
 	engines []ShardEngine
-	// eager[i] != nil iff engine i can join a lock-step walk: a bounded
-	// pass (D only) when it has D's 256-wide table, any pass when it is
-	// also LayoutU16.
+	// eager[i] is engine i when it is a MultiSFA with D's 256-wide table:
+	// every pass that starts known takes it. split[i] is set when a pass
+	// that may start unknown takes it too: it is LayoutU16 and pooled,
+	// with the thread count and pool of the first pooled eager engine.
 	eager   []*MultiSFA
+	split   []bool
 	threads int
 	pool    *Pool
 	// Pass scratch. spare keeps one context out of the garbage
@@ -227,25 +236,24 @@ type Lockstep struct {
 	ctxs  sync.Pool // of *lockCtx
 }
 
-// NewLockstep groups engines for lock-step passes. An engine joins the
-// shared walk when it is an eager MultiSFA with D's 256-wide table on
-// the pooled dispatch path, with the same thread count and pool as the
-// first such engine — of the passes that may start unknown, only when
-// it is in the u16 layout; every other engine is served by its own
-// methods.
+// NewLockstep groups engines for lock-step passes, which cut their input
+// for the thread count and pool of the first pooled eager engine. Which
+// engines a pass takes is begin's rule.
 func NewLockstep(engines []ShardEngine) *Lockstep {
-	g := &Lockstep{engines: engines, eager: make([]*MultiSFA, len(engines))}
+	g := &Lockstep{engines: engines, eager: make([]*MultiSFA, len(engines)), split: make([]bool, len(engines))}
 	for i, e := range engines {
 		m, ok := e.(*MultiSFA)
-		if !ok || m.dtab == nil || m.spawn {
+		if !ok || m.dtab == nil {
+			continue
+		}
+		g.eager[i] = m
+		if m.spawn {
 			continue
 		}
 		if g.pool == nil {
 			g.threads, g.pool = m.threads, m.pool
 		}
-		if m.threads == g.threads && m.pool == g.pool {
-			g.eager[i] = m
-		}
+		g.split[i] = m.layout == LayoutU16 && m.threads == g.threads && m.pool == g.pool
 	}
 	if g.threads < 1 {
 		g.threads = 1
@@ -312,59 +320,57 @@ func (c *lockCtx) runChunk(i int) {
 	}
 }
 
-// pick selects the members of sel that walk together into c.ms / c.idx
-// and reports whether there are any. A bounded pass takes every eager
-// engine, even a lone one, which it walks as quarters; any other pass
-// takes the u16 ones, and none when fewer than two can, since a lone
-// engine's own walk is the same loop.
-//
-//sfa:noalloc
-func (g *Lockstep) pick(c *lockCtx, sel []int, bounded bool) bool {
-	c.ms, c.idx = c.ms[:0], c.idx[:0]
-	for _, i := range sel {
-		if m := g.eager[i]; m != nil && (bounded || m.layout == LayoutU16) {
-			c.ms = append(c.ms, m)
-			c.idx = append(c.idx, i)
-		}
-	}
-	if !bounded && len(c.ms) < 2 {
-		c.ms, c.idx = c.ms[:0], c.idx[:0]
-	}
-	return len(c.idx) > 0
-}
-
 // unknownSplit is the overlap of a walk whose p > 1 sub-chunks start
 // unknown: they walk the D-SFA from its identity.
 const unknownSplit = -1
 
-// walk runs the picked engines over text. Below streamSequentialMax it
-// is one chunk on the calling goroutine — D's own walk from D.Start when
-// known is set (the mask forms), the D-SFA's for ComposeChunks, which
-// needs the mapping — and so is an unbounded pass (overlap unknownSplit)
-// at p = 1; at p > 1 that one cuts text into the engines' p sub-chunks,
-// which start unknown. A bounded pass of 4 KiB or more has no occurrence
-// longer than overlap: it cuts text into the p sub-chunks (one at p = 1),
-// each backed up over the overlap−1 bytes an occurrence crossing its cut
-// can begin in and walked from D.Start, and quarters each the same way
-// for the engines outside the groups of four (runChunk). Every
-// occurrence lies inside some piece, every piece inside text, and the
-// automata are search-bracketed. A back-up that reaches past the start
-// of text clamps to it, so the bound needs no relation to the piece
-// length: at worst the pieces re-walk prefixes.
+// begin takes a context for a pass over n bytes and decides, once, how
+// it walks and which members of sel it takes (c.ms / c.idx, in sel
+// order). Below streamSequentialMax the pass is one chunk on the calling
+// goroutine, and so is an unbounded pass (overlap unknownSplit) at
+// p = 1; at p > 1 that one cuts the input into the engines' p
+// sub-chunks, which start unknown. A bounded pass of 4 KiB or more has
+// no occurrence longer than overlap: it cuts the input into the p
+// sub-chunks (one at p = 1), each backed up over the overlap−1 bytes an
+// occurrence crossing its cut can begin in, and quarters each the same
+// way for the engines outside the groups of four (runChunk). Every
+// occurrence lies inside some piece, every piece inside the input, and
+// the automata are search-bracketed; a back-up that reaches past the
+// start of the input clamps to it, so the bound needs no relation to the
+// piece length. Every walk starts known — D's own from D.Start — unless
+// the pass composes a mapping or cuts an unbounded input; a known pass
+// takes every eager engine, any other the split ones.
 //
 //sfa:noalloc
-func (g *Lockstep) walk(c *lockCtx, text []byte, known bool, overlap int) {
-	c.p, c.known, c.back, c.lanes, c.grouped = 1, known, 0, 1, len(c.ms)
+func (g *Lockstep) begin(sel []int, n int, mapping bool, overlap int) *lockCtx {
+	c := g.get()
+	c.p, c.known, c.back, c.lanes = 1, !mapping, 0, 1
 	switch p := g.threads; {
-	case len(text) < streamSequentialMax:
+	case n < streamSequentialMax:
 	case overlap == unknownSplit:
 		if p > 1 {
 			c.p, c.known = p, false
 		}
 	default:
 		c.p, c.back, c.lanes = p, max(overlap-1, 0), lockstepWidth
+	}
+	c.ms, c.idx = c.ms[:0], c.idx[:0]
+	for _, i := range sel {
+		if m := g.eager[i]; m != nil && (c.known || g.split[i]) {
+			c.ms, c.idx = append(c.ms, m), append(c.idx, i)
+		}
+	}
+	c.grouped = len(c.ms)
+	if c.lanes > 1 {
 		c.grouped -= len(c.ms) % lockstepWidth
 	}
+	return c
+}
+
+// walk runs the engines c took over text as begin planned.
+//
+//sfa:noalloc
+func (g *Lockstep) walk(c *lockCtx, text []byte) {
 	c.text = text
 	if c.p == 1 {
 		c.runChunk(0)
@@ -425,10 +431,10 @@ func (g *Lockstep) MatchMasks(sel []int, text []byte, dsts [][]uint64) {
 	if len(sel) == 0 {
 		return
 	}
-	c := g.get()
-	if g.pick(c, sel, false) {
+	c := g.begin(sel, len(text), false, unknownSplit)
+	if len(c.idx) > 0 {
 		start := time.Now()
-		g.walk(c, text, true, unknownSplit)
+		g.walk(c, text)
 		for j, i := range c.idx {
 			m := g.eager[i]
 			copy(dsts[i][:m.words], m.row(c.final(j, m)))
@@ -446,43 +452,42 @@ func (g *Lockstep) MatchMasks(sel []int, text []byte, dsts [][]uint64) {
 	g.put(c)
 }
 
-// OrMasks is engines[i].OrMask(text, dsts[i]) for every i in sel: the
-// candidate-window primitive, for a window every selected engine must
-// verify, where no occurrence any of them must find is longer than
-// overlap bytes. The final mask row of every piece the window was cut
-// into is ORed in (walk). A lone engine's window under 4 KiB is its own
-// OrMask, called directly. Like OrMask it books nothing: the caller
-// times and counts the block's windows.
+// OrMasks ORs into dsts[i] the accept bitmask of text for every i in
+// sel: the candidate-window primitive, for a window every selected
+// engine must verify, where no occurrence any of them must find is
+// longer than overlap bytes. Every engine of sel must be eager, since
+// there is no fallback: the final mask row of every piece the window was
+// cut into is ORed in (begin). A lone engine's window under 4 KiB is one
+// walk of D on the calling goroutine. It books nothing: the caller times
+// and counts the block's windows.
 //
 //sfa:noalloc
 func (g *Lockstep) OrMasks(sel []int, text []byte, overlap int, dsts [][]uint64) {
 	if len(sel) == 1 && len(text) < streamSequentialMax {
-		g.engines[sel[0]].OrMask(text, dsts[sel[0]])
+		m := g.eager[sel[0]]
+		orRow(dsts[sel[0]], m.row(m.runDFA(text)))
 		return
 	}
-	c := g.get()
-	if g.pick(c, sel, true) {
-		g.walk(c, text, true, overlap)
-		for j, i := range c.idx {
-			m, dst, step := g.eager[i], dsts[i], 1
-			if j < c.grouped {
-				step = c.lanes // a grouped engine wrote lane 0 of each chunk
-			}
-			qs := c.localsOf(j)
-			for x := 0; x < len(qs); x += step {
-				for w, bits := range m.row(qs[x]) {
-					dst[w] |= bits
-				}
-			}
+	c := g.begin(sel, len(text), false, overlap)
+	g.walk(c, text)
+	for j, i := range c.idx {
+		step := 1
+		if j < c.grouped {
+			step = c.lanes // a grouped engine wrote lane 0 of each chunk
 		}
-	}
-	j := 0
-	for _, i := range sel {
-		if !c.picked(&j, i) {
-			g.engines[i].OrMask(text, dsts[i])
+		qs := c.localsOf(j)
+		for x := 0; x < len(qs); x += step {
+			orRow(dsts[i], g.eager[i].row(qs[x]))
 		}
 	}
 	g.put(c)
+}
+
+// orRow ORs a mask row into dst.
+func orRow(dst, row []uint64) {
+	for w, bits := range row {
+		dst[w] |= bits
+	}
 }
 
 // ComposeChunks is curs[i], tmps[i] = engines[i].ComposeChunk(curs[i],
@@ -494,10 +499,10 @@ func (g *Lockstep) ComposeChunks(sel []int, curs, tmps [][]int16, chunk []byte) 
 	if len(chunk) == 0 || len(sel) == 0 {
 		return
 	}
-	c := g.get()
-	if g.pick(c, sel, false) {
+	c := g.begin(sel, len(chunk), true, unknownSplit)
+	if len(c.idx) > 0 {
 		start := time.Now()
-		g.walk(c, chunk, false, unknownSplit)
+		g.walk(c, chunk)
 		for j, i := range c.idx {
 			m := g.eager[i]
 			curs[i], tmps[i] = composeLocals(m.s, curs[i], tmps[i], c.localsOf(j))

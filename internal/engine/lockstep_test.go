@@ -53,11 +53,14 @@ func lockstepEngine(t testing.TB, pattern string, threads int, opts ...Option) *
 }
 
 // TestLockstepAgreesWithSingleWalks is the kernel's contract: for k in
-// 1…9 engines — all u16, or mixed with u8 and i32 engines, which join
-// only bounded passes, and class-table and spawn-mode engines, which
-// always fall back — every subset selection gives exactly what k single
-// MatchMask / OrMask / ComposeChunk calls give, at every thread count
-// and for inputs on both sides of the sequential threshold.
+// 1…9 engines — all u16, or mixed with u8, i32 and spawn-mode engines,
+// which join only passes that start known, and class-table engines,
+// which MatchMasks and ComposeChunks hand to their own walk and OrMasks
+// is never given — every subset selection gives exactly what k single
+// MatchMask / ComposeChunk calls give, and OrMasks the mask of the one
+// walk, at every thread count and for inputs on both sides of the
+// sequential threshold. Each pass takes exactly the engines its kind
+// admits (tookEngines), a lone one included.
 func TestLockstepAgreesWithSingleWalks(t *testing.T) {
 	traffic, _ := textgen.Traffic{SuspiciousPerMille: 30}.Generate(40<<10, 5)
 	inputs := [][]byte{nil, traffic[:1], traffic[:97], traffic[:4095], traffic[:4097], traffic}
@@ -109,6 +112,18 @@ func TestLockstepAgreesWithSingleWalks(t *testing.T) {
 
 func checkLockstep(t *testing.T, g *Lockstep, ms []*MultiSFA, sel []int, in []byte, what string) {
 	t.Helper()
+	// admitted lists the members of sel a pass takes: every engine with
+	// D's table when its walks start known, else the pooled u16 ones.
+	admitted := func(known bool) []int {
+		var want []int
+		for _, i := range sel {
+			if l := ms[i].Layout(); l != LayoutClass && (known || l == LayoutU16 && !ms[i].spawn) {
+				want = append(want, i)
+			}
+		}
+		return want
+	}
+	orSel := admitted(true) // OrMasks is given eager engines only
 	k := len(ms)
 	got := make([][]uint64, k)
 	or := make([][]uint64, k)
@@ -124,17 +139,22 @@ func checkLockstep(t *testing.T, g *Lockstep, ms []*MultiSFA, sel []int, in []by
 		wantCur[i] = slices.Clone(curs[i])
 	}
 	g.MatchMasks(sel, in, got)
+	if took, want := tookEngines(g), admitted(g.Threads() == 1 || len(in) < streamSequentialMax); len(sel) > 0 && !slices.Equal(took, want) {
+		t.Fatalf("%s: MatchMasks took engines %v, want %v", what, took, want)
+	}
 	// The engines are search-bracketed, so no occurrence in the input is
 	// longer than the input: a valid overlap at any length.
-	g.OrMasks(sel, in, len(in), or)
+	g.OrMasks(orSel, in, len(in), or)
 	g.ComposeChunks(sel, curs, tmps, in)
-	picked := make([]bool, k)
-	for _, i := range sel {
-		picked[i] = true
+	if took, want := tookEngines(g), admitted(false); len(sel) > 0 && len(in) > 0 && !slices.Equal(took, want) {
+		t.Fatalf("%s: ComposeChunks took engines %v, want %v", what, took, want)
 	}
 	for i, m := range ms {
-		if !picked[i] {
-			if got[i][0] != 0xdead || or[i][0] != 2 || !slices.Equal(curs[i], wantCur[i]) {
+		if !slices.Contains(orSel, i) && or[i][0] != 2 {
+			t.Fatalf("%s: engine %d is outside the OrMasks selection but was written", what, i)
+		}
+		if !slices.Contains(sel, i) {
+			if got[i][0] != 0xdead || !slices.Equal(curs[i], wantCur[i]) {
 				t.Fatalf("%s: engine %d is outside sel but was written", what, i)
 			}
 			continue
@@ -143,7 +163,7 @@ func checkLockstep(t *testing.T, g *Lockstep, ms []*MultiSFA, sel []int, in []by
 		if got[i][0] != want {
 			t.Fatalf("%s: engine %d MatchMasks %x, single %x", what, i, got[i][0], want)
 		}
-		if or[i][0] != want|2 {
+		if slices.Contains(orSel, i) && or[i][0] != want|2 {
 			t.Fatalf("%s: engine %d OrMasks %x, single %x", what, i, or[i][0], want|2)
 		}
 		c, _ := m.ComposeChunk(wantCur[i], make([]int16, m.MappingLen()), in)
@@ -163,6 +183,16 @@ func shortestOccurrence(d *dfa.DFA, w []byte) []byte {
 				return w[i : i+n]
 			}
 		}
+	}
+	return nil
+}
+
+// tookEngines lists the engines g's last pass walked itself rather than
+// handing them to their own walk, read from the spare context: only a
+// pass that took a context leaves it there.
+func tookEngines(g *Lockstep) []int {
+	if c := g.spare.Load(); c != nil {
+		return slices.Clone(c.idx)
 	}
 	return nil
 }
@@ -383,45 +413,52 @@ func TestBoundedPassTakesEveryEagerEngine(t *testing.T) {
 	}
 }
 
-// TestLockstepAccounts pins who books what. The engines read no clock;
-// a pass books every engine it ran: the engines of a shared walk the
-// chunk, the bytes and an even share of the time, an engine that fell
-// back to its own call (the class-table one, or the only eligible engine
-// of an unbounded selection) the same for its own timed call. OrMasks books nothing
-// — the caller counts and times its windows — and neither do direct
-// engine calls.
+// TestLockstepAccounts pins who books what, at p = 1 and p = 2. The
+// engines read no clock; a pass books every engine it ran: the engines
+// of a shared walk the chunk, the bytes and an even share of the time —
+// a lone u16 engine's ComposeChunks walk too, once — and a class-table
+// engine, which falls back to its own call, the same for its own timed
+// call. OrMasks books nothing — the caller counts and times its windows
+// — and neither do direct engine calls.
 func TestLockstepAccounts(t *testing.T) {
-	ms := []*MultiSFA{
-		lockstepEngine(t, lockstepPatterns[0], 1, WithLayout(LayoutU16)),
-		lockstepEngine(t, lockstepPatterns[1], 1, WithLayout(LayoutU16)),
-		lockstepEngine(t, lockstepPatterns[2], 1, WithLayout(LayoutU16)),
-		lockstepEngine(t, lockstepPatterns[3], 1, WithLayout(LayoutClass)),
-	}
-	g := NewLockstep([]ShardEngine{ms[0], ms[1], ms[2], ms[3]})
-	text, _ := textgen.Traffic{}.Generate(64<<10, 1)
-	bufs := [][]uint64{make([]uint64, 1), make([]uint64, 1), make([]uint64, 1), make([]uint64, 1)}
-	curs, tmps := make([][]int16, len(ms)), make([][]int16, len(ms))
-	for i, m := range ms {
-		curs[i], tmps[i] = make([]int16, m.MappingLen()), make([]int16, m.MappingLen())
-		m.InitMapping(curs[i])
-		m.MatchMask(text, bufs[i])
-		m.OrMask(text, bufs[i])
-		curs[i], tmps[i] = m.ComposeChunk(curs[i], tmps[i], text)
-		if inf := m.Info(); inf.ComposeNs != 0 || inf.ScanChunks != 0 || inf.ScanBytes != 0 || inf.CandWindows != 0 {
-			t.Fatalf("engine %d booked its own direct calls: %+v", i, inf)
+	for _, p := range []int{1, 2} {
+		ms := []*MultiSFA{
+			lockstepEngine(t, lockstepPatterns[0], p, WithLayout(LayoutU16)),
+			lockstepEngine(t, lockstepPatterns[1], p, WithLayout(LayoutU16)),
+			lockstepEngine(t, lockstepPatterns[2], p, WithLayout(LayoutU16)),
+			lockstepEngine(t, lockstepPatterns[3], p, WithLayout(LayoutClass)),
 		}
-	}
-	g.MatchMasks([]int{0, 2, 3}, text, bufs)    // 0 and 2 walk together, 3 falls back
-	g.ComposeChunks([]int{1}, curs, tmps, text) // 1 alone: its own call
-	g.OrMasks([]int{0, 1, 2, 3}, text[:100], 100, bufs)
-	for i, m := range ms {
-		inf := m.Info()
-		if inf.ScanChunks != 1 || inf.ScanBytes != int64(len(text)) || inf.CandWindows != 0 || inf.ComposeNs <= 0 {
-			t.Fatalf("engine %d: account %+v", i, inf)
+		g := NewLockstep([]ShardEngine{ms[0], ms[1], ms[2], ms[3]})
+		text, _ := textgen.Traffic{}.Generate(64<<10, 1)
+		bufs := [][]uint64{make([]uint64, 1), make([]uint64, 1), make([]uint64, 1), make([]uint64, 1)}
+		curs, tmps := make([][]int16, len(ms)), make([][]int16, len(ms))
+		for i, m := range ms {
+			curs[i], tmps[i] = make([]int16, m.MappingLen()), make([]int16, m.MappingLen())
+			m.InitMapping(curs[i])
+			m.MatchMask(text, bufs[i])
+			curs[i], tmps[i] = m.ComposeChunk(curs[i], tmps[i], text)
+			if inf := m.Info(); inf.ComposeNs != 0 || inf.ScanChunks != 0 || inf.ScanBytes != 0 || inf.CandWindows != 0 {
+				t.Fatalf("p=%d engine %d booked its own direct calls: %+v", p, i, inf)
+			}
 		}
-	}
-	if a, b := ms[0].Info().ComposeNs, ms[2].Info().ComposeNs; a != b {
-		t.Fatalf("shared walk split unevenly: %d vs %d ns", a, b)
+		g.MatchMasks([]int{0, 2, 3}, text, bufs) // 0 and 2 walk together, 3 falls back
+		if took := tookEngines(g); !slices.Equal(took, []int{0, 2}) {
+			t.Fatalf("p=%d: MatchMasks took engines %v, want [0 2]", p, took)
+		}
+		g.ComposeChunks([]int{1}, curs, tmps, text) // 1 alone, in the pass
+		if took := tookEngines(g); !slices.Equal(took, []int{1}) {
+			t.Fatalf("p=%d: ComposeChunks took engines %v, want [1]", p, took)
+		}
+		g.OrMasks([]int{0, 1, 2}, text[:100], 100, bufs)
+		for i, m := range ms {
+			inf := m.Info()
+			if inf.ScanChunks != 1 || inf.ScanBytes != int64(len(text)) || inf.CandWindows != 0 || inf.ComposeNs <= 0 {
+				t.Fatalf("p=%d engine %d: account %+v", p, i, inf)
+			}
+		}
+		if a, b := ms[0].Info().ComposeNs, ms[2].Info().ComposeNs; a != b {
+			t.Fatalf("p=%d: shared walk split unevenly: %d vs %d ns", p, a, b)
+		}
 	}
 }
 

@@ -21,7 +21,7 @@ import (
 //
 // The simulation is only needed where a chunk's start state is unknown.
 // A walk that runs as one chunk from the start — MatchMask below the
-// parallel threshold or at p = 1, every OrMask window — starts at
+// parallel threshold or at p = 1, every candidate window — starts at
 // D.Start, so the engine walks D's own 256-wide u16 table instead and
 // reads the final DFA state's row directly; |D| ≤ core.MaxDFAStates, so
 // that table always fits u16 and is small (|D| ≤ |S_d|). The D-SFA's
@@ -248,19 +248,6 @@ func (m *MultiSFA) final(text []byte) int32 {
 // capacity. It returns dst[:Words()].
 func (m *MultiSFA) MatchMask(text []byte, dst []uint64) []uint64 {
 	return append(dst[:0], m.row(m.final(text))...)
-}
-
-// OrMask scans text sequentially on the calling goroutine and ORs the
-// resulting accept bitmask into dst, which must have Words() length.
-// This is the candidate-window primitive of the literal prefilter: a
-// window is a short slice, so the chunk-parallel dispatch of MatchMask
-// would cost more than the walk, and OR-accumulation lets overlapping
-// windows of one input share a result buffer. The walk starts at
-// D.Start, so it is D's own.
-func (m *MultiSFA) OrMask(text []byte, dst []uint64) {
-	for i, w := range m.row(m.runDFA(text)) {
-		dst[i] |= w
-	}
 }
 
 // Match implements Matcher: whole-input acceptance by any rule — the

@@ -12,7 +12,7 @@ import (
 
 // LazyMultiSFA is the multi-pattern engine over a lazy combined D-SFA
 // (core.LazyTuple): the same scan surface as MultiSFA — MatchMask,
-// OrMask, Match, and the streaming carried-mapping protocol — but
+// Match, and the streaming carried-mapping protocol — but
 // product states are materialized on demand during scanning and may be
 // evicted under the table budget between (never during) chunks.
 //
@@ -172,28 +172,17 @@ func (m *LazyMultiSFA) MatchMask(text []byte, dst []uint64) []uint64 {
 }
 
 // OrRule walks rule's own DFA over window from its start state and sets
-// bit rule of dst if it accepts: the verdict OrMask would give that bit,
-// for the price of one small table walk — no context, no lock, no budget
-// traffic, no fill. Like every walk of the engine it keeps no account of
-// its own; the caller books a block's windows at once (Charge).
+// bit rule of dst if it accepts: the verdict a walk of the combined
+// automaton would give that bit, for the price of one small table walk
+// — no context, no lock, no budget traffic, no fill. Like every walk
+// of the engine it keeps no account of its own; the caller books a
+// block's windows at once (Charge).
 //
 //sfa:noalloc
 func (m *LazyMultiSFA) OrRule(rule int, window []byte, dst []uint64) {
 	if m.t.Component(rule).Accepts(window) {
 		dst[rule>>6] |= 1 << (rule & 63)
 	}
-}
-
-// OrMask scans text sequentially on the calling goroutine and ORs the
-// accept bitmask of every rule into dst — the candidate-window primitive
-// of the literal prefilter, same contract as MultiSFA.OrMask. It walks
-// the combined automaton; OrRule is the cheaper call when the rule is
-// known.
-func (m *LazyMultiSFA) OrMask(text []byte, dst []uint64) {
-	c := m.ctxs.Get().(*lazyMultiCtx)
-	m.t.RunToVec(text, c.vecs[0])
-	m.t.OrAccept(c.vecs[0], dst)
-	m.ctxs.Put(c)
 }
 
 // Match implements Matcher: whole-input acceptance by any rule.

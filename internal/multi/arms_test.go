@@ -58,16 +58,10 @@ func (a *armSet) want(in []byte) []uint64 {
 func compileArmSet(t testing.TB, patterns []string, o Options) *armSet {
 	t.Helper()
 	a := &armSet{}
-	nodes := make([]*syntax.Node, len(patterns))
-	o.Prefilter = make([]prefilter.Rule, len(patterns))
-	for i, p := range patterns {
-		n, err := syntax.Parse(p, syntax.DotAll)
-		if err != nil {
-			t.Fatal(err)
-		}
-		o.Prefilter[i] = prefilter.Extract(n, true)
-		nodes[i] = syntax.BracketForSearch(n)
-		d, err := dfa.Compile(nodes[i], 0)
+	nodes, rules := armRules(t, patterns)
+	o.Prefilter = rules
+	for _, n := range nodes {
+		d, err := dfa.Compile(n, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,6 +73,23 @@ func compileArmSet(t testing.TB, patterns []string, o Options) *armSet {
 	}
 	a.set, a.nodes = s, nodes
 	return a
+}
+
+// armRules parses patterns as compileArmSet compiles them: the nodes
+// bracketed for search, and the prefilter rules of each as written.
+func armRules(t testing.TB, patterns []string) ([]*syntax.Node, []prefilter.Rule) {
+	t.Helper()
+	nodes := make([]*syntax.Node, len(patterns))
+	rules := make([]prefilter.Rule, len(patterns))
+	for i, p := range patterns {
+		n, err := syntax.Parse(p, syntax.DotAll)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rules[i] = prefilter.Extract(n, true)
+		nodes[i] = syntax.BracketForSearch(n)
+	}
+	return nodes, rules
 }
 
 // armTraffic is HTTP-like filler with occurrences of the pool's rules

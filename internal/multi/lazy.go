@@ -36,7 +36,7 @@ const (
 // and the merge pass — which need eager tables — works against the
 // interface.
 type shardEngine interface {
-	engine.ShardEngine // MatchMask, OrMask, ComposeChunk, Charge: what a lock-step pass falls back to, and the account it books
+	engine.ShardEngine // MatchMask, ComposeChunk, Charge: what a lock-step pass falls back to, and the account it books
 	Words() int
 
 	MappingLen() int

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/engine"
 	"repro/internal/obs"
@@ -37,8 +36,10 @@ type Set struct {
 	pre *setPre
 	// lock walks any selection of the shards over the same bytes in one
 	// lock-step pass (engine.Lockstep; lazy and otherwise ineligible
-	// shards fall back to their own walk inside it).
-	lock *engine.Lockstep
+	// shards fall back to their own walk inside it): the only route to a
+	// shard's walk. index[i] == i, so index[i:i+1] selects shard i alone.
+	lock  *engine.Lockstep
+	index []int
 	// carry lists the shards that see every input byte: one-shot scans
 	// walk them over the whole input, streams advance them by carried
 	// mapping. Every shard without a prefilter; the full and gate shards
@@ -71,11 +72,12 @@ func newSet(shards []*shard, rules int, pool *engine.Pool) *Set {
 	}
 	s := &Set{shards: shards, rules: rules, words: maskWords(rules), heat: make([]atomic.Int64, rules), pool: pool}
 	engines := make([]engine.ShardEngine, len(shards))
-	s.carry = make([]int, len(shards))
+	s.index = make([]int, len(shards))
 	for i, sh := range shards {
 		engines[i] = sh.m
-		s.carry[i] = i
+		s.index[i] = i
 	}
+	s.carry = slices.Clone(s.index)
 	s.lock = engine.NewLockstep(engines)
 	s.ctxs.New = func() any {
 		c := &scanCtx{
@@ -159,27 +161,32 @@ func (s *Set) scan(c *scanCtx, data []byte, workers int, dst []uint64) []uint64 
 	return dst
 }
 
-// scanPrefixes walks every prefix shard over the first maxLen bytes of
-// data into its mask and reports whether any of them matched: a
-// begin-anchored shard's occurrences start at byte 0 and the trailing
-// .* bracket absorbs the rest, so that prefix decides the verdict.
+// scanPrefixes walks every prefix shard over its prefix of data into
+// its mask and reports whether any of them matched.
 func (s *Set) scanPrefixes(c *scanCtx, data []byte) (hit bool) {
 	p := s.pre
 	if p == nil || p.prefix == 0 {
 		return false
 	}
-	for i, sh := range s.shards {
+	for i := range s.shards {
 		if p.shards[i].mode != prePrefix {
 			continue
 		}
-		k := min(p.shards[i].maxLen, len(data))
 		p.totalBytes.Add(int64(len(data)))
-		p.candBytes.Add(int64(k))
-		start := time.Now()
-		hit = anyBit(sh.m.MatchMask(data[:k], c.win.acc[i])) || hit
-		sh.charge(start, k)
+		p.candBytes.Add(int64(s.walkPrefix(i, data, c.win.acc)))
+		hit = anyBit(c.win.acc[i]) || hit
 	}
 	return hit
+}
+
+// walkPrefix walks prefix shard i over the first maxLen bytes of data
+// into acc[i] and returns how many it walked: a begin-anchored shard's
+// occurrences start at byte 0 and the trailing .* bracket absorbs the
+// rest, so that prefix decides the verdict.
+func (s *Set) walkPrefix(i int, data []byte, acc [][]uint64) int {
+	k := min(s.pre.shards[i].maxLen, len(data))
+	s.lock.MatchMasks(s.index[i:i+1], data[:k], acc)
+	return k
 }
 
 // scanCarried walks every shard that must see the whole input — all of
@@ -325,11 +332,8 @@ func (s *Set) Any(data []byte) bool {
 		s.scanCarried(c, data)
 		return slices.ContainsFunc(c.win.acc, anyBit)
 	}
-	for i, sh := range s.shards {
-		start := time.Now()
-		hit := anyBit(sh.m.MatchMask(data, c.win.acc[i]))
-		sh.charge(start, len(data))
-		if hit {
+	for i := range s.shards {
+		if s.lock.MatchMasks(s.index[i:i+1], data, c.win.acc); anyBit(c.win.acc[i]) {
 			return true
 		}
 	}
@@ -339,13 +343,6 @@ func (s *Set) Any(data []byte) bool {
 // anyBit reports whether mask has a bit set.
 func anyBit(mask []uint64) bool {
 	return slices.ContainsFunc(mask, func(w uint64) bool { return w != 0 })
-}
-
-// charge books one direct walk of n bytes by the shard's engine, begun at
-// start, to its cost account — engines read no clock of their own, so
-// the caller that walks one outside a lock-step pass times it.
-func (sh *shard) charge(start time.Time, n int) {
-	sh.m.Charge(engine.Cost{Ns: time.Since(start).Nanoseconds(), Chunks: 1, Bytes: int64(n)})
 }
 
 // ShardInfo describes one shard for stats reporting.

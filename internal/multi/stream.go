@@ -212,6 +212,7 @@ func (st *SetStream) Mask(dst []uint64) []uint64 {
 	for i := range dst {
 		dst[i] = 0
 	}
+	c := st.set.ctxs.Get().(*scanCtx) // the set's scan scratch: the prefix shards' masks
 	for i, sh := range st.set.shards {
 		switch {
 		case st.win.acc != nil && st.win.acc[i] != nil:
@@ -221,14 +222,13 @@ func (st *SetStream) Mask(dst []uint64) []uint64 {
 			// maxLen stream bytes, all held in the head buffer (none
 			// when maxLen is 0: the stream then keeps no head). It
 			// carries no mapping.
-			k := min(st.set.pre.shards[i].maxLen, len(st.head))
-			start := time.Now()
-			sh.merge(dst, sh.m.MatchMask(st.head[:k], st.local))
-			sh.charge(start, k)
+			st.set.walkPrefix(i, st.head, c.win.acc)
+			sh.merge(dst, c.win.acc[i])
 		default:
 			sh.merge(dst, sh.m.MatchMaskFrom(st.cur[i], st.local))
 		}
 	}
+	st.set.ctxs.Put(c)
 	st.set.recordHeat(dst)
 	return dst
 }

@@ -470,6 +470,57 @@ func TestRuleSetHotPathsZeroAllocPerArm(t *testing.T) {
 	}
 }
 
+// TestAnyAndMaskZeroAlloc gates the walks of a shard that go through a
+// lock-step pass on a one-shard selection: RuleSet.Any over a set with
+// window and prefix shards and over a whole-input set of gate shards,
+// which it walks one at a time, and RuleStream.Mask, which walks a set's
+// prefix shards over the stream's head, allocate nothing in steady
+// state, at p = 1 and 2.
+func TestAnyAndMaskZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	data, _ := textgen.Traffic{SuspiciousPerMille: 5}.Generate(256<<10, 3)
+	gateDefs := []RuleDef{
+		{Name: "gate", Pattern: `begin[0-9]{3,}end`},
+		{Name: "admin", Pattern: `user=.*admin`},
+		{Name: "tail", Pattern: `needle.*tail`},
+	}
+	for _, threads := range []int{1, 2} {
+		win, err := NewRuleSetFromDefs(append(snortDefs(snort.ScanSample(8)), prefilterDefs()...),
+			WithSearch(), WithThreads(threads), WithShardStateBudget(4096))
+		if err != nil {
+			t.Fatal(err)
+		}
+		gates, err := NewRuleSetFromDefs(gateDefs, WithSearch(), WithThreads(threads), WithShards(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pf := win.PrefilterStats(); pf.WindowShards == 0 || pf.PrefixShards == 0 {
+			t.Fatalf("p=%d: the window set has no window or no prefix shard: %+v", threads, pf)
+		}
+		if pf := gates.PrefilterStats(); pf.GateShards != 3 || gates.Any(data) {
+			t.Fatalf("p=%d: want three gate shards that all walk the input: %+v", threads, pf)
+		}
+		st, err := win.NewStream()
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.Write(data[:4096])
+		dst := make([]uint64, win.MaskWords())
+		pass := func() {
+			win.Any(data)
+			gates.Any(data)
+			st.Mask(dst)
+		}
+		pass()
+		pass()
+		if avg := testing.AllocsPerRun(10, pass); avg != 0 {
+			t.Fatalf("p=%d: Any + Mask allocate %.1f/op in steady state, want 0", threads, avg)
+		}
+	}
+}
+
 // TestInstrumentedStreamZeroAlloc: a RuleStream.Write on a set compiled
 // WithScanStats, followed by the per-request flight record the serve
 // scan handler makes, allocates nothing in steady state — the
